@@ -14,7 +14,7 @@ import sys
 
 from . import counting, integer_orbits, moves, oracle
 from .counting import CountReport
-from .errors import BudgetExceeded, OrbitCountError
+from .errors import BudgetExceeded, InvalidParams, OrbitCountError
 from .fields import field_of_order
 from .oracle import EnumerationBudget
 from .polymat import PolyMatrix, hnf
@@ -31,7 +31,7 @@ def _flatten(obj, prefix=""):
     rows = []
     if isinstance(obj, dict):
         for k in sorted(obj, key=str):
-            rows.extend(_flatten(obj[k], f"{prefix}{k}." if prefix or True else k))
+            rows.extend(_flatten(obj[k], f"{prefix}{k}."))
     elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             rows.extend(_flatten(v, f"{prefix}{i}."))
@@ -81,50 +81,54 @@ def cmd_formula(args) -> int:
     return EXIT_OK
 
 
-def verify_grid(grid, budget=None, orbit_formula=None, total_formula=None):
+def _key_t(key) -> int:
+    """Determinant degree of a canonical form, from its structural key."""
+    return sum(len(key[i][i]) - 1 for i in range(len(key)))
+
+
+def verify_grid(grid, budget=None):
     """Compare scan censuses against the closed forms over a grid of
     (n, q, max_k) triples.  Returns (reports, all_match)."""
-    orbit_formula = orbit_formula or counting.orbit_count_formula
-    total_formula = total_formula or counting.total_count_formula
     reports = []
     for n, q, kmax in grid:
         for k in range(kmax + 1):
             buckets, singular = oracle.orbit_census(q, n, k, budget)
             total_by_t = {}
             for key, cnt in buckets.items():
-                t = sum(len(diag) - 1 for diag in (key[i][i] for i in range(n)))
+                t = _key_t(key)
                 total_by_t[t] = total_by_t.get(t, 0) + cnt
             # every orbit with t <= k must hit the closed form exactly
             for key, cnt in sorted(buckets.items()):
-                t = sum(len(key[i][i]) - 1 for i in range(n))
+                t = _key_t(key)
                 if t > k:
                     continue
                 reports.append(
                     CountReport.compare(
                         {"n": n, "q": q, "k": k, "t": t, "kind": "orbit"},
-                        orbit_formula(n, q, t, k),
+                        counting.orbit_count_formula(n, q, t, k),
                         cnt,
                     )
                 )
-            for t in sorted(total_by_t):
-                if t > k:
-                    continue
+            for t in range(k + 1):
                 reports.append(
                     CountReport.compare(
                         {"n": n, "q": q, "k": k, "t": t, "kind": "total"},
-                        total_formula(n, q, t, k),
-                        total_by_t[t],
+                        counting.total_count_formula(n, q, t, k),
+                        total_by_t.get(t, 0),
                     )
                 )
-            # the canonical forms observed must be exactly the enumerated ones
-            for t in sorted(total_by_t):
+            # the canonical forms observed must be enumerated ones, and for
+            # t <= k the scan holds every one of them; the oracle value counts
+            # each missing or stray form on top of the enumerated ones
+            for t in sorted(set(total_by_t) | set(range(k + 1))):
                 want = {m.key() for m in oracle.enumerate_hnf_reps(n, q, t)}
-                got = {key for key in buckets if sum(len(key[i][i]) - 1 for i in range(n)) == t}
+                got = {key for key in buckets if _key_t(key) == t}
+                wrong = got ^ want if t <= k else got - want
                 reports.append(
                     CountReport.compare(
                         {"n": n, "q": q, "k": k, "t": t, "kind": "rep-inventory"},
                         len(want),
-                        len(got | want),
+                        len(want) + len(wrong),
                     )
                 )
     return reports, all(r.match for r in reports)
@@ -132,7 +136,7 @@ def verify_grid(grid, budget=None, orbit_formula=None, total_formula=None):
 
 def cmd_verify(args) -> int:
     grid = args.grid or DEFAULT_VERIFY_GRID
-    budget = EnumerationBudget(args.budget, args.shards)
+    budget = EnumerationBudget(args.budget)
     reports, ok = verify_grid(grid, budget)
     emit(
         {"grid": [list(g) for g in grid], "reports": [r.to_json() for r in reports], "all_match": ok},
@@ -143,7 +147,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_brute(args) -> int:
-    budget = EnumerationBudget(args.budget, args.shards)
+    budget = EnumerationBudget(args.budget)
     if args.input:
         rep = _load_matrix(args.input)
         count = oracle.count_orbit_bruteforce(rep, args.k, budget)
@@ -153,6 +157,8 @@ def cmd_brute(args) -> int:
             args.out,
         )
         return EXIT_OK
+    if args.n is None or args.q is None:
+        raise InvalidParams("brute needs --n and --q unless --input is given")
     census = oracle.census_by_det_degree(args.n, args.q, args.k, budget)
     emit(census.to_json(), args.format, args.out)
     return EXIT_OK
@@ -175,7 +181,7 @@ def cmd_hnf(args) -> int:
 
 def cmd_lemma2(args) -> int:
     bounds = _parse_bounds(args.bounds)
-    budget = EnumerationBudget(args.budget, args.shards)
+    budget = EnumerationBudget(args.budget)
     formula = counting.p_count_formula(bounds, args.q)
     recursive = counting.p_count_recursive(bounds, args.q)
     brute = oracle.count_P_bruteforce(bounds, args.q, budget)
@@ -197,7 +203,7 @@ def cmd_lemma2(args) -> int:
 
 def cmd_verify_moves(args) -> int:
     field = field_of_order(args.q)
-    budget = EnumerationBudget(args.budget, args.shards)
+    budget = EnumerationBudget(args.budget)
     two, three = moves.standard_move_fixtures(field)
     fixtures = two if args.n == 2 else three if args.n == 3 else two + three
     records = moves.run_move_battery(fixtures, k_extra=args.k_extra, budget=budget)
@@ -228,7 +234,9 @@ def cmd_zcase_classes(args) -> int:
 
 
 def cmd_zcase_ratio(args) -> int:
-    ladder = sorted({max(args.T // 4, 1), args.T // 2, args.T})
+    if args.T < 1:
+        raise InvalidParams(f"--T must be >= 1, got {args.T}")
+    ladder = sorted({args.T // 4, args.T // 2, args.T} - {0})
     report = integer_orbits.orbit_ratio_experiment(args.det, args.T, ladder, args.budget)
     payload = report.to_json()
     counts = report.class_counts[args.T]
@@ -267,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out")
-        p.add_argument("--shards", type=int, default=1)
         p.add_argument("--budget", type=int, default=oracle.DEFAULT_MAX_ITEMS)
 
     p = sub.add_parser("formula", help="evaluate the closed-form counts")

@@ -34,6 +34,17 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def digits(v, base: int, width: int):
+    """The ``width`` least significant base-``base`` digits of ``v``,
+    little-endian.  ``v`` is an int or an integer numpy array; for an array
+    each digit is an array of its shape, and the input is left unchanged."""
+    out = []
+    for _ in range(width):
+        out.append(v % base)
+        v = v // base
+    return out
+
+
 def _fp_polymul(a, b, p):
     """Multiply two F_p coefficient lists (little-endian)."""
     out = [0] * (len(a) + len(b) - 1)
@@ -76,13 +87,7 @@ def _modulus_is_irreducible(modulus, p):
     # trial division by monic polynomials of degree 2..e//2
     for d in range(2, e // 2 + 1):
         for idx in range(p**d):
-            cand = []
-            v = idx
-            for _ in range(d):
-                cand.append(v % p)
-                v //= p
-            cand.append(1)  # monic
-            if not _fp_polymod(modulus, cand, p):
+            if not _fp_polymod(modulus, digits(idx, p, d) + [1], p):
                 return False
     return True
 
@@ -127,11 +132,7 @@ class GF:
         return v
 
     def _unpack(self, v: int):
-        out = []
-        for _ in range(self.e):
-            out.append(v % self.p)
-            v //= self.p
-        return out
+        return digits(v, self.p, self.e)
 
     def _raw_mul(self, a: int, b: int) -> int:
         prod = _fp_polymul(self._unpack(a), self._unpack(b), self.p)
@@ -141,7 +142,6 @@ class GF:
         q = self.q
         # find a multiplicative generator by direct order computation
         for g in range(2, q):
-            seen = set()
             acc = 1
             exp = [1]
             for _ in range(q - 1):
@@ -149,7 +149,6 @@ class GF:
                 if acc == 1:
                     break
                 exp.append(acc)
-                seen.add(acc)
             if len(exp) == q - 1:
                 break
         else:  # pragma: no cover - a generator always exists

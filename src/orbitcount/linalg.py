@@ -11,28 +11,41 @@ from itertools import product
 from .fields import GF
 
 
-def rank(rows, field: GF) -> int:
-    """Rank of a list of row vectors by Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
+def rref(rows, ncols: int, field: GF):
+    """Reduced row echelon form by Gauss-Jordan elimination on the first
+    ``ncols`` columns (later columns, such as an augmented right-hand side,
+    are carried along).
+
+    Returns ``(rows, pivots)``: the reduced rows (a new list), where row i
+    has its leading 1 in column ``pivots[i]`` and the rows past
+    ``len(pivots)`` are zero on the first ``ncols`` columns.
+    """
+    rows = list(rows)  # rows are replaced, never mutated, so a shallow copy suffices
+    m = len(rows)
+    pivots = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = field.inv(rows[r][c])
         rows[r] = [field.mul(inv, v) for v in rows[r]]
-        for i in range(len(rows)):
+        for i in range(m):
             if i != r and rows[i][c]:
                 f = rows[i][c]
                 rows[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
         r += 1
-        if r == len(rows):
-            break
-    return r
+    return rows, pivots
+
+
+def rank(rows, field: GF) -> int:
+    """Rank of a list of row vectors."""
+    rows = list(rows)
+    return len(rref(rows, len(rows[0]), field)[1]) if rows else 0
 
 
 def solve_affine(a_rows, b, field: GF, ncols: int | None = None):
@@ -42,39 +55,20 @@ def solve_affine(a_rows, b, field: GF, ncols: int | None = None):
     or ``None`` when the system is inconsistent.  ``ncols`` must be given when
     the system can be empty (no constraint rows).
     """
-    m = len(a_rows)
-    n = ncols if ncols is not None else (len(a_rows[0]) if m else 0)
-    aug = [list(r) + [bv] for r, bv in zip(a_rows, b)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = field.inv(aug[r][c])
-        aug[r] = [field.mul(inv, v) for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n]:
+    n = ncols if ncols is not None else (len(a_rows[0]) if a_rows else 0)
+    aug, pivots = rref([list(r) + [bv] for r, bv in zip(a_rows, b)], n, field)
+    for row in aug[len(pivots):]:
+        if row[n]:
             return None
     particular = [0] * n
-    for i, c in enumerate(pivots):
-        particular[c] = aug[i][n]
-    free = [c for c in range(n) if c not in set(pivots)]
+    for row, c in zip(aug, pivots):
+        particular[c] = row[n]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         vec = [0] * n
         vec[fc] = 1
-        for i, c in enumerate(pivots):
-            vec[c] = field.neg(aug[i][fc])
+        for row, c in zip(aug, pivots):
+            vec[c] = field.neg(row[fc])
         basis.append(vec)
     return particular, basis
 

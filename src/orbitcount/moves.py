@@ -19,6 +19,7 @@ from .errors import (
     SingularMatrix,
     ZeroPivot,
 )
+from .linalg import rref
 from .poly import Poly, truncate_low
 from .polymat import PolyMatrix, det, hnf
 from . import oracle
@@ -151,18 +152,11 @@ def two_cycle_matrix(field, n: int, a: int, b: int) -> PolyMatrix:
 
 def _invert_constant(grid, fld):
     n = len(grid)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(grid)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if aug[r][c]), None)
-        if piv is None:
-            return None
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = fld.inv(aug[c][c])
-        aug[c] = [fld.mul(inv, v) for v in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [fld.sub(x, fld.mul(f, y)) for x, y in zip(aug[r], aug[c])]
+    aug, pivots = rref(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(grid)], n, fld
+    )
+    if len(pivots) < n:
+        return None
     return [row[n:] for row in aug]
 
 

@@ -3,9 +3,7 @@
 All enumerations are exact and refuse up front when the scan would exceed the
 budget.  The matrix index space is ordered row-major over entries with
 little-endian coefficient digits (entry (0,0) coefficient 0 is the least
-significant digit), so shard boundaries and recorded counts are reproducible.
-Shards are scanned independently and combined by addition, which makes the
-shard count observationally irrelevant.
+significant digit), so recorded counts are reproducible.
 """
 
 from __future__ import annotations
@@ -16,12 +14,12 @@ from itertools import product
 
 import numpy as np
 
-from .counting import gl_count
-from .errors import BudgetExceeded, InvalidParams, PreconditionViolation, SingularMatrix
-from .fields import GF, field_of_order
+from .counting import _compositions, gl_count
+from .errors import BudgetExceeded, InvalidParams, PreconditionViolation
+from .fields import GF, digits, field_of_order
 from .linalg import iter_affine_space, rank, solve_affine
 from .poly import NEG_INF, Poly
-from .polymat import PolyMatrix, det, hnf
+from .polymat import PolyMatrix, _det_cofactor, det, hnf
 
 DEFAULT_MAX_ITEMS = 10**8
 
@@ -29,7 +27,6 @@ DEFAULT_MAX_ITEMS = 10**8
 @dataclass(frozen=True)
 class EnumerationBudget:
     max_items: int = DEFAULT_MAX_ITEMS
-    partitions: int = 1
 
     def check(self, cost: int, what: str):
         if cost > self.max_items:
@@ -42,15 +39,6 @@ def _budget(budget) -> EnumerationBudget:
 
 def _field(q) -> GF:
     return q if isinstance(q, GF) else field_of_order(q)
-
-
-def shard_ranges(total: int, partitions: int):
-    """Contiguous [start, stop) shards covering range(total)."""
-    if total <= 0:
-        return []
-    partitions = max(1, partitions)
-    step = -(-total // partitions)
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step) if lo < total]
 
 
 # -- polynomial and matrix enumeration ---------------------------------------
@@ -69,36 +57,19 @@ def iter_polys(q, max_deg):
         raise InvalidParams(f"max_deg must be >= 0 or NEG_INF, got {max_deg}")
     width = max_deg + 1
     for idx in range(fld.q**width):
-        coeffs = []
-        v = idx
-        for _ in range(width):
-            coeffs.append(v % fld.q)
-            v //= fld.q
-        yield Poly(fld, coeffs)
+        yield Poly(fld, digits(idx, fld.q, width))
 
 
 def _decode_matrix(fld: GF, n: int, width: int, idx: int) -> PolyMatrix:
-    q = fld.q
-    rows = []
-    for _ in range(n):
-        row = []
-        for _ in range(n):
-            coeffs = []
-            for _ in range(width):
-                coeffs.append(idx % q)
-                idx //= q
-            row.append(Poly(fld, coeffs))
-        rows.append(row)
-    return PolyMatrix(rows)
+    coeffs = digits(idx, fld.q, n * n * width)
+    entries = [Poly(fld, coeffs[e : e + width]) for e in range(0, n * n * width, width)]
+    return PolyMatrix([entries[i * n : (i + 1) * n] for i in range(n)])
 
 
-def iter_matrices(q, n: int, k: int, start: int = 0, stop: int | None = None):
+def iter_matrices(q, n: int, k: int):
     """All n x n matrices with entry degrees <= k, in index order."""
     fld = _field(q)
-    total = fld.q ** (n * n * (k + 1))
-    if stop is None:
-        stop = total
-    for idx in range(start, stop):
+    for idx in range(fld.q ** (n * n * (k + 1))):
         yield _decode_matrix(fld, n, k + 1, idx)
 
 
@@ -115,14 +86,9 @@ def count_orbit_bruteforce(rep: PolyMatrix, k: int, budget=None) -> int:
     total = fld.q ** (n * n * (k + 1))
     budget.check(total, "orbit scan")
     count = 0
-    for lo, hi in shard_ranges(total, budget.partitions):
-        part = 0
-        for m in iter_matrices(fld, n, k, lo, hi):
-            if det(m).is_zero():
-                continue
-            if hnf(m).h.key() == target:
-                part += 1
-        count += part
+    for m in iter_matrices(fld, n, k):
+        if not det(m).is_zero() and hnf(m).h.key() == target:
+            count += 1
     return count
 
 
@@ -136,24 +102,15 @@ def orbit_census(q, n: int, k: int, budget=None):
     fld = _field(q)
     total = fld.q ** (n * n * (k + 1))
     budget.check(total, "orbit census")
-    shard_buckets = []
+    buckets = {}
     singular = 0
-    for lo, hi in shard_ranges(total, budget.partitions):
-        buckets = {}
-        part_singular = 0
-        for m in iter_matrices(fld, n, k, lo, hi):
-            if det(m).is_zero():
-                part_singular += 1
-                continue
-            key = hnf(m).h.key()
-            buckets[key] = buckets.get(key, 0) + 1
-        shard_buckets.append(buckets)
-        singular += part_singular
-    merged = {}
-    for buckets in shard_buckets:
-        for key, c in buckets.items():
-            merged[key] = merged.get(key, 0) + c
-    return merged, singular
+    for m in iter_matrices(fld, n, k):
+        if det(m).is_zero():
+            singular += 1
+            continue
+        key = hnf(m).h.key()
+        buckets[key] = buckets.get(key, 0) + 1
+    return buckets, singular
 
 
 @dataclass(frozen=True)
@@ -181,13 +138,12 @@ def census_by_det_degree(n: int, q, k: int, budget=None) -> DetDegreeCensus:
     budget.check(total, "determinant census")
     buckets = {}
     singular = 0
-    for lo, hi in shard_ranges(total, budget.partitions):
-        for m in iter_matrices(fld, n, k, lo, hi):
-            d = det(m)
-            if d.is_zero():
-                singular += 1
-            else:
-                buckets[d.degree] = buckets.get(d.degree, 0) + 1
+    for m in iter_matrices(fld, n, k):
+        d = det(m)
+        if d.is_zero():
+            singular += 1
+        else:
+            buckets[d.degree] = buckets.get(d.degree, 0) + 1
     return DetDegreeCensus(n, fld.q, k, buckets, singular)
 
 
@@ -231,10 +187,8 @@ def _p_scan_vectorized(fld: GF, bounds, budget: EnumerationBudget):
         coeff = np.zeros((hi - lo, n, n, kmax + 1), dtype=np.int64)
         for i in range(n):
             coeff[:, i, i, 0] = 1
-        div = 1
-        for (i, j, d) in positions:
-            coeff[:, i, j, d] = (idx // div) % q
-            div *= q
+        for (i, j, d), v in zip(positions, digits(idx, q, nfree)):
+            coeff[:, i, j, d] = v
         if n == 1:
             detc = coeff[:, 0, 0, :]
         elif n == 2:
@@ -261,14 +215,12 @@ def _p_scan_vectorized(fld: GF, bounds, budget: EnumerationBudget):
 
 def _decode_p_member(fld: GF, bounds, idx: int) -> PolyMatrix:
     n = len(bounds)
-    q = fld.q
-    kmax = max(bounds) if bounds else 0
-    coeff = [[[0] * (kmax + 1) for _ in range(n)] for _ in range(n)]
+    positions = _free_positions(n, bounds)
+    coeff = [[[0] * (max(bounds) + 1) for _ in range(n)] for _ in range(n)]
     for i in range(n):
         coeff[i][i][0] = 1
-    for (i, j, d) in _free_positions(n, bounds):
-        coeff[i][j][d] = idx % q
-        idx //= q
+    for (i, j, d), v in zip(positions, digits(idx, fld.q, len(positions))):
+        coeff[i][j][d] = v
     return PolyMatrix([[Poly(fld, coeff[i][j]) for j in range(n)] for i in range(n)])
 
 
@@ -276,22 +228,15 @@ def _decode_p_member(fld: GF, bounds, idx: int) -> PolyMatrix:
 def _p_members_cached(fld: GF, bounds: tuple, max_items: int):
     budget = EnumerationBudget(max_items=max_items)
     n = len(bounds)
-    q = fld.q
     if fld.e == 1 and n <= 3:
         indices = _p_scan_vectorized(fld, bounds, budget)
         return tuple(_decode_p_member(fld, bounds, int(i)) for i in indices)
     # generic fallback: walk the whole candidate space
-    positions = _free_positions(n, bounds)
-    budget.check(q ** len(positions), "unipotent family scan")
+    total = fld.q ** (n * sum(bounds))
+    budget.check(total, "unipotent family scan")
     members = []
-    kmax = max(bounds) if bounds else 0
-    for digits in product(range(q), repeat=len(positions)):
-        coeff = [[[0] * (kmax + 1) for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            coeff[i][i][0] = 1
-        for (i, j, d), v in zip(positions, digits):
-            coeff[i][j][d] = v
-        m = PolyMatrix([[Poly(fld, coeff[i][j]) for j in range(n)] for i in range(n)])
+    for idx in range(total):
+        m = _decode_p_member(fld, bounds, idx)
         d = det(m)
         if d.is_constant() and not d.is_zero():
             members.append(m)
@@ -357,15 +302,6 @@ def count_QR_bruteforce(kind: str, i: int, bounds, q, budget=None) -> int:
 
 
 # -- canonical form enumeration ----------------------------------------------
-
-
-def _compositions(t, n):
-    if n == 1:
-        yield (t,)
-        return
-    for first in range(t + 1):
-        for rest in _compositions(t - first, n - 1):
-            yield (first,) + rest
 
 
 def enumerate_hnf_reps(n: int, q, t: int, budget=None):
@@ -500,26 +436,11 @@ def count_orbit_members(rep: PolyMatrix, k: int, budget=None) -> int:
         out = []
         for j in range(n):
             minor = [[r[c] for c in range(n) if c != j] for r in rows]
-            d = minor_det(minor)
+            d = _det_cofactor(minor, fld)
             if (n - 1 + j) % 2 == 1:
                 d = -d
             out.append(d)
         return out
-
-    def minor_det(m):
-        sz = len(m)
-        if sz == 1:
-            return m[0][0]
-        if sz == 2:
-            return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        acc = Poly.zero(fld)
-        for r in range(sz):
-            if m[r][0].is_zero():
-                continue
-            sub = [row[1:] for rr, row in enumerate(m) if rr != r]
-            term = m[r][0] * minor_det(sub)
-            acc = acc + term if r % 2 == 0 else acc - term
-        return acc
 
     total = 0
     nb = len(last_basis_polys)

@@ -191,10 +191,6 @@ class Poly:
         return "+".join(terms)
 
 
-def poly_divmod(f: Poly, g: Poly):
-    return divmod(f, g)
-
-
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor via the Euclidean algorithm."""
     if f.field != g.field:

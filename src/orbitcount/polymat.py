@@ -147,10 +147,6 @@ class PolyMatrix:
         return PolyMatrix(out)
 
 
-def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    return a @ b
-
-
 def satisfies_R(m: PolyMatrix, k: int) -> bool:
     """True iff every entry has degree <= k (zero entries pass)."""
     return all(e.degree <= k for row in m.entries for e in row)
@@ -186,14 +182,13 @@ def det(m: PolyMatrix) -> Poly:
     d = Poly.one(m.field)
     for i in range(m.rows):
         d = d * form.h.entries[i][i]
-    # u @ m = h with det(u) a nonzero constant c, so det(m) = det(h) / c
-    c = det_constant(form.u)
-    return d.scale(m.field.inv(c))
+    # u @ m = h, so det(m) = det(h) / det(u)
+    return d.scale(m.field.inv(form.unit))
 
 
 def det_constant(u: PolyMatrix) -> int:
     """Determinant of a matrix known to be unimodular, as a field element."""
-    d = det(u) if u.rows <= 5 else _det_cofactor([list(r) for r in u.entries], u.field)
+    d = det(u)
     if not d.is_constant():
         raise SingularMatrix("matrix is not unimodular")
     return d[0]
@@ -204,6 +199,7 @@ class HermiteForm:
     h: PolyMatrix
     u: PolyMatrix
     det_degree: int
+    unit: int  # det(u), a nonzero field element
 
 
 def hnf(m: PolyMatrix) -> HermiteForm:
@@ -211,7 +207,8 @@ def hnf(m: PolyMatrix) -> HermiteForm:
 
     Euclidean elimination clears each column below the diagonal, the pivot is
     made monic, and above-diagonal entries are reduced by division with
-    remainder.  The witness u satisfies u @ m = h with det(u) in F_q^*.
+    remainder.  The witness u satisfies u @ m = h with det(u) = unit in
+    F_q^*, tracked through the row operations.
     """
     if not m.is_square():
         raise NotSquare(f"{m.rows}x{m.cols}")
@@ -219,6 +216,7 @@ def hnf(m: PolyMatrix) -> HermiteForm:
     n = m.rows
     h = [list(row) for row in m.entries]
     u = [list(row) for row in PolyMatrix.identity(field, n).entries]
+    unit = 1
 
     def row_sub(i, j, q):
         # row_i -= q * row_j
@@ -234,6 +232,7 @@ def hnf(m: PolyMatrix) -> HermiteForm:
             if piv != c:
                 h[c], h[piv] = h[piv], h[c]
                 u[c], u[piv] = u[piv], u[c]
+                unit = field.neg(unit)
             below = [i for i in range(c + 1, n) if not h[i][c].is_zero()]
             if not below:
                 break
@@ -246,6 +245,7 @@ def hnf(m: PolyMatrix) -> HermiteForm:
             inv = field.inv(lc)
             h[c] = [e.scale(inv) for e in h[c]]
             u[c] = [e.scale(inv) for e in u[c]]
+            unit = field.mul(unit, inv)
     # reduce above-diagonal entries, left to right
     for c in range(1, n):
         for i in range(c):
@@ -255,7 +255,7 @@ def hnf(m: PolyMatrix) -> HermiteForm:
     hm = PolyMatrix(h)
     um = PolyMatrix(u)
     t = sum(hm.entries[i][i].degree for i in range(n))
-    return HermiteForm(hm, um, t)
+    return HermiteForm(hm, um, t, unit)
 
 
 def same_orbit(a: PolyMatrix, b: PolyMatrix) -> bool:

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from orbitcount import cli, counting
+from orbitcount import cli, counting, oracle
+from orbitcount.fields import field_of_order
+from orbitcount.polymat import PolyMatrix
 
 
 def run(capsys, *argv):
@@ -62,6 +64,30 @@ def test_invalid_input_exit_2(capsys):
     assert code == 2
     code, _, _ = run(capsys, "no-such-command")
     assert code == 2
+
+
+def assert_one_line_error(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_formula_rejects_non_prime_power_q(capsys):
+    assert_one_line_error(*run(capsys, "formula", "--n", "2", "--q", "6", "--t", "0", "--k", "1"))
+
+
+def test_brute_census_needs_n_and_q(capsys):
+    assert_one_line_error(*run(capsys, "brute", "--k", "1"))
+
+
+@pytest.mark.parametrize("T", ["0", "-3"])
+def test_zcase_ratio_rejects_nonpositive_T(capsys, T):
+    assert_one_line_error(*run(capsys, "zcase", "ratio", "--det", "4", "--T", T))
+
+
+def test_zcase_ratio_T1_ladder(capsys):
+    code, out, _ = run(capsys, "zcase", "ratio", "--det", "4", "--T", "1")
+    assert code == 0
+    assert json.loads(out)["ladder"] == [1]
 
 
 def test_budget_refusal_exit_3(capsys):
@@ -133,6 +159,24 @@ def test_verify_detects_corrupted_formula(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--grid", "2,2,1")
     assert code == 1
     assert json.loads(out)["all_match"] is False
+
+
+def test_verify_detects_missing_canonical_form(capsys, monkeypatch):
+    """A scan that loses the orbit of the identity (t = 0 <= k) must fail the
+    rep inventory, not only the counts."""
+    real = oracle.orbit_census
+    identity = PolyMatrix.identity(field_of_order(2), 2).key()
+
+    def census_without_identity(q, n, k, budget=None):
+        buckets, singular = real(q, n, k, budget)
+        del buckets[identity]
+        return buckets, singular
+
+    monkeypatch.setattr(oracle, "orbit_census", census_without_identity)
+    code, out, _ = run(capsys, "verify", "--grid", "2,2,1")
+    assert code == 1
+    reports = json.loads(out)["reports"]
+    assert any(r["params"]["kind"] == "rep-inventory" and not r["match"] for r in reports)
 
 
 def test_verify_moves_subcommand(capsys):

@@ -194,3 +194,13 @@ def test_counts_are_exact_integers_at_larger_sizes():
     v = orbit_count_formula(4, 5, 3, 6)
     assert isinstance(v, int)
     assert v == gl_count(4, 5) * 5 ** (3 * (4 * 6 - 3))
+
+
+def test_q_must_be_a_prime_power():
+    for q in (6, 10, 12, 15, 36):
+        with pytest.raises(InvalidParams):
+            gl_count(2, q)
+        with pytest.raises(InvalidParams):
+            orbit_count_formula(2, q, 0, 1)
+    for q in (2, 4, 8, 9, 25, 27, 49, 7919):
+        assert gl_count(1, q) == q - 1

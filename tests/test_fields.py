@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from orbitcount.errors import (
@@ -6,7 +7,7 @@ from orbitcount.errors import (
     ReducibleModulus,
     UnsupportedSize,
 )
-from orbitcount.fields import GF, field_of_order, field_spec, prime_field
+from orbitcount.fields import GF, digits, field_of_order, field_spec, prime_field
 
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9]
@@ -125,3 +126,19 @@ def test_extension_field_generator_covers_units():
         acc = f9.mul(acc, g)
         seen.add(acc)
     assert seen == set(range(1, 9))
+
+
+def test_digits_round_trip():
+    for base, width in ((2, 6), (3, 4), (4, 3), (9, 2)):
+        for v in range(base**width):
+            ds = digits(v, base, width)
+            assert all(0 <= d < base for d in ds)
+            assert sum(d * base**i for i, d in enumerate(ds)) == v
+
+
+def test_digits_of_an_array_match_the_ints_and_leave_it_unchanged():
+    idx = np.arange(3**4, dtype=np.int64)
+    ds = digits(idx, 3, 4)
+    assert np.array_equal(idx, np.arange(3**4))
+    for v in range(3**4):
+        assert [int(d[v]) for d in ds] == digits(v, 3, 4)

@@ -19,6 +19,7 @@ from orbitcount.errors import (
 from orbitcount.fields import field_of_order
 from orbitcount.oracle import (
     EnumerationBudget,
+    _free_positions,
     census_by_det_degree,
     count_orbit_bruteforce,
     count_orbit_members,
@@ -29,7 +30,6 @@ from orbitcount.oracle import (
     iter_polys,
     orbit_census,
     p_members,
-    shard_ranges,
 )
 from orbitcount.poly import NEG_INF, Poly
 from orbitcount.polymat import PolyMatrix, det, hnf, is_canonical_hnf
@@ -66,21 +66,6 @@ def test_iter_matrices_count():
     mats = list(iter_matrices(2, 2, 0))
     assert len(mats) == 2**4
     assert len({m.key() for m in mats}) == 16
-
-
-def test_shard_ranges_partition():
-    for total in (0, 1, 7, 16, 100):
-        for parts in (1, 2, 3, 8):
-            ranges = shard_ranges(total, parts)
-            covered = [i for lo, hi in ranges for i in range(lo, hi)]
-            assert covered == list(range(total))
-
-
-def test_shard_count_does_not_change_results():
-    rep = diag2(p2(1), p2(0, 1))
-    base = count_orbit_bruteforce(rep, 1, EnumerationBudget(partitions=1))
-    for parts in (2, 3, 8):
-        assert count_orbit_bruteforce(rep, 1, EnumerationBudget(partitions=parts)) == base
 
 
 def test_budget_refusal():
@@ -224,6 +209,19 @@ def test_p_members_generic_path_extension_field():
     # F_4 exercises the non-vectorized fallback
     assert count_P_bruteforce((1, 0), 4) == 4
     assert count_P_bruteforce((1, 1), 4) == p_count_formula((1, 1), 4)
+
+
+def test_p_members_come_out_in_index_order():
+    # F_3 takes the vectorized scan, F_4 the generic fallback
+    bounds = (1, 1)
+    positions = _free_positions(2, bounds)
+    for q in (3, 4):
+        members = p_members(bounds, q)
+        idx = [
+            sum(m.entries[i][j][d] * q**pos for pos, (i, j, d) in enumerate(positions))
+            for m in members
+        ]
+        assert idx == sorted(set(idx)) and len(idx) == p_count_formula(bounds, q)
 
 
 def test_QR_brute_matches_recursions():

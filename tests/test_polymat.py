@@ -7,9 +7,11 @@ import pytest
 
 from orbitcount.errors import NotSquare, ShapeMismatch, SingularMatrix, ZeroColumn
 from orbitcount.fields import field_of_order
+from orbitcount import polymat
 from orbitcount.poly import Poly, poly_gcd
 from orbitcount.polymat import (
     PolyMatrix,
+    _det_cofactor,
     column_gcd,
     det,
     det_constant,
@@ -167,3 +169,49 @@ def test_hnf_over_f3_monic_diagonal():
     assert is_canonical_hnf(h)
     for i in range(2):
         assert h.entries[i][i].lc == 1
+
+
+def random_matrix(fld, n, deg, rng):
+    return PolyMatrix(
+        [[Poly(fld, [rng.randrange(fld.q) for _ in range(deg + 1)]) for _ in range(n)]
+         for _ in range(n)]
+    )
+
+
+def test_det_past_cofactor_range_matches_cofactor_reference():
+    """Beyond n = 5, det comes from the hnf diagonal and its tracked unit."""
+    rng = random.Random(6)
+    for q in (3, 4):
+        fld = field_of_order(q)
+        for n in (6, 6, 6, 7, 7, 7):
+            m = random_matrix(fld, n, 1, rng)
+            assert det(m) == _det_cofactor([list(r) for r in m.entries], fld)
+        rows = [list(r) for r in random_matrix(fld, 6, 1, rng).entries]
+        rows[5] = rows[0]
+        assert det(PolyMatrix(rows)).is_zero()
+
+
+def test_det_makes_no_cofactor_expansion_past_n5(monkeypatch):
+    sizes = []
+    real = polymat._det_cofactor
+
+    def spy(entries, field):
+        sizes.append(len(entries))
+        return real(entries, field)
+
+    monkeypatch.setattr(polymat, "_det_cofactor", spy)
+    det(random_matrix(F3, 8, 1, random.Random(8)))
+    assert max(sizes, default=0) <= 5
+
+
+def test_hnf_unit_is_det_of_witness():
+    rng = random.Random(11)
+    for q in (2, 3, 4):
+        fld = field_of_order(q)
+        for n in (1, 2, 3, 4):
+            for _ in range(6):
+                m = random_matrix(fld, n, 2, rng)
+                if det(m).is_zero():
+                    continue
+                form = hnf(m)
+                assert form.unit == det_constant(form.u)
