@@ -135,7 +135,7 @@ def verify_grid(grid, budget=None):
 
 
 def cmd_verify(args) -> int:
-    grid = args.grid or DEFAULT_VERIFY_GRID
+    grid = DEFAULT_VERIFY_GRID if args.grid is None else _grid(args.grid)
     budget = EnumerationBudget(args.budget)
     reports, ok = verify_grid(grid, budget)
     emit(
@@ -261,9 +261,15 @@ def cmd_zcase_constant(args) -> int:
 
 
 def _grid(text):
+    """Parse "n,q,kmax;..." into triples, each with n >= 1 and kmax >= 0."""
     out = []
     for part in text.split(";"):
-        n, q, k = (int(v) for v in part.split(","))
+        try:
+            n, q, k = (int(v) for v in part.split(","))
+        except ValueError:
+            raise InvalidParams(f"--grid triple {part!r} is not n,q,kmax") from None
+        if n < 1 or k < 0:
+            raise InvalidParams(f"--grid triple {part!r} needs n >= 1 and kmax >= 0")
         out.append((n, q, k))
     return tuple(out)
 
@@ -286,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_formula)
 
     p = sub.add_parser("verify", help="scan censuses against the closed forms")
-    p.add_argument("--grid", type=_grid, help='triples "n,q,kmax;n,q,kmax;..."')
+    p.add_argument("--grid", help='triples "n,q,kmax;n,q,kmax;..."')
     common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -165,6 +165,7 @@ class GF:
             ]
             for a in range(q)
         ]
+        self._neg = [self._add[a].index(0) for a in range(q)]
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -176,10 +177,12 @@ class GF:
     def neg(self, a: int) -> int:
         if self.e == 1:
             return (-a) % self.p
-        return self._pack([(-c) % self.p for c in self._unpack(a)])
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        if self.e == 1:
+            return (a - b) % self.p
+        return self._add[a][self._neg[b]]
 
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
@@ -210,7 +213,8 @@ class GF:
         return (self.p, self.e, self.modulus)
 
     def __eq__(self, other):
-        return isinstance(other, GF) and self._key() == other._key()
+        # fields are interned by field_spec, so identity settles almost every call
+        return self is other or (isinstance(other, GF) and self._key() == other._key())
 
     def __hash__(self):
         return hash(self._key())

@@ -234,6 +234,8 @@ def orbit_ratio_experiment(det_value: int, T: int, ladder=None, budget_items: in
     if det_value <= 0:
         raise NonPositiveDeterminant("the experiment needs det > 0")
     ladder = tuple(sorted(set(ladder or ()) | {T}))
+    if ladder[0] < 1:
+        raise InvalidParams(f"ladder rungs must be >= 1, got {ladder[0]}")
     class_counts = {L: {} for L in ladder}
     hnf_counts = {L: {} for L in ladder}
     thresholds = [(L, L * L) for L in ladder]

@@ -1,9 +1,11 @@
 """Exhaustive enumeration ground truth for every counting formula.
 
 All enumerations are exact and refuse up front when the scan would exceed the
-budget.  The matrix index space is ordered row-major over entries with
-little-endian coefficient digits (entry (0,0) coefficient 0 is the least
-significant digit), so recorded counts are reproducible.
+budget.  ``iter_matrices`` walks the matrix index space in index order:
+row-major over entries with little-endian coefficient digits (entry (0,0)
+coefficient 0 is the least significant digit).  The ambient censuses visit
+the same matrices grouped by their first n - 1 columns and return buckets,
+whose counts do not depend on the order of the walk.
 """
 
 from __future__ import annotations
@@ -15,7 +17,13 @@ from itertools import product
 import numpy as np
 
 from .counting import _compositions, gl_count
-from .errors import BudgetExceeded, InvalidParams, PreconditionViolation
+from .errors import (
+    BudgetExceeded,
+    InvalidParams,
+    NotSquare,
+    PreconditionViolation,
+    SingularMatrix,
+)
 from .fields import GF, digits, field_of_order
 from .linalg import iter_affine_space, rank, solve_affine
 from .poly import NEG_INF, Poly
@@ -60,35 +68,149 @@ def iter_polys(q, max_deg):
         yield Poly(fld, digits(idx, fld.q, width))
 
 
-def _decode_matrix(fld: GF, n: int, width: int, idx: int) -> PolyMatrix:
-    coeffs = digits(idx, fld.q, n * n * width)
-    entries = [Poly(fld, coeffs[e : e + width]) for e in range(0, n * n * width, width)]
-    return PolyMatrix([entries[i * n : (i + 1) * n] for i in range(n)])
+def _decode_matrix(fld: GF, rows: int, cols: int, width: int, idx: int) -> PolyMatrix:
+    size = rows * cols * width
+    coeffs = digits(idx, fld.q, size)
+    entries = [Poly(fld, coeffs[e : e + width]) for e in range(0, size, width)]
+    return PolyMatrix([entries[i * cols : (i + 1) * cols] for i in range(rows)])
 
 
 def iter_matrices(q, n: int, k: int):
     """All n x n matrices with entry degrees <= k, in index order."""
     fld = _field(q)
     for idx in range(fld.q ** (n * n * (k + 1))):
-        yield _decode_matrix(fld, n, k + 1, idx)
+        yield _decode_matrix(fld, n, n, k + 1, idx)
 
 
-# -- orbit scans -------------------------------------------------------------
+# -- ambient scans -----------------------------------------------------------
+#
+# The scans visit every n x n matrix M = [M1 | c] of entry degree <= k,
+# grouped by its first n - 1 columns M1 (the prefix).  hnf reduces each
+# prefix once, to u @ M1 = [H1; 0] with H1 canonical.  For each last column
+# c let y = u @ c and w = y_n.  Row n of u @ M vanishes on the prefix
+# columns, so reducing the last column leaves H1 alone: M is singular iff
+# w = 0 (or the prefix is rank-deficient), and otherwise its canonical form
+# is [H1, y' mod h; 0, h] with h = monic(w) and y' the first n - 1 entries of
+# y, and deg det M = deg det H1 + deg w.  This is the column-wise Hermite
+# reduction of Storjohann, Algorithms for Matrix Canonical Forms (ETH 2000).
+
+_LEAF_CHUNK = 1 << 16  # last columns per numpy batch
+
+
+def _check_scan(fld: GF, n: int, k: int, budget, what: str):
+    if n < 1 or k < 0:
+        raise InvalidParams(f"{what} needs n >= 1 and k >= 0, got n = {n}, k = {k}")
+    _budget(budget).check(fld.q ** (n * n * (k + 1)), what)
+
+
+@lru_cache(maxsize=None)
+def _tables(fld: GF):
+    """The addition, multiplication and inverse tables of fld as numpy arrays
+    (the inverse of 0 read as 0), built on first use."""
+    elems = fld.elements()
+    add = np.array([[fld.add(a, b) for b in elems] for a in elems], dtype=np.intp)
+    mul = np.array([[fld.mul(a, b) for b in elems] for a in elems], dtype=np.intp)
+    inv = np.array([0] + [fld.inv(a) for a in fld.units()], dtype=np.intp)
+    return add, mul, inv
+
+
+def _prefixes(fld: GF, n: int, width: int):
+    """Every choice of the first n - 1 columns, reduced once.
+
+    Yields ``(h1, t1, u)``: the rows of H1 as coefficient-tuple keys, deg det
+    H1, and the rows of the witness u as polynomials; or ``None`` for a
+    rank-deficient prefix, all of whose completions are singular.
+    """
+    if n == 1:
+        yield (), 0, ((Poly.one(fld),),)
+        return
+    for idx in range(fld.q ** (n * (n - 1) * width)):
+        try:
+            form = hnf(_decode_matrix(fld, n, n - 1, width, idx))
+        except SingularMatrix:
+            yield None
+            continue
+        yield form.h.key()[: n - 1], form.det_degree, form.u.entries
+
+
+def _leaf_batches(fld: GF, n: int, width: int):
+    """A function returning the last columns as digit arrays of shape
+    (n, width, L), in batches of at most _LEAF_CHUNK columns.  A single batch
+    is decoded once and shared by every prefix of the scan."""
+    q, total = fld.q, fld.q ** (n * width)
+
+    def decode(lo, hi):
+        idx = np.arange(lo, hi, dtype=np.intp)
+        return np.array(digits(idx, q, n * width)).reshape(n, width, hi - lo)
+
+    if total <= _LEAF_CHUNK:
+        batch = (decode(0, total),)
+        return lambda: batch
+    return lambda: (
+        decode(lo, min(lo + _LEAF_CHUNK, total)) for lo in range(0, total, _LEAF_CHUNK)
+    )
+
+
+def _images(fld: GF, rows, batch):
+    """r @ c for each row r of polynomials and each column c of the batch,
+    through the field tables: an array (len(rows), D, L) of little-endian
+    coefficients."""
+    add, mul, _ = _tables(fld)
+    width = batch.shape[1]
+    depth = width - 1 + max(len(e.coeffs) for r in rows for e in r)
+    out = np.zeros((len(rows), depth, batch.shape[2]), dtype=np.intp)
+    for y, r in zip(out, rows):
+        for j, e in enumerate(r):
+            for a, c in enumerate(e.coeffs):
+                if c:
+                    y[a : a + width] = add[y[a : a + width], mul[c][batch[j]]]
+    return out
+
+
+def _degrees(w):
+    """The degree of each column of a coefficient array (D, L); -1 for 0."""
+    nonzero = w != 0
+    top = len(w) - 1 - np.argmax(nonzero[::-1], axis=0)
+    return np.where(nonzero.any(axis=0), top, -1)
+
+
+def _leaf_keys(fld: GF, h1, u, batch):
+    """The canonical-form key of each completion of a prefix in the batch,
+    or None for a singular one."""
+    _, mul, inv = _tables(fld)
+    y = _images(fld, u, batch)
+    w = y[-1]
+    lead = w[np.maximum(_degrees(w), 0), np.arange(w.shape[1])]
+    y[-1] = mul[inv[lead], w]  # monic; w = 0 stays 0
+    zeros = ((),) * len(h1)
+    for ys in y.transpose(2, 0, 1).tolist():
+        h = Poly(fld, ys[-1])
+        if not h:
+            yield None
+            continue
+        above = tuple(row + ((Poly(fld, c) % h).coeffs,) for row, c in zip(h1, ys))
+        yield above + (zeros + (h.coeffs,),)
 
 
 def count_orbit_bruteforce(rep: PolyMatrix, k: int, budget=None) -> int:
     """Scan every degree-<=k matrix and count those in the left orbit of rep
     (equal canonical form)."""
-    budget = _budget(budget)
+    if not rep.is_square():
+        raise NotSquare(f"{rep.rows}x{rep.cols}")
     fld = rep.field
     n = rep.rows
     target = hnf(rep).h.key()
-    total = fld.q ** (n * n * (k + 1))
-    budget.check(total, "orbit scan")
+    _check_scan(fld, n, k, budget, "orbit scan")
+    target_h1 = tuple(row[: n - 1] for row in target[: n - 1])
+    leaves = _leaf_batches(fld, n, k + 1)
     count = 0
-    for m in iter_matrices(fld, n, k):
-        if not det(m).is_zero() and hnf(m).h.key() == target:
-            count += 1
+    for prefix in _prefixes(fld, n, k + 1):
+        # every completion of a prefix with another H1 lies in another orbit
+        if prefix is None or prefix[0] != target_h1:
+            continue
+        h1, _, u = prefix
+        for batch in leaves():
+            count += sum(key == target for key in _leaf_keys(fld, h1, u, batch))
     return count
 
 
@@ -98,18 +220,22 @@ def orbit_census(q, n: int, k: int, budget=None):
     Returns ``(buckets, singular)`` where buckets maps the canonical-form
     structural key to the number of degree-<=k matrices in that orbit.
     """
-    budget = _budget(budget)
     fld = _field(q)
-    total = fld.q ** (n * n * (k + 1))
-    budget.check(total, "orbit census")
+    _check_scan(fld, n, k, budget, "orbit census")
+    leaves = _leaf_batches(fld, n, k + 1)
     buckets = {}
     singular = 0
-    for m in iter_matrices(fld, n, k):
-        if det(m).is_zero():
-            singular += 1
+    for prefix in _prefixes(fld, n, k + 1):
+        if prefix is None:
+            singular += fld.q ** (n * (k + 1))
             continue
-        key = hnf(m).h.key()
-        buckets[key] = buckets.get(key, 0) + 1
+        h1, _, u = prefix
+        for batch in leaves():
+            for key in _leaf_keys(fld, h1, u, batch):
+                if key is None:
+                    singular += 1
+                else:
+                    buckets[key] = buckets.get(key, 0) + 1
     return buckets, singular
 
 
@@ -132,18 +258,23 @@ class DetDegreeCensus:
 
 def census_by_det_degree(n: int, q, k: int, budget=None) -> DetDegreeCensus:
     """Bucket counts by determinant degree over all degree-<=k matrices."""
-    budget = _budget(budget)
     fld = _field(q)
-    total = fld.q ** (n * n * (k + 1))
-    budget.check(total, "determinant census")
+    _check_scan(fld, n, k, budget, "determinant census")
+    leaves = _leaf_batches(fld, n, k + 1)
     buckets = {}
     singular = 0
-    for m in iter_matrices(fld, n, k):
-        d = det(m)
-        if d.is_zero():
-            singular += 1
-        else:
-            buckets[d.degree] = buckets.get(d.degree, 0) + 1
+    for prefix in _prefixes(fld, n, k + 1):
+        if prefix is None:
+            singular += fld.q ** (n * (k + 1))
+            continue
+        _, t1, u = prefix
+        for batch in leaves():
+            degree = _degrees(_images(fld, u[-1:], batch)[0])
+            live = degree >= 0
+            singular += live.size - int(np.count_nonzero(live))
+            for d, c in enumerate(np.bincount(degree[live]).tolist()):
+                if c:
+                    buckets[t1 + d] = buckets.get(t1 + d, 0) + c
     return DetDegreeCensus(n, fld.q, k, buckets, singular)
 
 

@@ -209,11 +209,15 @@ def hnf(m: PolyMatrix) -> HermiteForm:
     made monic, and above-diagonal entries are reduced by division with
     remainder.  The witness u satisfies u @ m = h with det(u) = unit in
     F_q^*, tracked through the row operations.
+
+    An n x c matrix with c < n (full column rank) is reduced the same way:
+    h is [H1; 0] with H1 the c x c canonical form, and det_degree is the
+    degree of det(H1).  A column without a pivot raises SingularMatrix.
     """
-    if not m.is_square():
+    if m.cols > m.rows:
         raise NotSquare(f"{m.rows}x{m.cols}")
     field = m.field
-    n = m.rows
+    n, ncols = m.rows, m.cols
     h = [list(row) for row in m.entries]
     u = [list(row) for row in PolyMatrix.identity(field, n).entries]
     unit = 1
@@ -223,7 +227,7 @@ def hnf(m: PolyMatrix) -> HermiteForm:
         h[i] = [a - q * b for a, b in zip(h[i], h[j])]
         u[i] = [a - q * b for a, b in zip(u[i], u[j])]
 
-    for c in range(n):
+    for c in range(ncols):
         while True:
             live = [i for i in range(c, n) if not h[i][c].is_zero()]
             if not live:
@@ -247,14 +251,14 @@ def hnf(m: PolyMatrix) -> HermiteForm:
             u[c] = [e.scale(inv) for e in u[c]]
             unit = field.mul(unit, inv)
     # reduce above-diagonal entries, left to right
-    for c in range(1, n):
+    for c in range(1, ncols):
         for i in range(c):
             if h[i][c].degree >= h[c][c].degree:
                 q, _ = divmod(h[i][c], h[c][c])
                 row_sub(i, c, q)
     hm = PolyMatrix(h)
     um = PolyMatrix(u)
-    t = sum(hm.entries[i][i].degree for i in range(n))
+    t = sum(hm.entries[i][i].degree for i in range(ncols))
     return HermiteForm(hm, um, t, unit)
 
 

@@ -84,6 +84,21 @@ def test_zcase_ratio_rejects_nonpositive_T(capsys, T):
     assert_one_line_error(*run(capsys, "zcase", "ratio", "--det", "4", "--T", T))
 
 
+def test_verify_rejects_negative_kmax(capsys):
+    # kmax = -1 leaves no k to scan, which used to pass with no reports
+    assert_one_line_error(*run(capsys, "verify", "--grid", "2,2,-1"))
+
+
+def test_brute_rejects_k_below_minus_1(capsys):
+    assert_one_line_error(*run(capsys, "brute", "--n", "2", "--q", "2", "--k", "-3"))
+
+
+def test_brute_rejects_k_minus_1_with_its_own_message(capsys):
+    code, out, err = run(capsys, "brute", "--n", "2", "--q", "2", "--k", "-1")
+    assert_one_line_error(code, out, err)
+    assert "k >= 0" in err
+
+
 def test_zcase_ratio_T1_ladder(capsys):
     code, out, _ = run(capsys, "zcase", "ratio", "--det", "4", "--T", "1")
     assert code == 0

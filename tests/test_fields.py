@@ -128,6 +128,21 @@ def test_extension_field_generator_covers_units():
     assert seen == set(range(1, 9))
 
 
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_extension_neg_and_sub_are_digitwise(q):
+    fld = field_of_order(q)
+
+    def pack(ds):
+        return sum(d * fld.p**i for i, d in enumerate(ds))
+
+    for a in fld.elements():
+        da = digits(a, fld.p, fld.e)
+        assert fld.neg(a) == pack([-d % fld.p for d in da])
+        for b in fld.elements():
+            db = digits(b, fld.p, fld.e)
+            assert fld.sub(a, b) == pack([(x - y) % fld.p for x, y in zip(da, db)])
+
+
 def test_digits_round_trip():
     for base, width in ((2, 6), (3, 4), (4, 3), (9, 2)):
         for v in range(base**width):

@@ -154,6 +154,12 @@ def test_ratio_report_shape():
         assert total == count_det_norm(4, T)
 
 
+def test_ratio_ladder_rejects_rungs_below_1():
+    for ladder in ([0, -2], [0], [-1, 5]):
+        with pytest.raises(InvalidParams):
+            orbit_ratio_experiment(4, 5, ladder)
+
+
 def test_norm_threshold_is_exact():
     for m in enumerate_det_norm(2, 4, 6):
         assert frobenius_sq(m) <= 36

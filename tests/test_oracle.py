@@ -3,6 +3,7 @@ formulas, and each other."""
 
 import pytest
 
+from orbitcount import oracle
 from orbitcount.counting import (
     c_nt,
     gl_count,
@@ -14,6 +15,7 @@ from orbitcount.counting import (
 from orbitcount.errors import (
     BudgetExceeded,
     InvalidParams,
+    NotSquare,
     PreconditionViolation,
 )
 from orbitcount.fields import field_of_order
@@ -73,6 +75,103 @@ def test_budget_refusal():
         count_orbit_bruteforce(diag2(p2(1), p2(0, 1)), 1, EnumerationBudget(max_items=10))
     with pytest.raises(BudgetExceeded):
         census_by_det_degree(2, 2, 3, EnumerationBudget(max_items=100))
+
+
+def test_scans_reject_bad_n_and_k():
+    for n, k in ((0, 1), (-1, 1), (2, -1), (2, -3)):
+        with pytest.raises(InvalidParams):
+            orbit_census(2, n, k)
+        with pytest.raises(InvalidParams):
+            census_by_det_degree(n, 2, k)
+    for k in (-1, -3):
+        with pytest.raises(InvalidParams):
+            count_orbit_bruteforce(diag2(p2(1), p2(0, 1)), k)
+
+
+# -- the prefix-shared scans against the per-matrix reference ---------------
+
+
+def reference_census(q, n, k):
+    """The per-matrix scan: decode every matrix, take its determinant and its
+    canonical form.  Returns (orbit buckets, det-degree buckets, singular)."""
+    orbits, degrees, singular = {}, {}, 0
+    for m in iter_matrices(q, n, k):
+        d = det(m)
+        if d.is_zero():
+            singular += 1
+            continue
+        key = hnf(m).h.key()
+        orbits[key] = orbits.get(key, 0) + 1
+        degrees[d.degree] = degrees.get(d.degree, 0) + 1
+    return orbits, degrees, singular
+
+
+def matrix_of_key(fld, key):
+    return PolyMatrix([[Poly(fld, c) for c in row] for row in key])
+
+
+DIFFERENTIAL_POINTS = [
+    (1, 2, 3), (1, 3, 2), (2, 2, 2), (2, 3, 1), (3, 2, 0), (2, 4, 0), (2, 8, 0), (2, 9, 0),
+]
+
+
+@pytest.mark.parametrize("n,q,k", DIFFERENTIAL_POINTS)
+def test_scans_match_per_matrix_reference(n, q, k):
+    fld = field_of_order(q)
+    orbits, degrees, singular = reference_census(fld, n, k)
+    assert orbit_census(fld, n, k) == (orbits, singular)
+    census = census_by_det_degree(n, fld, k)
+    assert census.buckets == degrees and census.singular == singular
+    keys = sorted(orbits)
+    for key in keys[:: max(1, len(keys) // 12)]:
+        assert count_orbit_bruteforce(matrix_of_key(fld, key), k) == orbits[key]
+
+
+def test_orbit_count_of_a_non_canonical_rep_and_an_empty_orbit():
+    orbits, _, _ = reference_census(F2, 2, 1)
+    x, one = p2(0, 1), p2(1)
+    shear = PolyMatrix([[one, x], [p2(), one]])
+    rep = diag2(one, x)
+    assert count_orbit_bruteforce(shear @ rep, 1) == orbits[rep.key()] == 12
+    # t = 4 > 2k: no degree-<=1 matrix lies in the orbit of diag(x^2, x^2)
+    assert count_orbit_bruteforce(diag2(p2(0, 0, 1), p2(0, 0, 1)), 1) == 0
+    with pytest.raises(NotSquare):
+        count_orbit_bruteforce(PolyMatrix([[one], [x]]), 1)
+
+
+@pytest.mark.parametrize("n,q,k", [(2, 2, 3), (2, 4, 1)])
+def test_det_census_matches_per_matrix_reference(n, q, k):
+    # det alone: an hnf per matrix would add about 8 s per point at 4^8 matrices
+    fld = field_of_order(q)
+    degrees, singular = {}, 0
+    for m in iter_matrices(fld, n, k):
+        d = det(m)
+        if d.is_zero():
+            singular += 1
+        else:
+            degrees[d.degree] = degrees.get(d.degree, 0) + 1
+    census = census_by_det_degree(n, fld, k)
+    assert census.buckets == degrees and census.singular == singular
+
+
+@pytest.mark.parametrize("n,q,k", [(1, 2, 5), (1, 3, 3), (2, 2, 1), (2, 3, 1)])
+def test_scans_match_reference_across_leaf_batches(monkeypatch, n, q, k):
+    """Last columns split over many batches give the same buckets."""
+    monkeypatch.setattr(oracle, "_LEAF_CHUNK", 7)
+    fld = field_of_order(q)
+    orbits, degrees, singular = reference_census(fld, n, k)
+    assert orbit_census(fld, n, k) == (orbits, singular)
+    census = census_by_det_degree(n, fld, k)
+    assert census.buckets == degrees and census.singular == singular
+    for key in sorted(orbits)[:5]:
+        assert count_orbit_bruteforce(matrix_of_key(fld, key), k) == orbits[key]
+
+
+def test_n1_scan_over_many_leaf_batches():
+    """2^20 polynomials in 16 batches: (q - 1) q^t of them have degree t."""
+    k = 19
+    census = census_by_det_degree(1, 2, k)
+    assert census.buckets == {t: 2**t for t in range(k + 1)} and census.singular == 1
 
 
 # -- orbit counting ----------------------------------------------------------

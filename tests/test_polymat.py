@@ -86,6 +86,31 @@ def test_hnf_rejects_singular_and_nonsquare():
         hnf(PolyMatrix([[p2(1), p2(1)]]))
 
 
+def test_hnf_of_a_tall_matrix():
+    """An n x c matrix reduces to [H1; 0], H1 the canonical c x c block,
+    through a unimodular witness; a rank-deficient one has no form."""
+    rng = random.Random(5)
+    for fld in (F2, F3):
+        for n, c in ((2, 1), (3, 1), (3, 2)):
+            for _ in range(20):
+                m = PolyMatrix(
+                    [[Poly(fld, [rng.randrange(fld.q) for _ in range(2)]) for _ in range(c)]
+                     for _ in range(n)]
+                )
+                try:
+                    form = hnf(m)
+                except SingularMatrix:
+                    continue
+                h = form.h
+                assert form.u @ m == h and form.unit == det_constant(form.u)
+                assert all(e.is_zero() for row in h.entries[c:] for e in row)
+                top = PolyMatrix(h.entries[:c])
+                assert is_canonical_hnf(top)
+                assert form.det_degree == det(top).degree
+    with pytest.raises(SingularMatrix):
+        hnf(PolyMatrix([[p2(0, 1), p2(1)], [p2(0, 1), p2(1)], [p2(), p2()]]))
+
+
 def test_det_degree_equals_hnf_diagonal_sum():
     random.seed(11)
     mats = [m for m in all_matrices_f2(2, 2) if not det(m).is_zero()]
