@@ -13,7 +13,6 @@ import json
 import sys
 
 from . import counting, integer_orbits, moves, oracle
-from .counting import CountReport
 from .errors import BudgetExceeded, InvalidParams, OrbitCountError
 from .fields import field_of_order
 from .oracle import EnumerationBudget
@@ -81,63 +80,10 @@ def cmd_formula(args) -> int:
     return EXIT_OK
 
 
-def _key_t(key) -> int:
-    """Determinant degree of a canonical form, from its structural key."""
-    return sum(len(key[i][i]) - 1 for i in range(len(key)))
-
-
-def verify_grid(grid, budget=None):
-    """Compare scan censuses against the closed forms over a grid of
-    (n, q, max_k) triples.  Returns (reports, all_match)."""
-    reports = []
-    for n, q, kmax in grid:
-        for k in range(kmax + 1):
-            buckets, singular = oracle.orbit_census(q, n, k, budget)
-            total_by_t = {}
-            for key, cnt in buckets.items():
-                t = _key_t(key)
-                total_by_t[t] = total_by_t.get(t, 0) + cnt
-            # every orbit with t <= k must hit the closed form exactly
-            for key, cnt in sorted(buckets.items()):
-                t = _key_t(key)
-                if t > k:
-                    continue
-                reports.append(
-                    CountReport.compare(
-                        {"n": n, "q": q, "k": k, "t": t, "kind": "orbit"},
-                        counting.orbit_count_formula(n, q, t, k),
-                        cnt,
-                    )
-                )
-            for t in range(k + 1):
-                reports.append(
-                    CountReport.compare(
-                        {"n": n, "q": q, "k": k, "t": t, "kind": "total"},
-                        counting.total_count_formula(n, q, t, k),
-                        total_by_t.get(t, 0),
-                    )
-                )
-            # the canonical forms observed must be enumerated ones, and for
-            # t <= k the scan holds every one of them; the oracle value counts
-            # each missing or stray form on top of the enumerated ones
-            for t in sorted(set(total_by_t) | set(range(k + 1))):
-                want = {m.key() for m in oracle.enumerate_hnf_reps(n, q, t)}
-                got = {key for key in buckets if _key_t(key) == t}
-                wrong = got ^ want if t <= k else got - want
-                reports.append(
-                    CountReport.compare(
-                        {"n": n, "q": q, "k": k, "t": t, "kind": "rep-inventory"},
-                        len(want),
-                        len(want) + len(wrong),
-                    )
-                )
-    return reports, all(r.match for r in reports)
-
-
 def cmd_verify(args) -> int:
     grid = DEFAULT_VERIFY_GRID if args.grid is None else _grid(args.grid)
     budget = EnumerationBudget(args.budget)
-    reports, ok = verify_grid(grid, budget)
+    reports, ok = oracle.verify_grid(grid, budget)
     emit(
         {"grid": [list(g) for g in grid], "reports": [r.to_json() for r in reports], "all_match": ok},
         args.format,
@@ -202,6 +148,8 @@ def cmd_lemma2(args) -> int:
 
 
 def cmd_verify_moves(args) -> int:
+    if args.n not in (0, 2, 3):
+        raise InvalidParams(f"--n must be 2, 3 or 0 (both sizes), got {args.n}")
     field = field_of_order(args.q)
     budget = EnumerationBudget(args.budget)
     two, three = moves.standard_move_fixtures(field)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .errors import (
     BadIndex,
     DegreeTooSmall,
+    InvalidParams,
     NotConstant,
     NotTriangular,
     SingularConjugator,
@@ -208,23 +209,15 @@ def verify_count_preservation(
     k_range,
     budget=None,
     move: dict | None = None,
-    method: str = "members",
 ) -> MoveRecord:
-    """Brute-force the degree-bounded orbit census of both matrices for each k
-    and record whether the counts agree.
-
-    ``method`` picks the exact counter: "members" enumerates the orbit side
-    (fast), "ambient" scans the whole degree-bounded matrix space.
-    """
+    """Count the degree-bounded orbit members of both matrices exactly, on
+    the orbit side, for each k and record whether the counts agree."""
     if det(before).is_zero() or det(after).is_zero():
         raise SingularMatrix("count preservation needs nonsingular matrices")
-    counter = (
-        oracle.count_orbit_members if method == "members" else oracle.count_orbit_bruteforce
-    )
     checked = []
     for k in k_range:
-        cb = counter(before, k, budget)
-        ca = counter(after, k, budget)
+        cb = oracle.count_orbit_members(before, k, budget)
+        ca = oracle.count_orbit_members(after, k, budget)
         checked.append((k, cb, ca))
     return MoveRecord(before, after, move or {}, tuple(checked))
 
@@ -266,6 +259,8 @@ def standard_move_fixtures(field):
 def run_move_battery(fixtures, k_extra: int = 2, budget=None):
     """Apply the truncation moves to every fixture and verify census
     preservation for k in [t, t + k_extra]; returns the MoveRecords."""
+    if k_extra < 0:
+        raise InvalidParams(f"k_extra must be >= 0, got {k_extra}")
     records = []
     for m, l0 in fixtures:
         t = int(det(m).degree)

@@ -5,7 +5,10 @@ budget.  ``iter_matrices`` walks the matrix index space in index order:
 row-major over entries with little-endian coefficient digits (entry (0,0)
 coefficient 0 is the least significant digit).  The ambient censuses visit
 the same matrices grouped by their first n - 1 columns and return buckets,
-whose counts do not depend on the order of the walk.
+whose counts do not depend on the order of the walk.  The ambient scans and
+the unipotent-family scan compute over F_q[x] in numpy batches through one
+multiply-accumulate kernel (``_mac``) on the field's tables, for every field
+and every n.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from itertools import product
 
 import numpy as np
 
+from . import counting
 from .counting import _compositions, gl_count
 from .errors import (
     BudgetExceeded,
@@ -27,6 +31,8 @@ from .errors import (
 from .fields import GF, digits, field_of_order
 from .linalg import iter_affine_space, rank, solve_affine
 from .poly import NEG_INF, Poly
+# oracle calls no det itself; the traced benchmark run (perfbench/layers.py)
+# patches det under this module's name as well, so the name stays importable
 from .polymat import PolyMatrix, _det_cofactor, det, hnf
 
 DEFAULT_MAX_ITEMS = 10**8
@@ -94,7 +100,7 @@ def iter_matrices(q, n: int, k: int):
 # y, and deg det M = deg det H1 + deg w.  This is the column-wise Hermite
 # reduction of Storjohann, Algorithms for Matrix Canonical Forms (ETH 2000).
 
-_LEAF_CHUNK = 1 << 16  # last columns per numpy batch
+_LEAF_CHUNK = 1 << 16  # last columns, or unipotent candidates, per numpy batch
 
 
 def _check_scan(fld: GF, n: int, k: int, budget, what: str):
@@ -105,13 +111,48 @@ def _check_scan(fld: GF, n: int, k: int, budget, what: str):
 
 @lru_cache(maxsize=None)
 def _tables(fld: GF):
-    """The addition, multiplication and inverse tables of fld as numpy arrays
-    (the inverse of 0 read as 0), built on first use."""
+    """The addition, multiplication, negation and inverse tables of fld as
+    numpy arrays (the inverse of 0 read as 0), built on first use."""
     elems = fld.elements()
     add = np.array([[fld.add(a, b) for b in elems] for a in elems], dtype=np.intp)
     mul = np.array([[fld.mul(a, b) for b in elems] for a in elems], dtype=np.intp)
+    neg = np.array([fld.neg(a) for a in elems], dtype=np.intp)
     inv = np.array([0] + [fld.inv(a) for a in fld.units()], dtype=np.intp)
-    return add, mul, inv
+    return add, mul, neg, inv
+
+
+def _mac(tables, acc, a, b):
+    """acc + a·b, written into acc, for a batch of L polynomial products.
+
+    acc and b hold little-endian coefficients as arrays (D, L); each
+    coefficient of a is a field element or an array (L,) of them.  acc needs
+    len(a) + len(b) - 1 rows.
+    """
+    add, mul = tables[0], tables[1]
+    width = len(b)
+    for i, c in enumerate(a):
+        if not isinstance(c, int):
+            term = mul[c, b]
+        elif c:
+            term = mul[c][b]  # a row lookup: cheaper than mul[c, b]
+        else:
+            continue
+        acc[i : i + width] = add[acc[i : i + width], term]
+
+
+def _det(tables, m, size: int):
+    """The determinants of a batch of size square matrices, by cofactor
+    expansion along column 0: m is a list of rows, each entry a coefficient
+    list as in _mac.  Returns an array (D, size)."""
+    if not m:
+        return np.ones((1, size), dtype=np.intp)
+    neg = tables[2]
+    minors = [_det(tables, [r[1:] for r in m[:i] + m[i + 1 :]], size) for i in range(len(m))]
+    depth = max(len(r[0]) + len(d) - 1 for r, d in zip(m, minors))
+    acc = np.zeros((depth, size), dtype=np.intp)
+    for i, (r, d) in enumerate(zip(m, minors)):
+        _mac(tables, acc, r[0], neg[d] if i % 2 else d)
+    return acc
 
 
 def _prefixes(fld: GF, n: int, width: int):
@@ -155,15 +196,12 @@ def _images(fld: GF, rows, batch):
     """r @ c for each row r of polynomials and each column c of the batch,
     through the field tables: an array (len(rows), D, L) of little-endian
     coefficients."""
-    add, mul, _ = _tables(fld)
-    width = batch.shape[1]
-    depth = width - 1 + max(len(e.coeffs) for r in rows for e in r)
+    tables = _tables(fld)
+    depth = batch.shape[1] - 1 + max(len(e.coeffs) for r in rows for e in r)
     out = np.zeros((len(rows), depth, batch.shape[2]), dtype=np.intp)
     for y, r in zip(out, rows):
-        for j, e in enumerate(r):
-            for a, c in enumerate(e.coeffs):
-                if c:
-                    y[a : a + width] = add[y[a : a + width], mul[c][batch[j]]]
+        for e, c in zip(r, batch):
+            _mac(tables, y, e.coeffs, c)
     return out
 
 
@@ -177,7 +215,7 @@ def _degrees(w):
 def _leaf_keys(fld: GF, h1, u, batch):
     """The canonical-form key of each completion of a prefix in the batch,
     or None for a singular one."""
-    _, mul, inv = _tables(fld)
+    _, mul, _, inv = _tables(fld)
     y = _images(fld, u, batch)
     w = y[-1]
     lead = w[np.maximum(_degrees(w), 0), np.arange(w.shape[1])]
@@ -292,59 +330,8 @@ def _free_positions(n: int, bounds):
     ]
 
 
-def _p_scan_vectorized(fld: GF, bounds, budget: EnumerationBudget):
-    """Unimodularity mask over the whole candidate space, via layerwise
-    determinant convolution in numpy.  Prime fields, n <= 3."""
-    q = fld.q
-    n = len(bounds)
-    positions = _free_positions(n, bounds)
-    nfree = len(positions)
-    total = q**nfree
-    budget.check(total, "unipotent family scan")
-    kmax = max(bounds)
-    member_indices = []
-
-    def polymul(a, b):
-        out = np.zeros((a.shape[0], a.shape[1] + b.shape[1] - 1), dtype=np.int64)
-        for i in range(a.shape[1]):
-            for j in range(b.shape[1]):
-                out[:, i + j] += a[:, i] * b[:, j]
-        return out
-
-    chunk = 1 << 16
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        coeff = np.zeros((hi - lo, n, n, kmax + 1), dtype=np.int64)
-        for i in range(n):
-            coeff[:, i, i, 0] = 1
-        for (i, j, d), v in zip(positions, digits(idx, q, nfree)):
-            coeff[:, i, j, d] = v
-        if n == 1:
-            detc = coeff[:, 0, 0, :]
-        elif n == 2:
-            detc = polymul(coeff[:, 0, 0], coeff[:, 1, 1]) - polymul(
-                coeff[:, 0, 1], coeff[:, 1, 0]
-            )
-        elif n == 3:
-            def m2(r0, c0, r1, c1):
-                return polymul(coeff[:, r0, c0], coeff[:, r1, c1]) - polymul(
-                    coeff[:, r0, c1], coeff[:, r1, c0]
-                )
-            detc = (
-                polymul(coeff[:, 0, 0], m2(1, 1, 2, 2))
-                - polymul(coeff[:, 0, 1], m2(1, 0, 2, 2))
-                + polymul(coeff[:, 0, 2], m2(1, 0, 2, 1))
-            )
-        else:
-            raise InvalidParams("vectorized scan supports n <= 3")
-        detc %= q
-        mask = (detc[:, 1:] == 0).all(axis=1) & (detc[:, 0] != 0)
-        member_indices.append(idx[mask])
-    return np.concatenate(member_indices) if member_indices else np.array([], dtype=np.int64)
-
-
 def _decode_p_member(fld: GF, bounds, idx: int) -> PolyMatrix:
+    """Candidate idx of the constant-term-I family as a matrix."""
     n = len(bounds)
     positions = _free_positions(n, bounds)
     coeff = [[[0] * (max(bounds) + 1) for _ in range(n)] for _ in range(n)]
@@ -357,20 +344,22 @@ def _decode_p_member(fld: GF, bounds, idx: int) -> PolyMatrix:
 
 @lru_cache(maxsize=64)
 def _p_members_cached(fld: GF, bounds: tuple, max_items: int):
-    budget = EnumerationBudget(max_items=max_items)
+    # entry (i, j) of a candidate V is [delta_ij, v_ij1, ..., v_ijk_j], its
+    # free coefficients digit arrays over a batch of candidate indices
     n = len(bounds)
-    if fld.e == 1 and n <= 3:
-        indices = _p_scan_vectorized(fld, bounds, budget)
-        return tuple(_decode_p_member(fld, bounds, int(i)) for i in indices)
-    # generic fallback: walk the whole candidate space
-    total = fld.q ** (n * sum(bounds))
-    budget.check(total, "unipotent family scan")
+    positions = _free_positions(n, bounds)
+    total = fld.q ** len(positions)
+    EnumerationBudget(max_items=max_items).check(total, "unipotent family scan")
+    tables = _tables(fld)
     members = []
-    for idx in range(total):
-        m = _decode_p_member(fld, bounds, idx)
-        d = det(m)
-        if d.is_constant() and not d.is_zero():
-            members.append(m)
+    for lo in range(0, total, _LEAF_CHUNK):
+        idx = np.arange(lo, min(lo + _LEAF_CHUNK, total), dtype=np.intp)
+        v = [[[int(i == j)] for j in range(n)] for i in range(n)]
+        for (i, j, _), c in zip(positions, digits(idx, fld.q, len(positions))):
+            v[i][j].append(c)
+        d = _det(tables, v, len(idx))
+        unimodular = (d[1:] == 0).all(axis=0) & (d[0] != 0)
+        members.extend(_decode_p_member(fld, bounds, i) for i in idx[unimodular].tolist())
     return tuple(members)
 
 
@@ -480,6 +469,62 @@ def enumerate_hnf_reps(n: int, q, t: int, budget=None):
     return reps
 
 
+# -- the closed forms against the census -------------------------------------
+
+
+def _key_t(key) -> int:
+    """Determinant degree of a canonical form, from its structural key."""
+    return sum(len(key[i][i]) - 1 for i in range(len(key)))
+
+
+def verify_grid(grid, budget=None):
+    """Compare scan censuses against the closed forms over a grid of
+    (n, q, max_k) triples.  Returns (reports, all_match)."""
+    reports = []
+    for n, q, kmax in grid:
+        for k in range(kmax + 1):
+            buckets, singular = orbit_census(q, n, k, budget)
+            total_by_t = {}
+            for key, cnt in buckets.items():
+                t = _key_t(key)
+                total_by_t[t] = total_by_t.get(t, 0) + cnt
+            # every orbit with t <= k must hit the closed form exactly
+            for key, cnt in sorted(buckets.items()):
+                t = _key_t(key)
+                if t > k:
+                    continue
+                reports.append(
+                    counting.CountReport.compare(
+                        {"n": n, "q": q, "k": k, "t": t, "kind": "orbit"},
+                        counting.orbit_count_formula(n, q, t, k),
+                        cnt,
+                    )
+                )
+            for t in range(k + 1):
+                reports.append(
+                    counting.CountReport.compare(
+                        {"n": n, "q": q, "k": k, "t": t, "kind": "total"},
+                        counting.total_count_formula(n, q, t, k),
+                        total_by_t.get(t, 0),
+                    )
+                )
+            # the canonical forms observed must be enumerated ones, and for
+            # t <= k the scan holds every one of them; the oracle value counts
+            # each missing or stray form on top of the enumerated ones
+            for t in sorted(set(total_by_t) | set(range(k + 1))):
+                want = {m.key() for m in enumerate_hnf_reps(n, q, t)}
+                got = {key for key in buckets if _key_t(key) == t}
+                wrong = got ^ want if t <= k else got - want
+                reports.append(
+                    counting.CountReport.compare(
+                        {"n": n, "q": q, "k": k, "t": t, "kind": "rep-inventory"},
+                        len(want),
+                        len(want) + len(wrong),
+                    )
+                )
+    return reports, all(r.match for r in reports)
+
+
 # -- orbit-side exact counting ----------------------------------------------
 
 
@@ -495,13 +540,15 @@ def count_orbit_members(rep: PolyMatrix, k: int, budget=None) -> int:
     counted by linear algebra instead of enumeration.  Cross-checked against
     the ambient scan in the test suite.
     """
+    if not rep.is_square():
+        raise NotSquare(f"{rep.rows}x{rep.cols}")
+    if k < 0:
+        raise InvalidParams(f"orbit member count needs k >= 0, got k = {k}")
     budget = _budget(budget)
     form = hnf(rep)
     H = form.h
     fld = rep.field
     n, q = rep.rows, fld.q
-    if k < 0:
-        return 0
     nunk = n * k  # coefficients v_j[d], d = 1..k; constant layer is pinned
 
     def unk(j, d):

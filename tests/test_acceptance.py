@@ -31,6 +31,7 @@ from orbitcount.integer_orbits import (
 )
 from orbitcount.moves import run_move_battery, standard_move_fixtures
 from orbitcount.oracle import (
+    _key_t,
     census_by_det_degree,
     count_P_bruteforce,
     count_QR_bruteforce,
@@ -52,10 +53,6 @@ def census(n, q, k):
     return _census_cache[key]
 
 
-def _key_t(key, n):
-    return sum(len(key[i][i]) - 1 for i in range(n))
-
-
 def _report(num, ok, detail=""):
     line = f"CRITERION {num}: {'PASS' if ok else 'FAIL'}"
     if detail:
@@ -74,10 +71,10 @@ def test_criterion_1_main_theorem_exact():
             want_keys = {
                 m.key() for t in range(k + 1) for m in enumerate_hnf_reps(n, q, t)
             }
-            got_keys = {key for key in buckets if _key_t(key, n) <= k}
+            got_keys = {key for key in buckets if _key_t(key) <= k}
             ok = ok and got_keys == want_keys
             for key in got_keys:
-                t = _key_t(key, n)
+                t = _key_t(key)
                 ok = ok and buckets[key] == orbit_count_formula(n, q, t, k)
                 checked += 1
     anchors = (
@@ -106,20 +103,21 @@ def test_criterion_2_corollary_census_exact():
 
 
 def _bound_grid():
-    for n in (1, 2, 3):
-        for bounds in product(range(5), repeat=n):
-            if sum(bounds) <= 4:
-                yield bounds
+    """(q, bounds): n <= 3 with sum(bounds) <= 4 over F_2 and F_3, <= 3 over F_4."""
+    for q, max_sum in ((2, 4), (3, 4), (4, 3)):
+        for n in (1, 2, 3):
+            for bounds in product(range(5), repeat=n):
+                if sum(bounds) <= max_sum:
+                    yield q, bounds
 
 
 def test_criterion_3_lemma2_exact():
     checked = 0
     ok = True
-    for q in (2, 3):
-        for bounds in _bound_grid():
-            brute = count_P_bruteforce(bounds, q)
-            ok = ok and brute == p_count_formula(bounds, q) == p_count_recursive(bounds, q)
-            checked += 1
+    for q, bounds in _bound_grid():
+        brute = count_P_bruteforce(bounds, q)
+        ok = ok and brute == p_count_formula(bounds, q) == p_count_recursive(bounds, q)
+        checked += 1
     ok = ok and count_P_bruteforce((1, 1), 2) == 4  # hand anchor: tr A = det A = 0
     _report(3, ok, f"{checked} bound vectors, zero tolerance")
 
@@ -127,34 +125,33 @@ def test_criterion_3_lemma2_exact():
 def test_criterion_4_recursion_identities_exact():
     checked = 0
     ok = True
-    for q in (2, 3):
-        for bounds in _bound_grid():
-            n = len(bounds)
-            for i in range(1, n + 1):
+    for q, bounds in _bound_grid():
+        n = len(bounds)
+        for i in range(1, n + 1):
+            try:
+                expect = q_count_recursive(i, bounds, q)
+            except PreconditionViolation:
+                continue
+            ok = ok and count_QR_bruteforce("Q", i, bounds, q) == expect
+            checked += 1
+        for i in range(2, n + 1):
+            try:
+                expect = r_count_recursive(i, bounds, q)
+            except PreconditionViolation:
+                continue
+            ok = ok and count_QR_bruteforce("R", i, bounds, q) == expect
+            # (counting1): the R set splits as a disjoint union of Q sets
+            ok = ok and expect == sum(
+                q_count_recursive(j, bounds, q) for j in range(i, n + 1)
+            )
+            # Corollary scaling in the first bound, where still valid
+            if i >= 2 and bounds[0] >= 1:
+                dec = (bounds[0] - 1,) + bounds[1:]
                 try:
-                    expect = q_count_recursive(i, bounds, q)
+                    ok = ok and expect == q ** (n - 1) * r_count_recursive(i, dec, q)
                 except PreconditionViolation:
-                    continue
-                ok = ok and count_QR_bruteforce("Q", i, bounds, q) == expect
-                checked += 1
-            for i in range(2, n + 1):
-                try:
-                    expect = r_count_recursive(i, bounds, q)
-                except PreconditionViolation:
-                    continue
-                ok = ok and count_QR_bruteforce("R", i, bounds, q) == expect
-                # (counting1): the R set splits as a disjoint union of Q sets
-                ok = ok and expect == sum(
-                    q_count_recursive(j, bounds, q) for j in range(i, n + 1)
-                )
-                # Corollary scaling in the first bound, where still valid
-                if i >= 2 and bounds[0] >= 1:
-                    dec = (bounds[0] - 1,) + bounds[1:]
-                    try:
-                        ok = ok and expect == q ** (n - 1) * r_count_recursive(i, dec, q)
-                    except PreconditionViolation:
-                        pass
-                checked += 1
+                    pass
+            checked += 1
     _report(4, ok, f"{checked} identities, zero tolerance")
 
 

@@ -194,6 +194,12 @@ def test_verify_detects_missing_canonical_form(capsys, monkeypatch):
     assert any(r["params"]["kind"] == "rep-inventory" and not r["match"] for r in reports)
 
 
+@pytest.mark.parametrize("argv", [["--k-extra", "-1"], ["--n", "5"]])
+def test_verify_moves_rejects_runs_that_check_nothing(capsys, argv):
+    # k_extra < 0 leaves every k range empty; --n 5 names no fixture size
+    assert_one_line_error(*run(capsys, "verify-moves", "--q", "2", *argv))
+
+
 def test_verify_moves_subcommand(capsys):
     code, out, _ = run(capsys, "verify-moves", "--q", "2", "--n", "2", "--k-extra", "0")
     assert code == 0

@@ -21,6 +21,7 @@ from orbitcount.errors import (
 from orbitcount.fields import field_of_order
 from orbitcount.oracle import (
     EnumerationBudget,
+    _decode_p_member,
     _free_positions,
     census_by_det_degree,
     count_orbit_bruteforce,
@@ -219,6 +220,18 @@ def test_members_counter_below_t_gives_zero():
     assert count_orbit_members(diag2(p2(0, 1), p2(0, 1)), 0) == 0
 
 
+def test_members_counter_rejects_a_non_square_rep():
+    one, x = p2(1), p2(0, 1)
+    with pytest.raises(NotSquare):
+        count_orbit_members(PolyMatrix([[one, x], [x, one], [one, one]]), 1)
+
+
+def test_members_counter_rejects_negative_k():
+    for k in (-1, -3):
+        with pytest.raises(InvalidParams):
+            count_orbit_members(diag2(p2(1), p2(0, 1)), k)
+
+
 # -- canonical form enumeration ----------------------------------------------
 
 
@@ -290,11 +303,45 @@ def test_count_P_values():
 def test_count_P_matches_formula_on_grid():
     from itertools import product as iproduct
 
-    for q in (2, 3):
+    for q, max_sum in ((2, 4), (3, 4), (4, 3)):
         for n in (1, 2, 3):
             for bounds in iproduct(range(3), repeat=n):
-                if sum(bounds) <= 4:
+                if sum(bounds) <= max_sum:
                     assert count_P_bruteforce(bounds, q) == p_count_formula(bounds, q)
+
+
+def reference_p_members(bounds, q):
+    """The per-member walk: decode every candidate with constant term I in
+    index order and keep those whose determinant is a nonzero constant."""
+    fld = field_of_order(q)
+    members = []
+    for idx in range(q ** (len(bounds) * sum(bounds))):
+        m = _decode_p_member(fld, bounds, idx)
+        d = det(m)
+        if d.is_constant() and not d.is_zero():
+            members.append(m)
+    return members
+
+
+# a few thousand candidates or fewer per point, so the reference stays quick
+P_DIFFERENTIAL_BOUNDS = {
+    2: [(4,), (2, 1), (1, 1, 1), (1, 1, 0, 1)],
+    3: [(3,), (1, 1), (1, 0, 1), (0, 1, 0, 1)],
+    4: [(2,), (1, 1), (1, 1, 0), (0, 0, 1, 0)],
+    8: [(2,), (1, 1), (0, 1, 0), (1, 0, 0, 0)],
+    9: [(2,), (1, 1), (0, 0, 1), (0, 1, 0, 0)],
+}
+
+
+@pytest.mark.parametrize("chunk", [oracle._LEAF_CHUNK, 7])
+@pytest.mark.parametrize("q", sorted(P_DIFFERENTIAL_BOUNDS))
+def test_p_members_match_per_member_reference(monkeypatch, q, chunk):
+    monkeypatch.setattr(oracle, "_LEAF_CHUNK", chunk)
+    oracle._p_members_cached.cache_clear()
+    for bounds in P_DIFFERENTIAL_BOUNDS[q]:
+        members = p_members(bounds, q)
+        assert list(members) == reference_p_members(bounds, q)
+        assert len(members) == p_count_formula(bounds, q)
 
 
 def test_p_members_structure():
@@ -305,13 +352,11 @@ def test_p_members_structure():
 
 
 def test_p_members_generic_path_extension_field():
-    # F_4 exercises the non-vectorized fallback
     assert count_P_bruteforce((1, 0), 4) == 4
     assert count_P_bruteforce((1, 1), 4) == p_count_formula((1, 1), 4)
 
 
 def test_p_members_come_out_in_index_order():
-    # F_3 takes the vectorized scan, F_4 the generic fallback
     bounds = (1, 1)
     positions = _free_positions(2, bounds)
     for q in (3, 4):
