@@ -128,9 +128,11 @@ def cmd_hnf(args) -> int:
 def cmd_lemma2(args) -> int:
     bounds = _parse_bounds(args.bounds)
     budget = EnumerationBudget(args.budget)
+    # the budget-checked scan first: the formula's power and the recursion's
+    # depth grow with the bounds
+    brute = oracle.count_P_bruteforce(bounds, args.q, budget)
     formula = counting.p_count_formula(bounds, args.q)
     recursive = counting.p_count_recursive(bounds, args.q)
-    brute = oracle.count_P_bruteforce(bounds, args.q, budget)
     ok = formula == recursive == brute
     emit(
         {

@@ -153,12 +153,12 @@ def two_cycle_matrix(field, n: int, a: int, b: int) -> PolyMatrix:
 
 def _invert_constant(grid, fld):
     n = len(grid)
-    aug, pivots = rref(
-        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(grid)], n, fld
+    aug, r, _ = rref(
+        [[list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(grid)]], n, fld
     )
-    if len(pivots) < n:
+    if r[0] < n:
         return None
-    return [row[n:] for row in aug]
+    return aug[0, :, n:].tolist()
 
 
 def check_S_conditions(m: PolyMatrix, l0: int) -> dict:

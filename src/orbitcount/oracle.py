@@ -5,10 +5,14 @@ budget.  ``iter_matrices`` walks the matrix index space in index order:
 row-major over entries with little-endian coefficient digits (entry (0,0)
 coefficient 0 is the least significant digit).  The ambient censuses visit
 the same matrices grouped by their first n - 1 columns and return buckets,
-whose counts do not depend on the order of the walk.  The ambient scans and
-the unipotent-family scan compute over F_q[x] in numpy batches through one
-multiply-accumulate kernel (``_mac``) on the field's tables, for every field
-and every n.
+whose counts do not depend on the order of the walk.  The ambient scans, the
+unipotent-family scan and the orbit-side member counter compute over F_q[x]
+in numpy batches through one multiply-accumulate kernel (``_mac``) on the
+field's tables (``fields.tables``), for every field and every n.  Their
+linear algebra (the Lemma 2 leading-layer ranks, and the row spaces and
+last-row systems of ``count_orbit_members``) runs whole batches through the
+one elimination kernel, ``linalg.rref``; the budget is checked on exponents,
+so no refused cost is ever computed.
 """
 
 from __future__ import annotations
@@ -28,12 +32,15 @@ from .errors import (
     PreconditionViolation,
     SingularMatrix,
 )
-from .fields import GF, digits, field_of_order
+from .fields import GF, digits, field_of_order, tables
+from .linalg import affine_solutions, rref
+# oracle calls none of these four itself; the traced benchmark run
+# (perfbench/layers.py) patches each of them under this module's name as
+# well, so the names stay importable from here
 from .linalg import iter_affine_space, rank, solve_affine
+from .polymat import det
 from .poly import NEG_INF, Poly
-# oracle calls no det itself; the traced benchmark run (perfbench/layers.py)
-# patches det under this module's name as well, so the name stays importable
-from .polymat import PolyMatrix, _det_cofactor, det, hnf
+from .polymat import PolyMatrix, hnf
 
 DEFAULT_MAX_ITEMS = 10**8
 
@@ -42,9 +49,20 @@ DEFAULT_MAX_ITEMS = 10**8
 class EnumerationBudget:
     max_items: int = DEFAULT_MAX_ITEMS
 
-    def check(self, cost: int, what: str):
-        if cost > self.max_items:
-            raise BudgetExceeded(f"{what}: {cost} items exceed budget {self.max_items}")
+    def check(self, q: int, exponents, what: str):
+        """Refuse a scan of sum(q**e for e in exponents) items over the budget.
+
+        Exponents are compared first: q**e >= 2**e exceeds max_items once e
+        reaches its bit length, so no power past the budget is ever built,
+        and the refused cost prints as q^e.
+        """
+        limit = self.max_items.bit_length()
+        cost = 0
+        for e in exponents:
+            if e >= limit or cost + q**e > self.max_items:
+                shown = f"{cost} + {q}^{e}" if cost else f"{q}^{e}"
+                raise BudgetExceeded(f"{what}: {shown} items exceed budget {self.max_items}")
+            cost += q**e
 
 
 def _budget(budget) -> EnumerationBudget:
@@ -100,35 +118,23 @@ def iter_matrices(q, n: int, k: int):
 # y, and deg det M = deg det H1 + deg w.  This is the column-wise Hermite
 # reduction of Storjohann, Algorithms for Matrix Canonical Forms (ETH 2000).
 
-_LEAF_CHUNK = 1 << 16  # last columns, or unipotent candidates, per numpy batch
+_LEAF_CHUNK = 1 << 16  # last columns, unipotent candidates or members per numpy batch
 
 
 def _check_scan(fld: GF, n: int, k: int, budget, what: str):
     if n < 1 or k < 0:
         raise InvalidParams(f"{what} needs n >= 1 and k >= 0, got n = {n}, k = {k}")
-    _budget(budget).check(fld.q ** (n * n * (k + 1)), what)
+    _budget(budget).check(fld.q, [n * n * (k + 1)], what)
 
 
-@lru_cache(maxsize=None)
-def _tables(fld: GF):
-    """The addition, multiplication, negation and inverse tables of fld as
-    numpy arrays (the inverse of 0 read as 0), built on first use."""
-    elems = fld.elements()
-    add = np.array([[fld.add(a, b) for b in elems] for a in elems], dtype=np.intp)
-    mul = np.array([[fld.mul(a, b) for b in elems] for a in elems], dtype=np.intp)
-    neg = np.array([fld.neg(a) for a in elems], dtype=np.intp)
-    inv = np.array([0] + [fld.inv(a) for a in fld.units()], dtype=np.intp)
-    return add, mul, neg, inv
-
-
-def _mac(tables, acc, a, b):
+def _mac(tbl, acc, a, b):
     """acc + a·b, written into acc, for a batch of L polynomial products.
 
     acc and b hold little-endian coefficients as arrays (D, L); each
     coefficient of a is a field element or an array (L,) of them.  acc needs
     len(a) + len(b) - 1 rows.
     """
-    add, mul = tables[0], tables[1]
+    add, mul = tbl[0], tbl[1]
     width = len(b)
     for i, c in enumerate(a):
         if not isinstance(c, int):
@@ -140,18 +146,18 @@ def _mac(tables, acc, a, b):
         acc[i : i + width] = add[acc[i : i + width], term]
 
 
-def _det(tables, m, size: int):
+def _det(tbl, m, size: int):
     """The determinants of a batch of size square matrices, by cofactor
     expansion along column 0: m is a list of rows, each entry a coefficient
     list as in _mac.  Returns an array (D, size)."""
     if not m:
         return np.ones((1, size), dtype=np.intp)
-    neg = tables[2]
-    minors = [_det(tables, [r[1:] for r in m[:i] + m[i + 1 :]], size) for i in range(len(m))]
+    neg = tbl[2]
+    minors = [_det(tbl, [r[1:] for r in m[:i] + m[i + 1 :]], size) for i in range(len(m))]
     depth = max(len(r[0]) + len(d) - 1 for r, d in zip(m, minors))
     acc = np.zeros((depth, size), dtype=np.intp)
     for i, (r, d) in enumerate(zip(m, minors)):
-        _mac(tables, acc, r[0], neg[d] if i % 2 else d)
+        _mac(tbl, acc, r[0], neg[d] if i % 2 else d)
     return acc
 
 
@@ -196,12 +202,12 @@ def _images(fld: GF, rows, batch):
     """r @ c for each row r of polynomials and each column c of the batch,
     through the field tables: an array (len(rows), D, L) of little-endian
     coefficients."""
-    tables = _tables(fld)
+    tbl = tables(fld)
     depth = batch.shape[1] - 1 + max(len(e.coeffs) for r in rows for e in r)
     out = np.zeros((len(rows), depth, batch.shape[2]), dtype=np.intp)
     for y, r in zip(out, rows):
         for e, c in zip(r, batch):
-            _mac(tables, y, e.coeffs, c)
+            _mac(tbl, y, e.coeffs, c)
     return out
 
 
@@ -215,7 +221,7 @@ def _degrees(w):
 def _leaf_keys(fld: GF, h1, u, batch):
     """The canonical-form key of each completion of a prefix in the batch,
     or None for a singular one."""
-    _, mul, _, inv = _tables(fld)
+    _, mul, _, inv = tables(fld)
     y = _images(fld, u, batch)
     w = y[-1]
     lead = w[np.maximum(_degrees(w), 0), np.arange(w.shape[1])]
@@ -344,38 +350,62 @@ def _decode_p_member(fld: GF, bounds, idx: int) -> PolyMatrix:
 
 @lru_cache(maxsize=64)
 def _p_members_cached(fld: GF, bounds: tuple, max_items: int):
+    """The indices of the unimodular candidates, in index order, as a
+    read-only array."""
     # entry (i, j) of a candidate V is [delta_ij, v_ij1, ..., v_ijk_j], its
     # free coefficients digit arrays over a batch of candidate indices
     n = len(bounds)
+    EnumerationBudget(max_items=max_items).check(fld.q, [n * sum(bounds)], "unipotent family scan")
     positions = _free_positions(n, bounds)
     total = fld.q ** len(positions)
-    EnumerationBudget(max_items=max_items).check(total, "unipotent family scan")
-    tables = _tables(fld)
-    members = []
+    tbl = tables(fld)
+    found = []
     for lo in range(0, total, _LEAF_CHUNK):
         idx = np.arange(lo, min(lo + _LEAF_CHUNK, total), dtype=np.intp)
         v = [[[int(i == j)] for j in range(n)] for i in range(n)]
         for (i, j, _), c in zip(positions, digits(idx, fld.q, len(positions))):
             v[i][j].append(c)
-        d = _det(tables, v, len(idx))
-        unimodular = (d[1:] == 0).all(axis=0) & (d[0] != 0)
-        members.extend(_decode_p_member(fld, bounds, i) for i in idx[unimodular].tolist())
-    return tuple(members)
+        d = _det(tbl, v, len(idx))
+        found.append(idx[(d[1:] == 0).all(axis=0) & (d[0] != 0)])
+    members = np.concatenate(found)
+    members.flags.writeable = False
+    return members
+
+
+def _member_chunks(bounds: tuple, fld: GF, budget):
+    """The member indices, in batches of at most _LEAF_CHUNK."""
+    if any(b < 0 for b in bounds) or not bounds:
+        raise InvalidParams(f"bad bounds {bounds}")
+    members = _p_members_cached(fld, bounds, _budget(budget).max_items)
+    return [members[lo : lo + _LEAF_CHUNK] for lo in range(0, len(members), _LEAF_CHUNK)]
 
 
 def p_members(bounds, q, budget=None):
     """All unimodular matrices with constant term I and per-column degree
     bounds, in index order."""
-    budget = _budget(budget)
     fld = _field(q)
     bounds = tuple(bounds)
-    if any(b < 0 for b in bounds) or not bounds:
-        raise InvalidParams(f"bad bounds {bounds}")
-    return _p_members_cached(fld, bounds, budget.max_items)
+    return tuple(
+        _decode_p_member(fld, bounds, i)
+        for idx in _member_chunks(bounds, fld, budget)
+        for i in idx.tolist()
+    )
 
 
-def _leading_layers(m: PolyMatrix, bounds):
-    return [m.coeff_layer(j, kj) for j, kj in enumerate(bounds)]
+def _leading_layers(fld: GF, bounds, idx):
+    """The leading layers of the family members idx, straight from their
+    digits: an array (L, n, n) whose row j is the vector of degree-k_j
+    coefficients of column j (e_j when k_j = 0)."""
+    n = len(bounds)
+    slot = {pos: s for s, pos in enumerate(_free_positions(n, bounds))}
+    out = np.zeros((len(idx), n, n), dtype=np.intp)
+    for j, kj in enumerate(bounds):
+        if not kj:
+            out[:, j, j] = 1
+            continue
+        for i in range(n):
+            out[:, j, i] = idx // fld.q ** slot[i, j, kj] % fld.q
+    return out
 
 
 def count_P_bruteforce(bounds, q, budget=None, check_dependence=True) -> int:
@@ -386,13 +416,17 @@ def count_P_bruteforce(bounds, q, budget=None, check_dependence=True) -> int:
     determinant being constant).
     """
     fld = _field(q)
-    members = p_members(bounds, fld, budget)
-    if check_dependence and sum(bounds) >= 1:
-        n = len(bounds)
-        for m in members:
-            if rank(_leading_layers(m, bounds), fld) >= n:
+    bounds = tuple(bounds)
+    n = len(bounds)
+    count = 0
+    for idx in _member_chunks(bounds, fld, budget):
+        count += len(idx)
+        if check_dependence and sum(bounds) >= 1:
+            full = rref(_leading_layers(fld, bounds, idx), n, fld)[1] >= n
+            if full.any():
+                m = _decode_p_member(fld, bounds, int(idx[np.argmax(full)]))
                 raise AssertionError(f"independent leading layers in {m!r}")
-    return len(members)
+    return count
 
 
 def count_QR_bruteforce(kind: str, i: int, bounds, q, budget=None) -> int:
@@ -406,18 +440,16 @@ def count_QR_bruteforce(kind: str, i: int, bounds, q, budget=None) -> int:
     if not 1 <= i <= n:
         raise PreconditionViolation(f"index i = {i} outside [1, {n}]")
     fld = _field(q)
-    members = p_members(bounds, fld, budget)
     count = 0
-    for m in members:
-        layers = _leading_layers(m, bounds)
-        tail = layers[i - 1 :]
-        if rank(tail, fld) == len(tail):
-            continue  # tail independent: in neither set
+    for idx in _member_chunks(bounds, fld, budget):
+        # the tail layers n, n-1, ..., i as the columns of one system: the
+        # first m columns are independent iff each of them is a pivot column
+        tail = _leading_layers(fld, bounds, idx)[:, i - 1 :][:, ::-1]
+        pivots = rref(tail.transpose(0, 2, 1), n - i + 1, fld)[2]
+        dependent = ~pivots.all(axis=1)
         if kind == "Q":
-            tail2 = layers[i:]
-            if rank(tail2, fld) < len(tail2):
-                continue  # dependence starts before column i
-        count += 1
+            dependent &= pivots[:, : n - i].all(axis=1)  # independent from column i+1 on
+        count += int(np.count_nonzero(dependent))
     return count
 
 
@@ -428,11 +460,11 @@ def enumerate_hnf_reps(n: int, q, t: int, budget=None):
     """Every canonical form with determinant degree t, exactly once."""
     budget = _budget(budget)
     fld = _field(q)
-    cost = sum(
-        fld.q ** sum((j + 1) * tj for j, tj in enumerate(parts))
-        for parts in _compositions(t, n)
+    budget.check(
+        fld.q,
+        (sum((j + 1) * tj for j, tj in enumerate(parts)) for parts in _compositions(t, n)),
+        "canonical form enumeration",
     )
-    budget.check(cost, "canonical form enumeration")
     reps = []
     for parts in _compositions(t, n):
         # monic diagonal entries of the prescribed degrees
@@ -534,114 +566,87 @@ def count_orbit_members(rep: PolyMatrix, k: int, budget=None) -> int:
 
     Members are U*H with H the canonical form and U unimodular.  Factoring U
     by its (invertible) constant term reduces to counting unimodular V with
-    V(0) = I and V*H of entry degree <= k; the rows of V range over affine
-    F_q-spaces determined by H, and for fixed first n-1 rows the unit-
-    determinant condition is affine-linear in the last row, so the last row is
-    counted by linear algebra instead of enumeration.  Cross-checked against
-    the ambient scan in the test suite.
+    V(0) = I and V*H of entry degree <= k.  The rows of V range over affine
+    F_q-spaces v_i = p_i + span(B) with one nullspace B for every row, solved
+    as one system with n right-hand sides.  For fixed first n-1 rows,
+    det V = sum_j v_last[j] C_j is affine-linear in the last row, so the last
+    row is counted by linear algebra instead of enumeration: q^(nb - rank)
+    solutions when consistent.  The outer choices (the first n-1 rows) are
+    decoded as digit arrays in batches; their cofactors C_j, the last-row
+    systems and the ranks of all those systems are computed at once through
+    the field tables (``_det``, ``_mac``, ``linalg.rref``).  Cross-checked
+    against the ambient scan and the per-choice reference in the test suite.
     """
     if not rep.is_square():
         raise NotSquare(f"{rep.rows}x{rep.cols}")
     if k < 0:
         raise InvalidParams(f"orbit member count needs k >= 0, got k = {k}")
     budget = _budget(budget)
-    form = hnf(rep)
-    H = form.h
+    H = hnf(rep).h
     fld = rep.field
     n, q = rep.rows, fld.q
-    nunk = n * k  # coefficients v_j[d], d = 1..k; constant layer is pinned
+    add, mul, neg, _ = tbl = tables(fld)
+    nunk = n * k  # coefficients v_j[d] at column j * k + d - 1, d = 1..k
 
-    def unk(j, d):
-        return j * k + (d - 1)
-
-    spaces = []
-    for i in range(n):
-        rows_a, rhs = [], []
-        for c in range(n):
-            maxdeg = k + max(
-                (int(H.entries[j][c].degree) for j in range(n) if H.entries[j][c]),
-                default=0,
+    # coefficient dp > k of column c of v_i H vanishes: A v_i = b_i
+    system = []
+    for c in range(n):
+        col = [H.entries[j][c] for j in range(n)]
+        maxdeg = k + max((int(h.degree) for h in col if h), default=0)
+        for dp in range(k + 1, maxdeg + 1):
+            system.append(
+                [h[dp - d] for h in col for d in range(1, k + 1)]
+                + [fld.neg(H.entries[i][c][dp]) for i in range(n)]
             )
-            for dp in range(k + 1, maxdeg + 1):
-                row = [0] * nunk
-                for j in range(n):
-                    hj = H.entries[j][c]
-                    if hj.is_zero():
-                        continue
-                    for d in range(1, k + 1):
-                        coef = hj[dp - d]
-                        if coef:
-                            row[unk(j, d)] = coef
-                rows_a.append(row)
-                rhs.append(fld.neg(H.entries[i][c][dp]))
-        sol = solve_affine(rows_a, rhs, fld, ncols=nunk)
-        if sol is None:
-            return 0
-        spaces.append(sol)
+    system = np.array(system, dtype=np.intp).reshape(1, -1, nunk + n)
+    reduced, ranks, pivots = rref(system, nunk, fld)
+    rank_a = int(ranks[0])
+    if reduced[0, rank_a:, nunk:].any():
+        return 0  # some row of V*H cannot have entry degree <= k
+    nb = nunk - rank_a
+    budget.check(q, [nb * (n - 1)], "orbit member enumeration")
+    particulars, basis = affine_solutions(reduced[0], rank_a, pivots[0], fld)
 
-    def to_polys(vec, i):
-        out = []
-        for j in range(n):
-            coeffs = [1 if j == i else 0] + [vec[unk(j, d)] for d in range(1, k + 1)]
-            out.append(Poly(fld, coeffs))
-        return out
+    def row_entries(i, coeffs):
+        """Row i of V from its free coefficients (ints or arrays (L,))."""
+        return [[int(i == j)] + coeffs[j * k : (j + 1) * k] for j in range(n)]
 
-    outer_cost = 1
-    for i in range(n - 1):
-        outer_cost *= q ** len(spaces[i][1])
-    budget.check(outer_cost, "orbit member enumeration")
-
-    outer_rows = [
-        [to_polys(v, i) for v in iter_affine_space(spaces[i][0], spaces[i][1], fld)]
-        for i in range(n - 1)
-    ]
-    last_part = spaces[n - 1][0]
-    last_basis = spaces[n - 1][1]
-    # last-row value rows as polynomials; basis rows have zero constant layer
-    last_part_polys = to_polys(last_part, n - 1)
-    last_basis_polys = [
-        [
-            Poly(fld, [0] + [bv[unk(j, d)] for d in range(1, k + 1)])
-            for j in range(n)
-        ]
-        for bv in last_basis
-    ]
-
-    def cofactors(rows):
-        """C_j with det(V) = sum_j v_last[j] * C_j for the given first rows."""
-        if n == 1:
-            return [Poly.one(fld)]
-        out = []
-        for j in range(n):
-            minor = [[r[c] for c in range(n) if c != j] for r in rows]
-            d = _det_cofactor(minor, fld)
-            if (n - 1 + j) % 2 == 1:
-                d = -d
-            out.append(d)
-        return out
-
+    last = row_entries(n - 1, particulars[-1].tolist())
+    # basis directions of the last row have a zero constant layer
+    directions = [[[0] + e[1:] for e in row_entries(n - 1, b)] for b in basis.tolist()]
+    # a last-row system has at most n k rows (degrees 1..deg det V): keep the
+    # batch of them, an array (L, <= n k, nb + 1), to about _LEAF_CHUNK entries
+    chunk = max(1, _LEAF_CHUNK // (max(nunk, 1) * (nb + 1)))
+    outer = q ** (nb * (n - 1))
     total = 0
-    nb = len(last_basis_polys)
-    for combo in product(*outer_rows) if n > 1 else [()]:
-        cofs = cofactors(list(combo))
-        base = Poly.zero(fld)
+    for lo in range(0, outer, chunk):
+        idx = np.arange(lo, min(lo + chunk, outer), dtype=np.intp)
+        size = len(idx)
+        x = digits(idx, q, nb * (n - 1))
+        rows = []
+        for i in range(n - 1):
+            v = np.repeat(particulars[i][:, None], size, axis=1)
+            for b, xb in zip(basis, x[i * nb : (i + 1) * nb]):
+                v = add[v, mul[b[:, None], xb]]
+            rows.append(row_entries(i, list(v)))
+        # C_j with det V = sum_j v_last[j] C_j, signs folded in
+        cofs = []
         for j in range(n):
-            if last_part_polys[j] and cofs[j]:
-                base = base + last_part_polys[j] * cofs[j]
-        gs = []
-        for bp in last_basis_polys:
-            g = Poly.zero(fld)
-            for j in range(n):
-                if bp[j] and cofs[j]:
-                    g = g + bp[j] * cofs[j]
-            gs.append(g)
-        maxd = max(
-            [int(base.degree) if base else 0]
-            + [int(g.degree) if g else 0 for g in gs]
+            d = _det(tbl, [row[:j] + row[j + 1 :] for row in rows], size)
+            cofs.append(neg[d] if (n - 1 + j) % 2 else d)
+        depth = k + max(len(c) for c in cofs)
+        base = np.zeros((depth, size), dtype=np.intp)
+        g = np.zeros((nb, depth, size), dtype=np.intp)
+        for j, c in enumerate(cofs):
+            _mac(tbl, base, last[j], c)
+            for gb, dirn in zip(g, directions):
+                _mac(tbl, gb, dirn[j], c)
+        # the coefficients of degree >= 1 of base + sum_b x_b g_b vanish
+        last_rows = np.concatenate(
+            [g[:, 1:].transpose(2, 1, 0), neg[base[1:]].T[:, :, None]], axis=2
         )
-        rows_a = [[g[d] for g in gs] for d in range(1, maxd + 1)]
-        rhs = [fld.neg(base[d]) for d in range(1, maxd + 1)]
-        sol = solve_affine(rows_a, rhs, fld, ncols=nb)
-        if sol is not None:
-            total += q ** len(sol[1])
+        reduced, ranks, _ = rref(last_rows, nb, fld)
+        inconsistent = (reduced[:, :, nb] != 0) & (np.arange(depth - 1) >= ranks[:, None])
+        free = (nb - ranks)[~inconsistent.any(axis=1)]
+        total += sum(c * q**e for e, c in enumerate(np.bincount(free, minlength=1).tolist()))
     return gl_count(n, q) * total

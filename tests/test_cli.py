@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +116,36 @@ def test_budget_refusal_exit_3(capsys):
     )
     assert code == 3
     assert "exceed" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["brute", "--n", "9", "--q", "9", "--k", "60"],  # 9^4941: past int's str() limit
+        ["brute", "--n", "2", "--q", "3", "--k", "30000000"],  # 3^120000004
+        ["lemma2", "--bounds", "200,200,200", "--q", "9"],  # the recursion would overflow
+        ["lemma2", "--bounds", "30000000,1", "--q", "3"],  # the formula would build 3^30000001
+    ],
+)
+def test_huge_scans_are_refused_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "^" in err and "exceed" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    argv = ["formula", "--n", "2", "--q", "2", "--t", "1", "--k", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbitcount", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["orbit_count"] == "12"
 
 
 def test_hnf_subcommand(tmp_path, capsys):

@@ -1,10 +1,14 @@
 """Ground-truth enumeration checks: the oracles against hand values, the
 formulas, and each other."""
 
+from itertools import product
+
+import numpy as np
 import pytest
 
 from orbitcount import oracle
 from orbitcount.counting import (
+    _compositions,
     c_nt,
     gl_count,
     orbit_count_formula,
@@ -19,6 +23,7 @@ from orbitcount.errors import (
     PreconditionViolation,
 )
 from orbitcount.fields import field_of_order
+from orbitcount.linalg import iter_affine_space, rank, solve_affine
 from orbitcount.oracle import (
     EnumerationBudget,
     _decode_p_member,
@@ -35,7 +40,7 @@ from orbitcount.oracle import (
     p_members,
 )
 from orbitcount.poly import NEG_INF, Poly
-from orbitcount.polymat import PolyMatrix, det, hnf, is_canonical_hnf
+from orbitcount.polymat import PolyMatrix, _det_cofactor, det, hnf, is_canonical_hnf
 
 F2 = field_of_order(2)
 
@@ -232,6 +237,141 @@ def test_members_counter_rejects_negative_k():
             count_orbit_members(diag2(p2(1), p2(0, 1)), k)
 
 
+def test_members_counter_refuses_a_huge_outer_space_at_once():
+    # 9^18000 outer choices: refused from the exponent, never built or printed
+    with pytest.raises(BudgetExceeded, match=r"9\^18000 items"):
+        count_orbit_members(PolyMatrix.identity(field_of_order(9), 3), 3000)
+
+
+# -- the batched member counter against the per-choice reference ------------
+
+
+def reference_orbit_members(rep, k):
+    """The per-outer-choice counter: solve each row's affine space, walk every
+    choice of the first n-1 rows, expand the cofactors of the last row as
+    polynomials and solve the last-row system for each choice."""
+    H = hnf(rep).h
+    fld = rep.field
+    n, q = rep.rows, fld.q
+    nunk = n * k
+
+    def unk(j, d):
+        return j * k + (d - 1)
+
+    spaces = []
+    for i in range(n):
+        rows_a, rhs = [], []
+        for c in range(n):
+            maxdeg = k + max(
+                (int(H.entries[j][c].degree) for j in range(n) if H.entries[j][c]),
+                default=0,
+            )
+            for dp in range(k + 1, maxdeg + 1):
+                row = [0] * nunk
+                for j in range(n):
+                    hj = H.entries[j][c]
+                    if hj.is_zero():
+                        continue
+                    for d in range(1, k + 1):
+                        coef = hj[dp - d]
+                        if coef:
+                            row[unk(j, d)] = coef
+                rows_a.append(row)
+                rhs.append(fld.neg(H.entries[i][c][dp]))
+        sol = solve_affine(rows_a, rhs, fld, ncols=nunk)
+        if sol is None:
+            return 0
+        spaces.append(sol)
+
+    def to_polys(vec, i):
+        return [
+            Poly(fld, [1 if j == i else 0] + [vec[unk(j, d)] for d in range(1, k + 1)])
+            for j in range(n)
+        ]
+
+    outer_rows = [
+        [to_polys(v, i) for v in iter_affine_space(spaces[i][0], spaces[i][1], fld)]
+        for i in range(n - 1)
+    ]
+    last_part_polys = to_polys(spaces[n - 1][0], n - 1)
+    last_basis_polys = [
+        [Poly(fld, [0] + [bv[unk(j, d)] for d in range(1, k + 1)]) for j in range(n)]
+        for bv in spaces[n - 1][1]
+    ]
+
+    def cofactors(rows):
+        if n == 1:
+            return [Poly.one(fld)]
+        out = []
+        for j in range(n):
+            d = _det_cofactor([[r[c] for c in range(n) if c != j] for r in rows], fld)
+            out.append(-d if (n - 1 + j) % 2 else d)
+        return out
+
+    total = 0
+    nb = len(last_basis_polys)
+    for combo in product(*outer_rows) if n > 1 else [()]:
+        cofs = cofactors(list(combo))
+        base = Poly.zero(fld)
+        for j in range(n):
+            base = base + last_part_polys[j] * cofs[j]
+        gs = []
+        for bp in last_basis_polys:
+            g = Poly.zero(fld)
+            for j in range(n):
+                g = g + bp[j] * cofs[j]
+            gs.append(g)
+        maxd = max([int(base.degree) if base else 0] + [int(g.degree) if g else 0 for g in gs])
+        rows_a = [[g[d] for g in gs] for d in range(1, maxd + 1)]
+        rhs = [fld.neg(base[d]) for d in range(1, maxd + 1)]
+        sol = solve_affine(rows_a, rhs, fld, ncols=nb)
+        if sol is not None:
+            total += q ** len(sol[1])
+    return gl_count(n, q) * total
+
+
+# the reference walks q^((n-1)(nk - t)) outer choices; keep it to a few hundred
+REFERENCE_OUTER_CAP = 2**9
+
+
+def member_cases(q):
+    """(rep, k) pairs over F_q: a triangular rep for every diagonal degree
+    profile with t = 0..2, and a non-canonical multiple of it, n = 1, 2, 3,
+    k = 0..t+2 (so t > k included), every point whose outer space stays
+    under the cap."""
+    fld = field_of_order(q)
+    cases = []
+    for n in (1, 2, 3):
+        shear = PolyMatrix.identity(fld, n)
+        if n > 1:
+            rows = [list(r) for r in shear.entries]
+            rows[n - 1][0] = Poly(fld, (1, 1))
+            shear = PolyMatrix(rows)
+        for t in range(3):
+            for degrees in _compositions(t, n):
+                rows = [[Poly.zero(fld)] * n for _ in range(n)]
+                for j, d in enumerate(degrees):
+                    rows[j][j] = Poly(fld, (q - 1,) * d + (1,))
+                    for i in range(j):
+                        rows[i][j] = Poly(fld, (1,) * d)
+                rep = PolyMatrix(rows)
+                for k in range(t + 3):
+                    if q ** ((n - 1) * max(n * k - t, 0)) <= REFERENCE_OUTER_CAP:
+                        cases += [(rep, k), (shear @ rep, k)]
+    return cases
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_members_counter_matches_per_choice_reference(monkeypatch, q):
+    cases = member_cases(q)
+    want = [reference_orbit_members(rep, k) for rep, k in cases]
+    assert [count_orbit_members(rep, k) for rep, k in cases] == want
+    # outer choices split over many small batches count the same
+    monkeypatch.setattr(oracle, "_LEAF_CHUNK", 7)
+    assert [count_orbit_members(rep, k) for rep, k in cases] == want
+    assert any(want) and not all(want)
+
+
 # -- canonical form enumeration ----------------------------------------------
 
 
@@ -342,6 +482,50 @@ def test_p_members_match_per_member_reference(monkeypatch, q, chunk):
         members = p_members(bounds, q)
         assert list(members) == reference_p_members(bounds, q)
         assert len(members) == p_count_formula(bounds, q)
+
+
+def reference_leading_layers(m, bounds):
+    return [m.coeff_layer(j, kj) for j, kj in enumerate(bounds)]
+
+
+def reference_qr(kind, i, bounds, members, fld):
+    """Q_i/R_i by a rank per decoded member, the loop the batched counts
+    replace."""
+    count = 0
+    for m in members:
+        layers = reference_leading_layers(m, bounds)
+        tail = layers[i - 1 :]
+        if rank(tail, fld) == len(tail):
+            continue
+        if kind == "Q" and rank(layers[i:], fld) < len(layers[i:]):
+            continue
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("q", sorted(P_DIFFERENTIAL_BOUNDS))
+def test_P_QR_counts_match_per_member_rank(q):
+    fld = field_of_order(q)
+    for bounds in P_DIFFERENTIAL_BOUNDS[q]:
+        oracle._p_members_cached.cache_clear()
+        members = reference_p_members(bounds, q)
+        n = len(bounds)
+        assert all(rank(reference_leading_layers(m, bounds), fld) < n for m in members)
+        assert count_P_bruteforce(bounds, q) == len(members)
+        for kind in ("Q", "R"):
+            for i in range(1, n + 1):
+                want = reference_qr(kind, i, bounds, members, fld)
+                assert count_QR_bruteforce(kind, i, bounds, q) == want
+
+
+def test_count_P_asserts_dependent_leading_layers(monkeypatch):
+    # independent leading layers would contradict a constant determinant
+    def identity_layers(fld, bounds, idx):
+        return np.tile(np.eye(len(bounds), dtype=np.intp), (len(idx), 1, 1))
+
+    monkeypatch.setattr(oracle, "_leading_layers", identity_layers)
+    with pytest.raises(AssertionError, match="independent leading layers"):
+        count_P_bruteforce((1, 1), 2)
 
 
 def test_p_members_structure():
