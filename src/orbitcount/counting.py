@@ -127,16 +127,19 @@ def p_count_formula(bounds, q: int) -> int:
 @lru_cache(maxsize=None)
 def _p_recursive(bounds: tuple, q: int) -> int:
     # count is invariant under permuting the bounds (constant conjugation),
-    # so sort descending and recurse on the structure
-    bounds = tuple(sorted(bounds, reverse=True))
-    n = len(bounds)
-    if n == 1 or sum(bounds) == 0:
-        return 1
-    if bounds[-1] == 0:
-        rest = bounds[:-1]
-        return q ** sum(rest) * _p_recursive(rest, q)
-    dec = (bounds[0] - 1,) + bounds[1:]
-    return q ** (n - 1) * _p_recursive(dec, q)
+    # so keep them sorted descending; the recursion is walked as a loop, one
+    # step per unit of the bounds, so large bounds never reach the stack limit
+    bounds = sorted(bounds, reverse=True)
+    acc = 1
+    while len(bounds) > 1 and sum(bounds) != 0:
+        if bounds[-1] == 0:
+            bounds.pop()
+            acc *= q ** sum(bounds)
+        else:
+            acc *= q ** (len(bounds) - 1)
+            bounds[0] -= 1
+            bounds.sort(reverse=True)
+    return acc
 
 
 def p_count_recursive(bounds, q: int) -> int:

@@ -2,6 +2,10 @@
 matrices with fixed determinant, norm-ball censuses, and the asymptotic
 density constant for determinant surfaces.
 
+Every matrix here is 2x2, so the determinant and the Hermite and Smith forms
+are closed forms in the four entries; any other shape raises
+UnsupportedDimension.
+
 All matrix arithmetic is exact; norm thresholds compare the squared Frobenius
 norm against T^2 so no square roots are taken.
 """
@@ -26,115 +30,58 @@ IntMatrix = tuple  # nested tuple of exact ints, row-major
 
 
 def det_int(m) -> int:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    acc = 0
-    for i in range(n):
-        if m[i][0]:
-            minor = tuple(row[1:] for r, row in enumerate(m) if r != i)
-            term = m[i][0] * det_int(minor)
-            acc += term if i % 2 == 0 else -term
-    return acc
+    """Determinant ad - bc. Every shape other than 2x2 raises
+    UnsupportedDimension; hnf_int and snf_int take this guard through here."""
+    if len(m) != 2 or any(len(row) != 2 for row in m):
+        raise UnsupportedDimension(f"only 2x2 integer matrices are supported, got {len(m)} rows")
+    (a, b), (c, d) = m
+    return a * d - b * c
 
 
 def frobenius_sq(m) -> int:
     return sum(v * v for row in m for v in row)
 
 
+def _ext_gcd(a: int, c: int):
+    """(g, x, y) with g = gcd(a, c) and x*a + y*c == g, by the extended
+    Euclidean algorithm."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while c:
+        q, r = divmod(a, c)
+        a, c = c, r
+        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
 def hnf_int(m) -> IntMatrix:
     """Canonical representative of the left orbit under determinant-one
-    integer matrices: upper triangular, positive diagonal, above-diagonal
-    entries reduced into [0, d_j).
+    integer matrices: [[g1, (x*b + y*d) mod (D/g1)], [0, D/g1]] for
+    m = [[a, b], [c, d]] with D = det(m) > 0, g1 = gcd(a, c) and any Bezout
+    pair x*a + y*c = g1.
 
-    For det(m) > 0 the unique transform reaching this form has determinant +1,
-    so the form classifies left SL-orbits, not just GL-orbits.
+    The determinant-one matrix [[x, y], [-c/g1, a/g1]] maps m to
+    [[g1, x*b + y*d], [0, D/g1]], and adding a multiple of the second row
+    reduces the corner. Upper triangular forms with positive diagonal and
+    corner in [0, D/g1) are unique in their orbit, so the form classifies left
+    SL-orbits, not just GL-orbits.
     """
-    m = tuple(tuple(row) for row in m)
-    n = len(m)
-    if det_int(m) <= 0:
-        raise NonPositiveDeterminant(f"det = {det_int(m)} must be positive")
-    h = [list(row) for row in m]
-    for c in range(n):
-        while True:
-            live = [i for i in range(c, n) if h[i][c]]
-            piv = min(live, key=lambda i: abs(h[i][c]))
-            if piv != c:
-                h[c], h[piv] = h[piv], h[c]
-                h[piv] = [-v for v in h[piv]]  # keep the transform in SL
-            below = [i for i in range(c + 1, n) if h[i][c]]
-            if not below:
-                break
-            for i in below:
-                q = h[i][c] // h[c][c]
-                h[i] = [a - q * b for a, b in zip(h[i], h[c])]
-    # positive diagonal (n is even-swappable; fix sign pairwise via -1 rows)
-    for c in range(n):
-        if h[c][c] < 0:
-            # flip this row and the next negative one to stay in SL; with
-            # det > 0 the number of negative diagonal entries is even
-            other = next(j for j in range(c + 1, n) if h[j][j] < 0)
-            h[c] = [-v for v in h[c]]
-            h[other] = [-v for v in h[other]]
-    # reduce above-diagonal entries into [0, d_c)
-    for c in range(1, n):
-        for i in range(c):
-            q = h[i][c] // h[c][c]
-            if q:
-                h[i] = [a - q * b for a, b in zip(h[i], h[c])]
-    return tuple(tuple(row) for row in h)
+    D = det_int(m)
+    if D <= 0:
+        raise NonPositiveDeterminant(f"det = {D} must be positive")
+    (a, b), (c, d) = m
+    g1, x, y = _ext_gcd(a, c)
+    return ((g1, (x * b + y * d) % (D // g1)), (0, D // g1))
 
 
 def snf_int(m) -> IntMatrix:
-    """Smith normal form: positive diagonal with a divisibility chain, the
-    invariant of two-sided unimodular equivalence."""
-    m = tuple(tuple(row) for row in m)
-    n = len(m)
-    if det_int(m) == 0:
+    """Smith normal form diag(g, |det|/g) with g the gcd of the four entries:
+    the invariant of two-sided unimodular equivalence."""
+    D = det_int(m)
+    if D == 0:
         raise SingularMatrix("Smith form requested for a singular matrix")
-    a = [list(row) for row in m]
-    for t in range(n):
-        while True:
-            # move a minimal nonzero entry of the trailing block to (t, t)
-            best = None
-            for i in range(t, n):
-                for j in range(t, n):
-                    if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
-            bi, bj = best
-            if bi != t:
-                a[t], a[bi] = a[bi], a[t]
-            if bj != t:
-                for row in a:
-                    row[t], row[bj] = row[bj], row[t]
-            done = True
-            for i in range(t + 1, n):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        done = False
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for row in a:
-                        row[j] -= q * row[t]
-                    if a[t][j]:
-                        done = False
-            if done:
-                break
-        if a[t][t] < 0:
-            a[t] = [-v for v in a[t]]
-    # enforce the divisibility chain
-    for t in range(n - 1):
-        for j in range(t + 1, n):
-            while a[j][j] % a[t][t]:
-                g = math.gcd(a[t][t], a[j][j])
-                a[j][j] = a[t][t] * a[j][j] // g
-                a[t][t] = g
-    return tuple(tuple(a[i][j] if i == j else 0 for j in range(n)) for i in range(n))
+    (a, b), (c, d) = m
+    g = math.gcd(a, b, c, d)
+    return ((g, 0), (0, abs(D) // g))
 
 
 # -- enumeration -------------------------------------------------------------
@@ -150,6 +97,8 @@ def enumerate_det_norm(n: int, det_value: int, T: int, budget_items: int = 10**8
         raise UnsupportedDimension("only 2x2 enumeration is supported")
     if T < 1:
         raise InvalidParams(f"T must be >= 1, got {T}")
+    if budget_items < 1:
+        raise InvalidParams(f"budget must be >= 1, got {budget_items}")
     if (2 * T + 1) ** 3 > budget_items:
         raise BudgetExceeded(f"norm-ball scan at T = {T} exceeds {budget_items}")
     T2 = T * T
@@ -208,13 +157,6 @@ class RatioReport:
     ladder: tuple  # of T values
     class_counts: dict  # T -> {snf diagonal -> count}
     hnf_counts: dict  # T -> {hnf form -> count}
-
-    def counts_at(self, T):
-        return self.class_counts[T]
-
-    def ratio_at(self, T, o1, o2):
-        counts = self.class_counts[T]
-        return counts.get(o1, 0) / counts.get(o2, 1)
 
     def to_json(self) -> dict:
         def fmt_cls(d):

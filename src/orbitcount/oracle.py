@@ -49,6 +49,10 @@ DEFAULT_MAX_ITEMS = 10**8
 class EnumerationBudget:
     max_items: int = DEFAULT_MAX_ITEMS
 
+    def __post_init__(self):
+        if self.max_items < 1:
+            raise InvalidParams(f"budget must be >= 1, got {self.max_items}")
+
     def check(self, q: int, exponents, what: str):
         """Refuse a scan of sum(q**e for e in exponents) items over the budget.
 

@@ -110,6 +110,20 @@ def test_zcase_ratio_T1_ladder(capsys):
     assert json.loads(out)["ladder"] == [1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("brute", "--n", "2", "--q", "2", "--k", "1", "--budget", "-5"),
+        ("lemma2", "--bounds", "1,1", "--q", "2", "--budget", "0"),
+        ("zcase", "ratio", "--det", "4", "--T", "10", "--budget", "-1"),
+    ],
+)
+def test_budget_below_1_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "budget must be >= 1" in err
+
+
 def test_budget_refusal_exit_3(capsys):
     code, _, err = run(
         capsys, "brute", "--n", "3", "--q", "3", "--k", "3", "--budget", "1000"

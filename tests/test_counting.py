@@ -100,6 +100,13 @@ def test_p_recursive_matches_formula_on_grid():
                     assert p_count_recursive(bounds, q) == p_count_formula(bounds, q)
 
 
+def test_p_recursive_takes_large_bounds_without_recursion_error():
+    # one step per unit of the bounds: these walked past the stack limit
+    # when each step was a recursive call
+    assert p_count_recursive((200, 200, 200), 9) == p_count_formula((200, 200, 200), 9)
+    assert p_count_recursive((2000, 2000), 2) == p_count_formula((2000, 2000), 2)
+
+
 def test_p_recursive_permutation_invariant():
     assert p_count_recursive((2, 1, 0), 3) == p_count_recursive((0, 1, 2), 3)
 

@@ -23,10 +23,100 @@ from orbitcount.integer_orbits import (
 )
 
 
+def reference_hnf_int(m):
+    """The general-n Euclidean Hermite form, kept as the per-matrix reference
+    for the 2x2 closed form."""
+    m = tuple(tuple(row) for row in m)
+    n = len(m)
+    if det_int(m) <= 0:
+        raise NonPositiveDeterminant(f"det = {det_int(m)} must be positive")
+    h = [list(row) for row in m]
+    for c in range(n):
+        while True:
+            live = [i for i in range(c, n) if h[i][c]]
+            piv = min(live, key=lambda i: abs(h[i][c]))
+            if piv != c:
+                h[c], h[piv] = h[piv], h[c]
+                h[piv] = [-v for v in h[piv]]  # keep the transform in SL
+            below = [i for i in range(c + 1, n) if h[i][c]]
+            if not below:
+                break
+            for i in below:
+                q = h[i][c] // h[c][c]
+                h[i] = [a - q * b for a, b in zip(h[i], h[c])]
+    # positive diagonal (n is even-swappable; fix sign pairwise via -1 rows)
+    for c in range(n):
+        if h[c][c] < 0:
+            # flip this row and the next negative one to stay in SL; with
+            # det > 0 the number of negative diagonal entries is even
+            other = next(j for j in range(c + 1, n) if h[j][j] < 0)
+            h[c] = [-v for v in h[c]]
+            h[other] = [-v for v in h[other]]
+    # reduce above-diagonal entries into [0, d_c)
+    for c in range(1, n):
+        for i in range(c):
+            q = h[i][c] // h[c][c]
+            if q:
+                h[i] = [a - q * b for a, b in zip(h[i], h[c])]
+    return tuple(tuple(row) for row in h)
+
+
+def reference_snf_int(m):
+    """The general-n Smith form by pivot moves and a divisibility-chain pass,
+    kept as the per-matrix reference for the 2x2 closed form."""
+    m = tuple(tuple(row) for row in m)
+    n = len(m)
+    if det_int(m) == 0:
+        raise SingularMatrix("Smith form requested for a singular matrix")
+    a = [list(row) for row in m]
+    for t in range(n):
+        while True:
+            # move a minimal nonzero entry of the trailing block to (t, t)
+            best = None
+            for i in range(t, n):
+                for j in range(t, n):
+                    if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                        best = (i, j)
+            bi, bj = best
+            if bi != t:
+                a[t], a[bi] = a[bi], a[t]
+            if bj != t:
+                for row in a:
+                    row[t], row[bj] = row[bj], row[t]
+            done = True
+            for i in range(t + 1, n):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    if a[i][t]:
+                        done = False
+            for j in range(t + 1, n):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    for row in a:
+                        row[j] -= q * row[t]
+                    if a[t][j]:
+                        done = False
+            if done:
+                break
+        if a[t][t] < 0:
+            a[t] = [-v for v in a[t]]
+    # enforce the divisibility chain
+    for t in range(n - 1):
+        for j in range(t + 1, n):
+            while a[j][j] % a[t][t]:
+                g = math.gcd(a[t][t], a[j][j])
+                a[j][j] = a[t][t] * a[j][j] // g
+                a[t][t] = g
+    return tuple(tuple(a[i][j] if i == j else 0 for j in range(n)) for i in range(n))
+
+
 def test_det_int():
     assert det_int(((2, 3), (0, 2))) == 4
-    assert det_int(((1, 2, 3), (4, 5, 6), (7, 8, 10))) == -3
-    assert det_int(((5,),)) == 5
+    with pytest.raises(UnsupportedDimension):
+        det_int(((1, 2, 3), (4, 5, 6), (7, 8, 10)))
+    with pytest.raises(UnsupportedDimension):
+        det_int(((5,),))
 
 
 def test_hnf_int_examples():
@@ -76,11 +166,28 @@ def test_snf_int_examples():
     assert snf_int(((4, 0), (0, 1))) == ((1, 0), (0, 4))
 
 
-def test_snf_divisibility_chain_3x3():
-    s = snf_int(((2, 0, 0), (0, 6, 0), (0, 0, 10)))
-    d = [s[i][i] for i in range(3)]
-    assert d[0] > 0 and d[1] % d[0] == 0 and d[2] % d[1] == 0
-    assert d[0] * d[1] * d[2] == 120
+def test_forms_reject_every_shape_but_2x2():
+    shapes = [((5,),), ((2, 0, 0), (0, 6, 0), (0, 0, 10)), ((1, 2), (3,)), ((1, 2, 0), (0, 1, 0))]
+    for m in shapes:
+        for form in (hnf_int, snf_int):
+            with pytest.raises(UnsupportedDimension):
+                form(m)
+
+
+def test_closed_forms_match_euclidean_reference():
+    """Every matrix of the norm ball at T = 40 (hence every T <= 40), both
+    forms against the general-n Euclidean loops; Smith also for det < 0."""
+    checked = 0
+    for det_value in (1, 2, 3, 4, 6, 12):
+        for m in enumerate_det_norm(2, det_value, 40):
+            assert hnf_int(m) == reference_hnf_int(m), m
+            assert snf_int(m) == reference_snf_int(m), m
+            checked += 1
+    for det_value in (-1, -2, -4, -6, -12):
+        for m in enumerate_det_norm(2, det_value, 40):
+            assert snf_int(m) == reference_snf_int(m), m
+            checked += 1
+    assert checked == 95244 + 82412
 
 
 def test_snf_rejects_singular():
@@ -142,6 +249,19 @@ def test_all_seven_classes_appear_by_T30():
     report = orbit_ratio_experiment(4, 30, ladder=(30,))
     assert len(report.hnf_counts[30]) == 7
     assert len(report.class_counts[30]) == 2
+
+
+def test_smith_diag_2_2_is_twice_the_det_1_ball():
+    # a det-4 matrix with content 2 is 2 * (a det-1 matrix), and its norm
+    # halves, so the class diag(2, 2) at T = 60 is the det-1 ball at T = 30
+    report = orbit_ratio_experiment(4, 60, ladder=(60,))
+    assert report.class_counts[60][((2, 0), (0, 2))] == count_det_norm(1, 30) == 5156
+
+
+def test_enumerate_rejects_budget_below_1():
+    for budget_items in (0, -1):
+        with pytest.raises(InvalidParams):
+            list(enumerate_det_norm(2, 4, 10, budget_items))
 
 
 def test_ratio_report_shape():

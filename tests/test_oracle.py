@@ -83,6 +83,12 @@ def test_budget_refusal():
         census_by_det_degree(2, 2, 3, EnumerationBudget(max_items=100))
 
 
+def test_budget_below_1_is_invalid_input():
+    for max_items in (0, -5):
+        with pytest.raises(InvalidParams):
+            EnumerationBudget(max_items)
+
+
 def test_scans_reject_bad_n_and_k():
     for n, k in ((0, 1), (-1, 1), (2, -1), (2, -3)):
         with pytest.raises(InvalidParams):
