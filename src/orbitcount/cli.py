@@ -167,7 +167,7 @@ def cmd_verify_moves(args) -> int:
 
 
 def cmd_zcase_classes(args) -> int:
-    reps = integer_orbits.hnf_classes_for_det(args.det)
+    reps = integer_orbits.hnf_classes_for_det(args.det, EnumerationBudget(args.budget))
     snf_classes = sorted({integer_orbits.snf_int(r) for r in reps})
     emit(
         {
@@ -187,7 +187,9 @@ def cmd_zcase_ratio(args) -> int:
     if args.T < 1:
         raise InvalidParams(f"--T must be >= 1, got {args.T}")
     ladder = sorted({args.T // 4, args.T // 2, args.T} - {0})
-    report = integer_orbits.orbit_ratio_experiment(args.det, args.T, ladder, args.budget)
+    report = integer_orbits.orbit_ratio_experiment(
+        args.det, args.T, ladder, EnumerationBudget(args.budget)
+    )
     payload = report.to_json()
     counts = report.class_counts[args.T]
     if len(counts) == 2:
@@ -202,8 +204,8 @@ def cmd_zcase_ratio(args) -> int:
 
 
 def cmd_zcase_constant(args) -> int:
-    value = integer_orbits.drs_constant(args.n, args.det)
-    emit({"n": args.n, "k": args.det, "constant": value}, args.format, args.out)
+    value = integer_orbits.drs_constant(2, args.det)
+    emit({"n": 2, "k": args.det, "constant": value}, args.format, args.out)
     return EXIT_OK
 
 
@@ -224,21 +226,30 @@ def _grid(text):
     return tuple(out)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InvalidParams, which main reports in one line; the
+    subparsers are built from this class too."""
+
+    def error(self, message):
+        raise InvalidParams(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="orbitcount")
+    ap = _Parser(prog="orbitcount")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, budget=True):
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out")
-        p.add_argument("--budget", type=int, default=oracle.DEFAULT_MAX_ITEMS)
+        if budget:
+            p.add_argument("--budget", type=int, default=oracle.DEFAULT_MAX_ITEMS)
 
     p = sub.add_parser("formula", help="evaluate the closed-form counts")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    common(p)
+    common(p, budget=False)
     p.set_defaults(func=cmd_formula)
 
     p = sub.add_parser("verify", help="scan censuses against the closed forms")
@@ -256,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hnf", help="canonical form and witness transform")
     p.add_argument("--input", required=True)
-    common(p)
+    common(p, budget=False)
     p.set_defaults(func=cmd_hnf)
 
     p = sub.add_parser("lemma2", help="unipotent-at-zero family counts")
@@ -286,22 +297,17 @@ def build_parser() -> argparse.ArgumentParser:
     common(pz)
     pz.set_defaults(func=cmd_zcase_ratio)
 
-    pz = zsub.add_parser("constant", help="asymptotic density constant")
-    pz.add_argument("--n", type=int, default=2)
+    pz = zsub.add_parser("constant", help="asymptotic density constant (n = 2)")
     pz.add_argument("--det", type=int, required=True)
-    common(pz)
+    common(pz, budget=False)
     pz.set_defaults(func=cmd_zcase_constant)
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INVALID if exc.code else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

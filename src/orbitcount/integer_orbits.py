@@ -18,13 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BudgetExceeded,
     InvalidParams,
     MissingZetaValue,
     NonPositiveDeterminant,
     SingularMatrix,
     UnsupportedDimension,
 )
+from .oracle import _budget
 
 IntMatrix = tuple  # nested tuple of exact ints, row-major
 
@@ -87,68 +87,36 @@ def snf_int(m) -> IntMatrix:
 # -- enumeration -------------------------------------------------------------
 
 
-def enumerate_det_norm(n: int, det_value: int, T: int, budget_items: int = 10**8):
+def enumerate_det_norm(n: int, det_value: int, T: int, budget=None):
     """Yield every n x n integer matrix with the given determinant and
     squared Frobenius norm <= T^2, exactly once, in a deterministic order.
 
-    Only n = 2 is supported; the iteration solves d from a*d = det + b*c.
+    Only n = 2 is supported.  For each a, the (b, c) of the ball form one
+    numpy block, walked in (b, c) order: for a != 0 it keeps the (b, c) whose
+    d = (det + b*c)/a is an integer inside the ball; for a = 0 it keeps the
+    (b, c) with b*c = -det, and d runs free within the ball.
     """
     if n != 2:
         raise UnsupportedDimension("only 2x2 enumeration is supported")
     if T < 1:
         raise InvalidParams(f"T must be >= 1, got {T}")
-    if budget_items < 1:
-        raise InvalidParams(f"budget must be >= 1, got {budget_items}")
-    if (2 * T + 1) ** 3 > budget_items:
-        raise BudgetExceeded(f"norm-ball scan at T = {T} exceeds {budget_items}")
-    T2 = T * T
-    side = np.arange(-T, T + 1)
+    _budget(budget).check(2 * T + 1, [3], "norm-ball scan")
     for a in range(-T, T + 1):
-        ra = T2 - a * a
-        if ra < 0:
+        r = math.isqrt(T * T - a * a)
+        b, c = np.ogrid[-r : r + 1, -r : r + 1]
+        rest = T * T - a * a - b * b - c * c  # the room left for d^2
+        if a:
+            num = det_value + b * c
+            d = num // a
+            keep = (rest >= 0) & (num % a == 0) & (d * d <= rest)
+            for (i, j), dd in zip(np.argwhere(keep).tolist(), d[keep].tolist()):
+                yield ((a, i - r), (j - r, dd))
             continue
-        if a == 0:
-            # b*c = -det; d free within the norm ball
-            for b in side:
-                b = int(b)
-                if b * b > ra:
-                    continue
-                if b == 0:
-                    if det_value != 0:
-                        continue
-                    for c in side:
-                        c = int(c)
-                        rc = ra - c * c
-                        if rc < 0:
-                            continue
-                        dmax = math.isqrt(rc)
-                        for d in range(-dmax, dmax + 1):
-                            yield ((0, b), (c, d))
-                    continue
-                if det_value % b:
-                    continue
-                c = -det_value // b
-                rc = ra - b * b - c * c
-                if rc < 0:
-                    continue
-                dmax = math.isqrt(rc)
-                for d in range(-dmax, dmax + 1):
-                    yield ((0, b), (c, d))
-            continue
-        bmax = math.isqrt(ra)
-        bs = np.arange(-bmax, bmax + 1)
-        for b in bs:
-            b = int(b)
-            rb = ra - b * b
-            cmax = math.isqrt(rb)
-            cs = np.arange(-cmax, cmax + 1)
-            num = det_value + b * cs
-            ok = num % a == 0
-            ds = num[ok] // a
-            csel = cs[ok]
-            within = ds * ds <= rb - csel * csel
-            for c, d in zip(csel[within], ds[within]):
-                yield ((a, b), (int(c), int(d)))
+        keep = (rest >= 0) & (b * c == -det_value)
+        for (i, j), room in zip(np.argwhere(keep).tolist(), rest[keep].tolist()):
+            dmax = math.isqrt(room)
+            for dd in range(-dmax, dmax + 1):
+                yield ((0, i - r), (j - r, dd))
 
 
 @dataclass(frozen=True)
@@ -170,7 +138,7 @@ class RatioReport:
         }
 
 
-def orbit_ratio_experiment(det_value: int, T: int, ladder=None, budget_items: int = 10**8) -> RatioReport:
+def orbit_ratio_experiment(det_value: int, T: int, ladder=None, budget=None) -> RatioReport:
     """Census of the determinant surface inside nested norm balls, bucketed by
     two-sided (Smith) class and by left (Hermite) class."""
     if det_value <= 0:
@@ -181,7 +149,7 @@ def orbit_ratio_experiment(det_value: int, T: int, ladder=None, budget_items: in
     class_counts = {L: {} for L in ladder}
     hnf_counts = {L: {} for L in ladder}
     thresholds = [(L, L * L) for L in ladder]
-    for m in enumerate_det_norm(2, det_value, max(ladder), budget_items):
+    for m in enumerate_det_norm(2, det_value, max(ladder), budget):
         s = snf_int(m)
         h = hnf_int(m)
         nsq = frobenius_sq(m)
@@ -192,16 +160,23 @@ def orbit_ratio_experiment(det_value: int, T: int, ladder=None, budget_items: in
     return RatioReport(det_value, ladder, class_counts, hnf_counts)
 
 
-def count_det_norm(det_value: int, T: int, budget_items: int = 10**8) -> int:
+def count_det_norm(det_value: int, T: int, budget=None) -> int:
     """N(T) for the whole determinant surface."""
-    return sum(1 for _ in enumerate_det_norm(2, det_value, T, budget_items))
+    return sum(1 for _ in enumerate_det_norm(2, det_value, T, budget))
 
 
-def hnf_classes_for_det(det_value: int):
+def hnf_classes_for_det(det_value: int, budget=None):
     """Direct enumeration of the canonical left-class representatives with the
-    given positive determinant: [[a, b], [0, d]], a*d = det, 0 <= b < d."""
+    given positive determinant: [[a, b], [0, d]], a*d = det, 0 <= b < d.
+    There are sigma(det) of them, checked against the budget first."""
     if det_value <= 0:
         raise NonPositiveDeterminant("need det > 0")
+    budget = _budget(budget)
+    # sigma(det) >= det: refuse a determinant past the budget before the
+    # trial division of factorize, which takes up to sqrt(det) steps
+    budget.check(det_value, [1], "left class listing")
+    sigma = math.prod((p ** (e + 1) - 1) // (p - 1) for p, e in factorize(det_value).items())
+    budget.check(sigma, [1], "left class listing")
     out = []
     for d in range(1, det_value + 1):
         if det_value % d:

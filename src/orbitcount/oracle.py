@@ -56,15 +56,18 @@ class EnumerationBudget:
     def check(self, q: int, exponents, what: str):
         """Refuse a scan of sum(q**e for e in exponents) items over the budget.
 
-        Exponents are compared first: q**e >= 2**e exceeds max_items once e
-        reaches its bit length, so no power past the budget is ever built,
-        and the refused cost prints as q^e.
+        Exponents are compared first: q >= 2**b with b = bit length of q
+        minus 1, so q**e exceeds max_items once e*b reaches the bit length of
+        max_items; no power past the budget is ever built, and the refused
+        cost prints as q^e.
         """
         limit = self.max_items.bit_length()
+        b = q.bit_length() - 1
         cost = 0
         for e in exponents:
-            if e >= limit or cost + q**e > self.max_items:
-                shown = f"{cost} + {q}^{e}" if cost else f"{q}^{e}"
+            if e * b >= limit or cost + q**e > self.max_items:
+                term = f"{q}^{e}" if e != 1 else str(q)
+                shown = f"{cost} + {term}" if cost else term
                 raise BudgetExceeded(f"{what}: {shown} items exceed budget {self.max_items}")
             cost += q**e
 
@@ -340,36 +343,36 @@ def _free_positions(n: int, bounds):
     ]
 
 
-def _decode_p_member(fld: GF, bounds, idx: int) -> PolyMatrix:
-    """Candidate idx of the constant-term-I family as a matrix."""
+def _family_entries(fld: GF, bounds, idx):
+    """The entries of the constant-term-I family members idx (an int or an
+    index array): entry (i, j) is the coefficient list
+    [delta_ij, v_ij1, ..., v_ijk_j], each v an int or an array of idx's
+    shape."""
     n = len(bounds)
     positions = _free_positions(n, bounds)
-    coeff = [[[0] * (max(bounds) + 1) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        coeff[i][i][0] = 1
-    for (i, j, d), v in zip(positions, digits(idx, fld.q, len(positions))):
-        coeff[i][j][d] = v
-    return PolyMatrix([[Poly(fld, coeff[i][j]) for j in range(n)] for i in range(n)])
+    entries = [[[int(i == j)] for j in range(n)] for i in range(n)]
+    for (i, j, _), v in zip(positions, digits(idx, fld.q, len(positions))):
+        entries[i][j].append(v)
+    return entries
+
+
+def _decode_p_member(fld: GF, bounds, idx: int) -> PolyMatrix:
+    """Candidate idx of the constant-term-I family as a matrix."""
+    return PolyMatrix([[Poly(fld, e) for e in row] for row in _family_entries(fld, bounds, idx)])
 
 
 @lru_cache(maxsize=64)
 def _p_members_cached(fld: GF, bounds: tuple, max_items: int):
     """The indices of the unimodular candidates, in index order, as a
     read-only array."""
-    # entry (i, j) of a candidate V is [delta_ij, v_ij1, ..., v_ijk_j], its
-    # free coefficients digit arrays over a batch of candidate indices
     n = len(bounds)
     EnumerationBudget(max_items=max_items).check(fld.q, [n * sum(bounds)], "unipotent family scan")
-    positions = _free_positions(n, bounds)
-    total = fld.q ** len(positions)
+    total = fld.q ** (n * sum(bounds))
     tbl = tables(fld)
     found = []
     for lo in range(0, total, _LEAF_CHUNK):
         idx = np.arange(lo, min(lo + _LEAF_CHUNK, total), dtype=np.intp)
-        v = [[[int(i == j)] for j in range(n)] for i in range(n)]
-        for (i, j, _), c in zip(positions, digits(idx, fld.q, len(positions))):
-            v[i][j].append(c)
-        d = _det(tbl, v, len(idx))
+        d = _det(tbl, _family_entries(fld, bounds, idx), len(idx))
         found.append(idx[(d[1:] == 0).all(axis=0) & (d[0] != 0)])
     members = np.concatenate(found)
     members.flags.writeable = False
@@ -400,19 +403,15 @@ def _leading_layers(fld: GF, bounds, idx):
     """The leading layers of the family members idx, straight from their
     digits: an array (L, n, n) whose row j is the vector of degree-k_j
     coefficients of column j (e_j when k_j = 0)."""
-    n = len(bounds)
-    slot = {pos: s for s, pos in enumerate(_free_positions(n, bounds))}
-    out = np.zeros((len(idx), n, n), dtype=np.intp)
-    for j, kj in enumerate(bounds):
-        if not kj:
-            out[:, j, j] = 1
-            continue
-        for i in range(n):
-            out[:, j, i] = idx // fld.q ** slot[i, j, kj] % fld.q
+    entries = _family_entries(fld, bounds, idx)
+    out = np.zeros((len(idx), len(bounds), len(bounds)), dtype=np.intp)
+    for i, row in enumerate(entries):
+        for j, e in enumerate(row):
+            out[:, j, i] = e[-1]
     return out
 
 
-def count_P_bruteforce(bounds, q, budget=None, check_dependence=True) -> int:
+def count_P_bruteforce(bounds, q, budget=None) -> int:
     """Brute-force cardinality of the constant-term-I unimodular family.
 
     Also asserts, on every member, that the top coefficient-layer vectors are
@@ -425,7 +424,7 @@ def count_P_bruteforce(bounds, q, budget=None, check_dependence=True) -> int:
     count = 0
     for idx in _member_chunks(bounds, fld, budget):
         count += len(idx)
-        if check_dependence and sum(bounds) >= 1:
+        if sum(bounds) >= 1:
             full = rref(_leading_layers(fld, bounds, idx), n, fld)[1] >= n
             if full.any():
                 m = _decode_p_member(fld, bounds, int(idx[np.argmax(full)]))
@@ -469,39 +468,22 @@ def enumerate_hnf_reps(n: int, q, t: int, budget=None):
         (sum((j + 1) * tj for j, tj in enumerate(parts)) for parts in _compositions(t, n)),
         "canonical form enumeration",
     )
+    # the n diagonal slots vary slowest, then the above-diagonal slots column
+    # by column; callers pick reps by index, so this order is kept fixed
+    cells = [(j, j) for j in range(n)] + [(i, j) for j in range(n) for i in range(j)]
+    zero = Poly.zero(fld)
     reps = []
     for parts in _compositions(t, n):
-        # monic diagonal entries of the prescribed degrees
-        diag_choices = []
-        for tj in parts:
-            choices = []
-            for p in iter_polys(fld, tj - 1) if tj > 0 else [None]:
-                if p is None:
-                    choices.append(Poly.one(fld))
-                else:
-                    choices.append(p + Poly(fld, (0,) * tj + (1,)))
-            diag_choices.append(choices)
-        # above-diagonal entries of column j run over degrees < t_j
-        above_choices = []
-        for j, tj in enumerate(parts):
-            col = []
-            for _ in range(j):
-                if tj == 0:
-                    col.append([Poly.zero(fld)])
-                else:
-                    col.append(list(iter_polys(fld, tj - 1)))
-            above_choices.append(col)
-        flat = [c for col in above_choices for c in col]
-        for diag in product(*diag_choices):
-            for above in product(*flat):
-                rows = [[Poly.zero(fld)] * n for _ in range(n)]
-                pos = 0
-                for j in range(n):
-                    rows[j][j] = diag[j]
-                    for i in range(j):
-                        rows[i][j] = above[pos]
-                        pos += 1
-                reps.append(PolyMatrix(rows))
+        # column j holds polynomials of degree < t_j above the diagonal, and
+        # one of them plus x^t_j on it
+        low = [list(iter_polys(fld, tj - 1 if tj else NEG_INF)) for tj in parts]
+        slots = [[p + Poly(fld, (0,) * tj + (1,)) for p in ps] for tj, ps in zip(parts, low)]
+        slots += [low[j] for _, j in cells[n:]]
+        for choice in product(*slots):
+            rows = [[zero] * n for _ in range(n)]
+            for (i, j), p in zip(cells, choice):
+                rows[i][j] = p
+            reps.append(PolyMatrix(rows))
     return reps
 
 

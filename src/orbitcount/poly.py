@@ -137,12 +137,6 @@ class Poly:
         f = self.field
         return Poly(f, [f.mul(c, a) for a in self.coeffs])
 
-    def shift(self, d: int) -> "Poly":
-        """Multiply by x^d."""
-        if not self.coeffs:
-            return self
-        return Poly(self.field, (0,) * d + self.coeffs)
-
     def __divmod__(self, other):
         self._check(other)
         if other.is_zero():

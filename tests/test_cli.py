@@ -76,6 +76,41 @@ def assert_one_line_error(code, out, err):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["formula", "--n", "2", "--q", "2", "--t", "x", "--k", "1"],  # bad value
+        ["no-such-command"],
+        ["formula", "--n", "2", "--q", "2", "--k", "1"],  # --t missing
+        ["formula", "--n", "2", "--q", "2", "--t", "1", "--k", "1", "--frobnicate"],
+    ],
+)
+def test_usage_errors_are_one_line(capsys, argv):
+    assert_one_line_error(*run(capsys, *argv))
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: orbitcount" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["formula", "--n", "2", "--q", "2", "--t", "1", "--k", "1", "--budget", "5"],
+        ["hnf", "--input", "m.json", "--budget", "5"],
+        ["zcase", "constant", "--det", "4", "--budget", "5"],
+        ["zcase", "constant", "--det", "4", "--n", "2"],
+    ],
+)
+def test_removed_options_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert_one_line_error(code, out, err)
+    assert "unrecognized arguments" in err
+
+
 def test_formula_rejects_non_prime_power_q(capsys):
     assert_one_line_error(*run(capsys, "formula", "--n", "2", "--q", "6", "--t", "0", "--k", "1"))
 
@@ -261,6 +296,23 @@ def test_zcase_classes(capsys):
     payload = json.loads(out)
     assert payload["left_class_count"] == 7
     assert payload["two_sided_class_count"] == 2
+
+
+@pytest.mark.parametrize("det", ["100000000", "1000000000000000003"])  # sigma > 10^8; a prime
+def test_zcase_classes_refuses_huge_det_at_once(capsys, det):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "zcase", "classes", "--det", det)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_zcase_classes_budget_is_the_class_count(capsys):
+    # sigma(4) = 7 left classes
+    code, out, err = run(capsys, "zcase", "classes", "--det", "4", "--budget", "6")
+    assert code == 3 and out == "" and "exceed" in err
+    code, out, _ = run(capsys, "zcase", "classes", "--det", "4", "--budget", "7")
+    assert code == 0 and json.loads(out)["left_class_count"] == 7
 
 
 def test_zcase_constant(capsys):

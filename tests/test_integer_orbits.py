@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from orbitcount.errors import (
@@ -21,6 +22,7 @@ from orbitcount.integer_orbits import (
     orbit_ratio_experiment,
     snf_int,
 )
+from orbitcount.oracle import EnumerationBudget
 
 
 def reference_hnf_int(m):
@@ -208,6 +210,13 @@ def test_two_smith_classes_for_det_4():
     assert smith == {((1, 0), (0, 4)), ((2, 0), (0, 2))}
 
 
+def test_class_listing_is_budgeted_by_the_divisor_sum():
+    assert len(hnf_classes_for_det(4, EnumerationBudget(7))) == 7
+    with pytest.raises(BudgetExceeded):
+        hnf_classes_for_det(4, EnumerationBudget(6))
+    assert hnf_classes_for_det(1, EnumerationBudget(1)) == [((1, 0), (0, 1))]
+
+
 def test_class_counts_are_divisor_sums():
     for d, expect in [(1, 1), (2, 3), (3, 4), (4, 7), (6, 12), (12, 28)]:
         assert len(hnf_classes_for_det(d)) == expect
@@ -229,6 +238,70 @@ def test_enumerate_det_norm_matches_grid_scan():
         assert got == want
 
 
+def reference_enumerate_det_norm(det_value, T):
+    """The earlier two-branch loop (a separate a = 0 branch with its own
+    b = 0 sub-branch and d-loop), kept as the order-exact reference for
+    enumerate_det_norm."""
+    T2 = T * T
+    side = np.arange(-T, T + 1)
+    for a in range(-T, T + 1):
+        ra = T2 - a * a
+        if ra < 0:
+            continue
+        if a == 0:
+            for b in side:
+                b = int(b)
+                if b * b > ra:
+                    continue
+                if b == 0:
+                    if det_value != 0:
+                        continue
+                    for c in side:
+                        c = int(c)
+                        rc = ra - c * c
+                        if rc < 0:
+                            continue
+                        dmax = math.isqrt(rc)
+                        for d in range(-dmax, dmax + 1):
+                            yield ((0, b), (c, d))
+                    continue
+                if det_value % b:
+                    continue
+                c = -det_value // b
+                rc = ra - b * b - c * c
+                if rc < 0:
+                    continue
+                dmax = math.isqrt(rc)
+                for d in range(-dmax, dmax + 1):
+                    yield ((0, b), (c, d))
+            continue
+        bmax = math.isqrt(ra)
+        bs = np.arange(-bmax, bmax + 1)
+        for b in bs:
+            b = int(b)
+            rb = ra - b * b
+            cmax = math.isqrt(rb)
+            cs = np.arange(-cmax, cmax + 1)
+            num = det_value + b * cs
+            ok = num % a == 0
+            ds = num[ok] // a
+            csel = cs[ok]
+            within = ds * ds <= rb - csel * csel
+            for c, d in zip(csel[within], ds[within]):
+                yield ((a, b), (int(c), int(d)))
+
+
+def test_enumerate_det_norm_matches_reference_in_order():
+    points = 0
+    for det_value in [*range(-12, 13), 36, 100]:
+        for T in (1, 2, 3, 5, 8, 13, 21, 30):
+            got = list(enumerate_det_norm(2, det_value, T))
+            assert got == list(reference_enumerate_det_norm(det_value, T)), (det_value, T)
+            assert all(type(v) is int for m in got for row in m for v in row)
+            points += len(got)
+    assert points == 417748
+
+
 def test_enumerate_det_norm_frozen_counts():
     # values pinned from the exhaustive grid scan above
     assert count_det_norm(1, 2) == 20
@@ -242,7 +315,7 @@ def test_enumerate_validation():
     with pytest.raises(InvalidParams):
         list(enumerate_det_norm(2, 1, 0))
     with pytest.raises(BudgetExceeded):
-        list(enumerate_det_norm(2, 1, 10**4, budget_items=100))
+        list(enumerate_det_norm(2, 1, 10**4, EnumerationBudget(100)))
 
 
 def test_all_seven_classes_appear_by_T30():
@@ -261,7 +334,7 @@ def test_smith_diag_2_2_is_twice_the_det_1_ball():
 def test_enumerate_rejects_budget_below_1():
     for budget_items in (0, -1):
         with pytest.raises(InvalidParams):
-            list(enumerate_det_norm(2, 4, 10, budget_items))
+            list(enumerate_det_norm(2, 4, 10, EnumerationBudget(budget_items)))
 
 
 def test_ratio_report_shape():

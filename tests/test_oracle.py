@@ -1,7 +1,7 @@
 """Ground-truth enumeration checks: the oracles against hand values, the
 formulas, and each other."""
 
-from itertools import product
+from itertools import product, zip_longest
 
 import numpy as np
 import pytest
@@ -392,6 +392,53 @@ def test_enumerate_hnf_reps_counts():
             assert hnf(r).h == r  # already canonical, so a fixed point
             keys.add(r.key())
         assert len(keys) == len(reps)
+
+
+def reference_enumerate_hnf_reps(n, q, t):
+    """The earlier walk over hand-built choice lists with a position counter,
+    kept as the order-exact reference for enumerate_hnf_reps; it yields
+    the forms one at a time instead of listing them."""
+    fld = field_of_order(q)
+    for parts in _compositions(t, n):
+        diag_choices = []
+        for tj in parts:
+            choices = []
+            for p in iter_polys(fld, tj - 1) if tj > 0 else [None]:
+                if p is None:
+                    choices.append(Poly.one(fld))
+                else:
+                    choices.append(p + Poly(fld, (0,) * tj + (1,)))
+            diag_choices.append(choices)
+        above_choices = []
+        for j, tj in enumerate(parts):
+            col = []
+            for _ in range(j):
+                if tj == 0:
+                    col.append([Poly.zero(fld)])
+                else:
+                    col.append(list(iter_polys(fld, tj - 1)))
+            above_choices.append(col)
+        flat = [c for col in above_choices for c in col]
+        for diag in product(*diag_choices):
+            for above in product(*flat):
+                rows = [[Poly.zero(fld)] * n for _ in range(n)]
+                pos = 0
+                for j in range(n):
+                    rows[j][j] = diag[j]
+                    for i in range(j):
+                        rows[i][j] = above[pos]
+                        pos += 1
+                yield PolyMatrix(rows)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_enumerate_hnf_reps_matches_reference_in_order(n, q):
+    # the acceptance criteria pick reps by index, so the order is part of the API
+    for t in range(4):
+        got = enumerate_hnf_reps(n, q, t)
+        want = reference_enumerate_hnf_reps(n, q, t)
+        assert all(a == b for a, b in zip_longest(got, want)), (n, q, t)
 
 
 def test_census_matches_rep_enumeration():
