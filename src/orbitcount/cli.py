@@ -62,94 +62,63 @@ def _load_matrix(path: str) -> PolyMatrix:
 
 
 # -- subcommand implementations ----------------------------------------------
+# Each returns (report, ok); main emits the report and maps ok to the exit code.
 
 
-def cmd_formula(args) -> int:
-    orbit = counting.orbit_count_formula(args.n, args.q, args.t, args.k)
-    total = counting.total_count_formula(args.n, args.q, args.t, args.k)
-    emit(
-        {
-            "params": {"n": args.n, "q": args.q, "t": args.t, "k": args.k},
-            "orbit_count": str(orbit),
-            "total_count": str(total),
-            "class_count": str(counting.c_nt(args.n, args.q, args.t)),
-        },
-        args.format,
-        args.out,
-    )
-    return EXIT_OK
+def cmd_formula(args):
+    return {
+        "params": {"n": args.n, "q": args.q, "t": args.t, "k": args.k},
+        "orbit_count": str(counting.orbit_count_formula(args.n, args.q, args.t, args.k)),
+        "total_count": str(counting.total_count_formula(args.n, args.q, args.t, args.k)),
+        "class_count": str(counting.c_nt(args.n, args.q, args.t)),
+    }, True
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     grid = DEFAULT_VERIFY_GRID if args.grid is None else _grid(args.grid)
-    budget = EnumerationBudget(args.budget)
-    reports, ok = oracle.verify_grid(grid, budget)
-    emit(
-        {"grid": [list(g) for g in grid], "reports": [r.to_json() for r in reports], "all_match": ok},
-        args.format,
-        args.out,
-    )
-    return EXIT_OK if ok else EXIT_MISMATCH
+    reports, ok = oracle.verify_grid(grid, EnumerationBudget(args.budget))
+    return {
+        "grid": [list(g) for g in grid],
+        "reports": [r.to_json() for r in reports],
+        "all_match": ok,
+    }, ok
 
 
-def cmd_brute(args) -> int:
+def cmd_brute(args):
     budget = EnumerationBudget(args.budget)
     if args.input:
         rep = _load_matrix(args.input)
         count = oracle.count_orbit_bruteforce(rep, args.k, budget)
-        emit(
-            {"kind": "orbit", "k": args.k, "count": str(count), "rep": rep.to_json()},
-            args.format,
-            args.out,
-        )
-        return EXIT_OK
+        return {"kind": "orbit", "k": args.k, "count": str(count), "rep": rep.to_json()}, True
     if args.n is None or args.q is None:
         raise InvalidParams("brute needs --n and --q unless --input is given")
-    census = oracle.census_by_det_degree(args.n, args.q, args.k, budget)
-    emit(census.to_json(), args.format, args.out)
-    return EXIT_OK
+    return oracle.census_by_det_degree(args.n, args.q, args.k, budget).to_json(), True
 
 
-def cmd_hnf(args) -> int:
-    m = _load_matrix(args.input)
-    form = hnf(m)
-    emit(
-        {
-            "h": form.h.to_json(),
-            "u": form.u.to_json(),
-            "det_degree": form.det_degree,
-        },
-        args.format,
-        args.out,
-    )
-    return EXIT_OK
+def cmd_hnf(args):
+    form = hnf(_load_matrix(args.input))
+    return {"h": form.h.to_json(), "u": form.u.to_json(), "det_degree": form.det_degree}, True
 
 
-def cmd_lemma2(args) -> int:
+def cmd_lemma2(args):
     bounds = _parse_bounds(args.bounds)
-    budget = EnumerationBudget(args.budget)
     # the budget-checked scan first: the formula's power and the recursion's
     # depth grow with the bounds
-    brute = oracle.count_P_bruteforce(bounds, args.q, budget)
+    brute = oracle.count_P_bruteforce(bounds, args.q, EnumerationBudget(args.budget))
     formula = counting.p_count_formula(bounds, args.q)
     recursive = counting.p_count_recursive(bounds, args.q)
     ok = formula == recursive == brute
-    emit(
-        {
-            "bounds": list(bounds),
-            "q": args.q,
-            "formula": str(formula),
-            "recursive": str(recursive),
-            "bruteforce": str(brute),
-            "all_match": ok,
-        },
-        args.format,
-        args.out,
-    )
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return {
+        "bounds": list(bounds),
+        "q": args.q,
+        "formula": str(formula),
+        "recursive": str(recursive),
+        "bruteforce": str(brute),
+        "all_match": ok,
+    }, ok
 
 
-def cmd_verify_moves(args) -> int:
+def cmd_verify_moves(args):
     if args.n not in (0, 2, 3):
         raise InvalidParams(f"--n must be 2, 3 or 0 (both sizes), got {args.n}")
     field = field_of_order(args.q)
@@ -158,32 +127,22 @@ def cmd_verify_moves(args) -> int:
     fixtures = two if args.n == 2 else three if args.n == 3 else two + three
     records = moves.run_move_battery(fixtures, k_extra=args.k_extra, budget=budget)
     ok = all(r.all_equal() for r in records)
-    emit(
-        {"records": [r.to_json() for r in records], "all_match": ok},
-        args.format,
-        args.out,
-    )
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return {"records": [r.to_json() for r in records], "all_match": ok}, ok
 
 
-def cmd_zcase_classes(args) -> int:
+def cmd_zcase_classes(args):
     reps = integer_orbits.hnf_classes_for_det(args.det, EnumerationBudget(args.budget))
     snf_classes = sorted({integer_orbits.snf_int(r) for r in reps})
-    emit(
-        {
-            "det": args.det,
-            "left_class_count": len(reps),
-            "left_classes": [list(map(list, r)) for r in reps],
-            "two_sided_class_count": len(snf_classes),
-            "two_sided_classes": [list(map(list, s)) for s in snf_classes],
-        },
-        args.format,
-        args.out,
-    )
-    return EXIT_OK
+    return {
+        "det": args.det,
+        "left_class_count": len(reps),
+        "left_classes": [list(map(list, r)) for r in reps],
+        "two_sided_class_count": len(snf_classes),
+        "two_sided_classes": [list(map(list, s)) for s in snf_classes],
+    }, True
 
 
-def cmd_zcase_ratio(args) -> int:
+def cmd_zcase_ratio(args):
     if args.T < 1:
         raise InvalidParams(f"--T must be >= 1, got {args.T}")
     ladder = sorted({args.T // 4, args.T // 2, args.T} - {0})
@@ -199,14 +158,11 @@ def cmd_zcase_ratio(args) -> int:
             "rational": f"{v1}/{v2}",
             "float": v1 / v2,
         }
-    emit(payload, args.format, args.out)
-    return EXIT_OK
+    return payload, True
 
 
-def cmd_zcase_constant(args) -> int:
-    value = integer_orbits.drs_constant(2, args.det)
-    emit({"n": 2, "k": args.det, "constant": value}, args.format, args.out)
-    return EXIT_OK
+def cmd_zcase_constant(args):
+    return {"n": 2, "k": args.det, "constant": integer_orbits.drs_constant(2, args.det)}, True
 
 
 # -- argument wiring ---------------------------------------------------------
@@ -308,7 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        report, ok = args.func(args)
+        emit(report, args.format, args.out)
+        return EXIT_OK if ok else EXIT_MISMATCH
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
 
 from .errors import BoundTooSmall, InvalidParams, PreconditionViolation
+from .fields import factorize
 
 
 @dataclass(frozen=True)
@@ -44,17 +44,10 @@ class CountReport:
         return out
 
 
-def _is_prime_power(q: int) -> bool:
-    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
-    while q % p == 0:
-        q //= p
-    return q == 1
-
-
 def _check_nq(n: int, q: int):
     if n < 1 or q < 2:
         raise InvalidParams(f"need n >= 1 and q >= 2, got n={n}, q={q}")
-    if not _is_prime_power(q):
+    if len(factorize(q)) != 1:
         raise InvalidParams(f"q = {q} is not a prime power, so F_q does not exist")
 
 

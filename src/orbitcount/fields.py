@@ -14,6 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import (
+    BudgetExceeded,
     DivisionByZero,
     NonPrimeCharacteristic,
     ReducibleModulus,
@@ -22,16 +23,33 @@ from .errors import (
 
 MAX_Q = 512
 
+# trial division stops here: every k below FACTOR_LIMIT**2 = 10**12 factors
+# exactly, and a larger cofactor with no prime factor up to the limit is
+# refused instead of searched
+FACTOR_LIMIT = 10**6
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
+
+def factorize(k: int) -> dict:
+    """The prime factorization {p: e} of k by trial division ({} for k < 2).
+
+    Raises BudgetExceeded when a cofactor of at least FACTOR_LIMIT**2 has no
+    prime factor up to FACTOR_LIMIT, so the search is bounded for every k.
+    """
+    out = {}
+    rest, d = k, 2
+    while d * d <= rest:
+        if d > FACTOR_LIMIT:
+            raise BudgetExceeded(
+                f"factoring {k} exceeds the trial-division limit: "
+                f"{rest} has no prime factor up to {FACTOR_LIMIT}"
+            )
+        while rest % d == 0:
+            out[d] = out.get(d, 0) + 1
+            rest //= d
         d += 1
-    return True
+    if rest > 1:
+        out[rest] = out.get(rest, 0) + 1
+    return out
 
 
 def digits(v, base: int, width: int):
@@ -45,64 +63,36 @@ def digits(v, base: int, width: int):
     return out
 
 
-def _fp_polymul(a, b, p):
-    """Multiply two F_p coefficient lists (little-endian)."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _fp_polymod(a, m, p):
-    """Reduce coefficient list a modulo the monic list m over F_p."""
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i, cm in enumerate(m):
-                a[shift + i] = (a[shift + i] - lead * cm) % p
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _modulus_is_irreducible(modulus, p):
-    """Exhaustive irreducibility test: no root in F_p and no monic divisor of
-    degree <= e/2.  Fine at the sizes this package supports."""
+    """Exhaustive irreducibility test over F_p: no monic divisor of degree
+    1..e/2 (degree 1 being the roots).  Fine at the sizes this package
+    supports."""
+    from .poly import Poly  # poly imports this module
+
+    fp = prime_field(p)
+    m = Poly(fp, modulus)
     e = len(modulus) - 1
-    # root search
-    for r in range(p):
-        acc = 0
-        for c in reversed(modulus):
-            acc = (acc * r + c) % p
-        if acc == 0:
-            return False
-    # trial division by monic polynomials of degree 2..e//2
-    for d in range(2, e // 2 + 1):
-        for idx in range(p**d):
-            if not _fp_polymod(modulus, digits(idx, p, d) + [1], p):
-                return False
-    return True
+    return all(
+        m % Poly(fp, digits(idx, p, d) + [1])
+        for d in range(1, e // 2 + 1)
+        for idx in range(p**d)
+    )
 
 
 class GF:
     """The finite field F_q, q = p^e, acting on integer-coded elements."""
 
     def __init__(self, p: int, e: int = 1, modulus=None):
-        if not _is_prime(p):
-            raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
         if e < 1:
             raise UnsupportedSize(f"extension degree must be >= 1, got {e}")
+        # exponents first: p >= 2 makes p**e >= 2**e, so an e past the bit
+        # length of the cap is refused without building p**e
+        if p >= 2 and (e >= MAX_Q.bit_length() or p**e > MAX_Q):
+            shown = p if e == 1 else f"{p}^{e}"
+            raise UnsupportedSize(f"q = {shown} exceeds the supported cap {MAX_Q}")
+        if factorize(p) != {p: 1}:
+            raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
         q = p**e
-        if q > MAX_Q:
-            raise UnsupportedSize(f"q = {q} exceeds the supported cap {MAX_Q}")
         if e == 1:
             if modulus is not None:
                 raise ReducibleModulus("prime fields take no modulus")
@@ -134,18 +124,23 @@ class GF:
     def _unpack(self, v: int):
         return digits(v, self.p, self.e)
 
-    def _raw_mul(self, a: int, b: int) -> int:
-        prod = _fp_polymul(self._unpack(a), self._unpack(b), self.p)
-        return self._pack(_fp_polymod(prod, self.modulus, self.p))
-
     def _build_tables(self):
+        from .poly import Poly  # poly imports this module
+
         q = self.q
+        fp = prime_field(self.p)
+        modulus = Poly(fp, self.modulus)
+
+        def _raw_mul(a, b):
+            prod = Poly(fp, self._unpack(a)) * Poly(fp, self._unpack(b))
+            return self._pack((prod % modulus).coeffs)
+
         # find a multiplicative generator by direct order computation
         for g in range(2, q):
             acc = 1
             exp = [1]
             for _ in range(q - 1):
-                acc = self._raw_mul(acc, g)
+                acc = _raw_mul(acc, g)
                 if acc == 1:
                     break
                 exp.append(acc)
@@ -278,7 +273,9 @@ DEFAULT_MODULI = {
 
 def field_of_order(q: int) -> GF:
     """Return F_q, picking a default modulus for the prime powers we ship."""
-    if _is_prime(q):
+    if q > MAX_Q:
+        raise UnsupportedSize(f"q = {q} exceeds the supported cap {MAX_Q}")
+    if factorize(q) == {q: 1}:
         return prime_field(q)
     if q in DEFAULT_MODULI:
         p, e, modulus = DEFAULT_MODULI[q]

@@ -24,6 +24,7 @@ from .errors import (
     SingularMatrix,
     UnsupportedDimension,
 )
+from .fields import factorize
 from .oracle import _budget
 
 IntMatrix = tuple  # nested tuple of exact ints, row-major
@@ -94,13 +95,16 @@ def enumerate_det_norm(n: int, det_value: int, T: int, budget=None):
     Only n = 2 is supported.  For each a, the (b, c) of the ball form one
     numpy block, walked in (b, c) order: for a != 0 it keeps the (b, c) whose
     d = (det + b*c)/a is an integer inside the ball; for a = 0 it keeps the
-    (b, c) with b*c = -det, and d runs free within the ball.
+    (b, c) with b*c = -det, and d runs free within the ball.  A det with
+    2|det| > T^2 has no matrix in the ball and yields nothing.
     """
     if n != 2:
         raise UnsupportedDimension("only 2x2 enumeration is supported")
     if T < 1:
         raise InvalidParams(f"T must be >= 1, got {T}")
     _budget(budget).check(2 * T + 1, [3], "norm-ball scan")
+    if 2 * abs(det_value) > T * T:  # |ad - bc| <= (a^2 + b^2 + c^2 + d^2) / 2
+        return
     for a in range(-T, T + 1):
         r = math.isqrt(T * T - a * a)
         b, c = np.ogrid[-r : r + 1, -r : r + 1]
@@ -168,15 +172,12 @@ def count_det_norm(det_value: int, T: int, budget=None) -> int:
 def hnf_classes_for_det(det_value: int, budget=None):
     """Direct enumeration of the canonical left-class representatives with the
     given positive determinant: [[a, b], [0, d]], a*d = det, 0 <= b < d.
-    There are sigma(det) of them, checked against the budget first."""
+    There are sigma(det) of them, checked against the budget first; a det
+    that ``factorize`` cannot factor is refused too."""
     if det_value <= 0:
         raise NonPositiveDeterminant("need det > 0")
-    budget = _budget(budget)
-    # sigma(det) >= det: refuse a determinant past the budget before the
-    # trial division of factorize, which takes up to sqrt(det) steps
-    budget.check(det_value, [1], "left class listing")
     sigma = math.prod((p ** (e + 1) - 1) // (p - 1) for p, e in factorize(det_value).items())
-    budget.check(sigma, [1], "left class listing")
+    _budget(budget).check(sigma, [1], "left class listing")
     out = []
     for d in range(1, det_value + 1):
         if det_value % d:
@@ -188,19 +189,6 @@ def hnf_classes_for_det(det_value: int, budget=None):
 
 
 # -- asymptotic constant -----------------------------------------------------
-
-
-def factorize(k: int):
-    out = {}
-    d = 2
-    while d * d <= k:
-        while k % d == 0:
-            out[d] = out.get(d, 0) + 1
-            k //= d
-        d += 1
-    if k > 1:
-        out[k] = out.get(k, 0) + 1
-    return out
 
 
 def drs_constant(n: int, k: int, zeta_values: dict | None = None) -> float:

@@ -586,12 +586,12 @@ def count_orbit_members(rep: PolyMatrix, k: int, budget=None) -> int:
             )
     system = np.array(system, dtype=np.intp).reshape(1, -1, nunk + n)
     reduced, ranks, pivots = rref(system, nunk, fld)
-    rank_a = int(ranks[0])
-    if reduced[0, rank_a:, nunk:].any():
+    solutions = affine_solutions(reduced[0], int(ranks[0]), pivots[0], fld)
+    if solutions is None:
         return 0  # some row of V*H cannot have entry degree <= k
-    nb = nunk - rank_a
+    particulars, basis = solutions
+    nb = len(basis)
     budget.check(q, [nb * (n - 1)], "orbit member enumeration")
-    particulars, basis = affine_solutions(reduced[0], rank_a, pivots[0], fld)
 
     def row_entries(i, coeffs):
         """Row i of V from its free coefficients (ints or arrays (L,))."""

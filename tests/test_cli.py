@@ -327,3 +327,51 @@ def test_zcase_ratio(capsys):
     payload = json.loads(out)
     assert "ratio" in payload
     assert 0 < payload["ratio"]["float"] < 1 or payload["ratio"]["float"] > 1
+
+
+BIG_PRIME = str(10**18 + 3)
+
+
+# a q past the cap 512 exits 2 before any factoring; an integer that must be
+# factored and has no prime factor up to 10^6 exits 3
+@pytest.mark.parametrize(
+    "code, argv",
+    [
+        (3, ["formula", "--n", "2", "--q", BIG_PRIME, "--t", "1", "--k", "1"]),
+        (2, ["verify", "--grid", f"2,{BIG_PRIME},1"]),
+        (2, ["brute", "--n", "2", "--q", BIG_PRIME, "--k", "1"]),
+        (2, ["lemma2", "--bounds", "1,1", "--q", BIG_PRIME]),
+        (2, ["verify-moves", "--q", BIG_PRIME]),
+        (3, ["zcase", "constant", "--det", BIG_PRIME]),
+        (3, ["zcase", "classes", "--det", BIG_PRIME, "--budget", str(10**20)]),
+        (2, ["hnf", "--input", "bigp.json"]),
+    ],
+)
+def test_unfactorable_integers_are_refused_at_once(tmp_path, monkeypatch, capsys, code, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("bigp.json").write_text(json.dumps({"field": {"p": 10**18 + 3, "e": 1}, "entries": [[[1]]]}))
+    start = time.perf_counter()
+    got, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert got == code and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_hnf_input_with_a_huge_extension_degree_names_the_cap(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"field": {"p": 2, "e": 10**9, "modulus": [1, 1]}, "entries": [[[1]]]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "hnf", "--input", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert_one_line_error(code, out, err)
+    assert "cap 512" in err
+
+
+def test_zcase_ratio_with_det_past_the_ball_is_empty(capsys):
+    # no matrix with norm <= 5 has |det| > 25 / 2, and 10^20 is past int64
+    code, out, _ = run(capsys, "zcase", "ratio", "--det", str(10**20), "--T", "5")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["two_sided_classes"] == {"1": {}, "2": {}, "5": {}}
+    assert payload["left_classes"] == {"1": {}, "2": {}, "5": {}}
+    assert "ratio" not in payload

@@ -1,13 +1,25 @@
+import time
+from itertools import product
+
 import numpy as np
 import pytest
 
 from orbitcount.errors import (
+    BudgetExceeded,
     DivisionByZero,
     NonPrimeCharacteristic,
     ReducibleModulus,
     UnsupportedSize,
 )
-from orbitcount.fields import GF, digits, field_of_order, field_spec, prime_field
+from orbitcount.fields import (
+    GF,
+    _modulus_is_irreducible,
+    digits,
+    factorize,
+    field_of_order,
+    field_spec,
+    prime_field,
+)
 
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9]
@@ -157,3 +169,142 @@ def test_digits_of_an_array_match_the_ints_and_leave_it_unchanged():
     assert np.array_equal(idx, np.arange(3**4))
     for v in range(3**4):
         assert [int(d[v]) for d in ds] == digits(v, 3, 4)
+
+
+# -- reference field construction ---------------------------------------------
+# The coefficient-list kernels extension fields were built on before they moved
+# onto Poly, kept here as the reference for the irreducibility verdict and the
+# tables.
+
+
+def reference_fp_polymul(a, b, p):
+    """Multiply two F_p coefficient lists (little-endian)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] = (out[i + j] + ca * cb) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def reference_fp_polymod(a, m, p):
+    """Reduce coefficient list a modulo the monic list m over F_p."""
+    a = list(a)
+    dm = len(m) - 1
+    while len(a) - 1 >= dm and a:
+        lead = a[-1]
+        if lead:
+            shift = len(a) - 1 - dm
+            for i, cm in enumerate(m):
+                a[shift + i] = (a[shift + i] - lead * cm) % p
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def reference_modulus_is_irreducible(modulus, p):
+    """No root in F_p and no monic divisor of degree 2..e/2."""
+    e = len(modulus) - 1
+    for r in range(p):
+        acc = 0
+        for c in reversed(modulus):
+            acc = (acc * r + c) % p
+        if acc == 0:
+            return False
+    for d in range(2, e // 2 + 1):
+        for idx in range(p**d):
+            if not reference_fp_polymod(modulus, digits(idx, p, d) + [1], p):
+                return False
+    return True
+
+
+def reference_tables(p, e, modulus):
+    """(_exp, _log, _add, _neg) of F_{p^e} built on the reference kernels."""
+    q = p**e
+
+    def pack(coeffs):
+        return sum(c * p**i for i, c in enumerate(coeffs))
+
+    def raw_mul(a, b):
+        prod = reference_fp_polymul(digits(a, p, e), digits(b, p, e), p)
+        return pack(reference_fp_polymod(prod, modulus, p))
+
+    for g in range(2, q):
+        acc, exp = 1, [1]
+        for _ in range(q - 1):
+            acc = raw_mul(acc, g)
+            if acc == 1:
+                break
+            exp.append(acc)
+        if len(exp) == q - 1:
+            break
+    log = [0] * q
+    for i, v in enumerate(exp):
+        log[v] = i
+    add = [
+        [pack([(x + y) % p for x, y in zip(digits(a, p, e), digits(b, p, e))]) for b in range(q)]
+        for a in range(q)
+    ]
+    neg = [row.index(0) for row in add]
+    return exp, log, add, neg
+
+
+@pytest.mark.parametrize("p, degrees", [(2, (2, 3, 4)), (3, (2, 3, 4)), (5, (2, 3)), (7, (2, 3))])
+def test_irreducibility_verdict_matches_the_reference(p, degrees):
+    for e in degrees:
+        verdicts = []
+        for low in product(range(p), repeat=e):
+            modulus = list(low) + [1]
+            verdict = _modulus_is_irreducible(modulus, p)
+            assert verdict == reference_modulus_is_irreducible(modulus, p), modulus
+            verdicts.append(verdict)
+        # both verdicts occur at every degree
+        assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize(
+    "p, e, modulus",
+    [
+        (2, 2, (1, 1, 1)),
+        (2, 3, (1, 1, 0, 1)),
+        (3, 2, (1, 0, 1)),
+        (3, 5, (1, 2, 0, 0, 0, 1)),  # x^5 + 2x + 1
+        (2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)),  # x^8 + x^4 + x^3 + x + 1
+    ],
+)
+def test_extension_tables_match_the_reference(p, e, modulus):
+    fld = GF(p, e, modulus)
+    exp, log, add, neg = reference_tables(p, e, modulus)
+    assert fld._exp == exp
+    assert fld._log == log
+    assert fld._add == add
+    assert fld._neg == neg
+
+
+# -- factorize ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "k, expected",
+    [
+        (1, {}),
+        (2**80, {2: 80}),
+        (3**50, {3: 50}),
+        (10**9 + 7, {10**9 + 7: 1}),
+        (999999999989, {999999999989: 1}),  # the largest prime below 10^12
+        (2**3 * 3 * 10007**2, {2: 3, 3: 1, 10007: 2}),
+        (2 * 999999999989, {2: 1, 999999999989: 1}),  # past 10^12, its cofactor is not
+    ],
+)
+def test_factorize(k, expected):
+    assert factorize(k) == expected
+
+
+def test_factorize_refuses_a_large_prime_at_once():
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        factorize(10**18 + 3)
+    assert time.perf_counter() - start < 1.0

@@ -385,3 +385,9 @@ def test_drs_constant_validation():
         drs_constant(1, 1)
     with pytest.raises(InvalidParams):
         drs_constant(2, 0)
+
+
+def test_det_past_the_ball_has_no_matrix():
+    # |ad - bc| <= (a^2 + b^2 + c^2 + d^2) / 2, so 2|D| > T^2 leaves none
+    assert count_det_norm(10**20, 5) == 0
+    assert count_det_norm(-(10**20), 5) == 0
