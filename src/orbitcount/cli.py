@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from . import counting, integer_orbits, moves, oracle
 from .errors import BudgetExceeded, InvalidParams, OrbitCountError
@@ -27,29 +28,26 @@ DEFAULT_VERIFY_GRID = ((2, 2, 2), (2, 3, 2), (3, 2, 1))  # (n, q, max k)
 
 
 def _flatten(obj, prefix=""):
-    rows = []
+    """The (key, value) CSV rows of a report, one leaf at a time."""
     if isinstance(obj, dict):
         for k in sorted(obj, key=str):
-            rows.extend(_flatten(obj[k], f"{prefix}{k}."))
+            yield from _flatten(obj[k], f"{prefix}{k}.")
     elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
-            rows.extend(_flatten(v, f"{prefix}{i}."))
+            yield from _flatten(v, f"{prefix}{i}.")
     else:
-        rows.append((prefix.rstrip("."), obj))
-    return rows
+        yield prefix.rstrip("."), obj
 
 
 def emit(report: dict, fmt: str, out: str | None):
-    if fmt == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    else:
-        lines = [f"{key},{value}" for key, value in _flatten(report)]
-        text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write the report as it is serialized, without building its text."""
+    with open(out, "w") if out else nullcontext(sys.stdout) as fh:
+        if fmt == "json":
+            json.dump(report, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        else:
+            for key, value in _flatten(report):
+                fh.write(f"{key},{value}\n")
 
 
 def _parse_bounds(text: str):
@@ -136,9 +134,9 @@ def cmd_zcase_classes(args):
     return {
         "det": args.det,
         "left_class_count": len(reps),
-        "left_classes": [list(map(list, r)) for r in reps],
+        "left_classes": reps,
         "two_sided_class_count": len(snf_classes),
-        "two_sided_classes": [list(map(list, s)) for s in snf_classes],
+        "two_sided_classes": snf_classes,
     }, True
 
 
@@ -169,15 +167,13 @@ def cmd_zcase_constant(args):
 
 
 def _grid(text):
-    """Parse "n,q,kmax;..." into triples, each with n >= 1 and kmax >= 0."""
+    """Parse "n,q,kmax;..." into triples; verify_grid checks their ranges."""
     out = []
     for part in text.split(";"):
         try:
             n, q, k = (int(v) for v in part.split(","))
         except ValueError:
             raise InvalidParams(f"--grid triple {part!r} is not n,q,kmax") from None
-        if n < 1 or k < 0:
-            raise InvalidParams(f"--grid triple {part!r} needs n >= 1 and kmax >= 0")
         out.append((n, q, k))
     return tuple(out)
 

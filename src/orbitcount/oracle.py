@@ -128,12 +128,6 @@ def iter_matrices(q, n: int, k: int):
 _LEAF_CHUNK = 1 << 16  # last columns, unipotent candidates or members per numpy batch
 
 
-def _check_scan(fld: GF, n: int, k: int, budget, what: str):
-    if n < 1 or k < 0:
-        raise InvalidParams(f"{what} needs n >= 1 and k >= 0, got n = {n}, k = {k}")
-    _budget(budget).check(fld.q, [n * n * (k + 1)], what)
-
-
 def _mac(tbl, acc, a, b):
     """acc + a·b, written into acc, for a batch of L polynomial products.
 
@@ -187,24 +181,6 @@ def _prefixes(fld: GF, n: int, width: int):
         yield form.h.key()[: n - 1], form.det_degree, form.u.entries
 
 
-def _leaf_batches(fld: GF, n: int, width: int):
-    """A function returning the last columns as digit arrays of shape
-    (n, width, L), in batches of at most _LEAF_CHUNK columns.  A single batch
-    is decoded once and shared by every prefix of the scan."""
-    q, total = fld.q, fld.q ** (n * width)
-
-    def decode(lo, hi):
-        idx = np.arange(lo, hi, dtype=np.intp)
-        return np.array(digits(idx, q, n * width)).reshape(n, width, hi - lo)
-
-    if total <= _LEAF_CHUNK:
-        batch = (decode(0, total),)
-        return lambda: batch
-    return lambda: (
-        decode(lo, min(lo + _LEAF_CHUNK, total)) for lo in range(0, total, _LEAF_CHUNK)
-    )
-
-
 def _images(fld: GF, rows, batch):
     """r @ c for each row r of polynomials and each column c of the batch,
     through the field tables: an array (len(rows), D, L) of little-endian
@@ -225,22 +201,66 @@ def _degrees(w):
     return np.where(nonzero.any(axis=0), top, -1)
 
 
-def _leaf_keys(fld: GF, h1, u, batch):
-    """The canonical-form key of each completion of a prefix in the batch,
-    or None for a singular one."""
+def _leaf_keys(fld: GF, prefix, batch):
+    """The canonical-form keys of the completions of a prefix in the batch,
+    counted: ``(key, count)`` pairs, key None for the singular ones."""
+    h1, _, u = prefix
     _, mul, _, inv = tables(fld)
     y = _images(fld, u, batch)
     w = y[-1]
     lead = w[np.maximum(_degrees(w), 0), np.arange(w.shape[1])]
     y[-1] = mul[inv[lead], w]  # monic; w = 0 stays 0
     zeros = ((),) * len(h1)
+    counts = {}
     for ys in y.transpose(2, 0, 1).tolist():
         h = Poly(fld, ys[-1])
-        if not h:
-            yield None
+        key = None
+        if h:
+            above = tuple(row + ((Poly(fld, c) % h).coeffs,) for row, c in zip(h1, ys))
+            key = above + (zeros + (h.coeffs,),)
+        counts[key] = counts.get(key, 0) + 1
+    return counts.items()
+
+
+def _leaf_degrees(fld: GF, prefix, batch):
+    """The determinant degrees of the completions of a prefix in the batch,
+    counted: ``(degree, count)`` pairs, degree None for the singular ones."""
+    _, t1, u = prefix
+    degree = _degrees(_images(fld, u[-1:], batch)[0])
+    counts = np.bincount(degree + 1).tolist()  # slot 0 holds the singular ones
+    return [(t1 + d - 1 if d else None, c) for d, c in enumerate(counts) if c]
+
+
+def _census(fld: GF, n: int, k: int, budget, what: str, finish, h1=None):
+    """One walk over every n x n matrix of entry degree <= k, prefix by
+    prefix, adding up the ``(bucket, count)`` pairs that
+    ``finish(fld, prefix, batch)`` returns for each batch of at most
+    _LEAF_CHUNK last columns (digit arrays (n, k + 1, L)); bucket None counts
+    the singular ones.  With h1 given, only prefixes with that H1 are
+    completed.  A single batch is decoded once and shared by every prefix."""
+    if n < 1 or k < 0:
+        raise InvalidParams(f"{what} needs n >= 1 and k >= 0, got n = {n}, k = {k}")
+    _budget(budget).check(fld.q, [n * n * (k + 1)], what)
+    q, width, chunk = fld.q, k + 1, _LEAF_CHUNK
+    total = q ** (n * width)
+
+    def decode(lo):
+        idx = np.arange(lo, min(lo + chunk, total), dtype=np.intp)
+        return np.array(digits(idx, q, n * width)).reshape(n, width, len(idx))
+
+    shared = (decode(0),) if total <= chunk else None
+    buckets = {}
+    for prefix in _prefixes(fld, n, width):
+        # every completion of a prefix with another H1 lies in another orbit
+        if h1 is not None and (prefix is None or prefix[0] != h1):
             continue
-        above = tuple(row + ((Poly(fld, c) % h).coeffs,) for row, c in zip(h1, ys))
-        yield above + (zeros + (h.coeffs,),)
+        if prefix is None:
+            buckets[None] = buckets.get(None, 0) + total
+            continue
+        for batch in shared or map(decode, range(0, total, chunk)):
+            for bucket, count in finish(fld, prefix, batch):
+                buckets[bucket] = buckets.get(bucket, 0) + count
+    return buckets
 
 
 def count_orbit_bruteforce(rep: PolyMatrix, k: int, budget=None) -> int:
@@ -248,21 +268,11 @@ def count_orbit_bruteforce(rep: PolyMatrix, k: int, budget=None) -> int:
     (equal canonical form)."""
     if not rep.is_square():
         raise NotSquare(f"{rep.rows}x{rep.cols}")
-    fld = rep.field
     n = rep.rows
     target = hnf(rep).h.key()
-    _check_scan(fld, n, k, budget, "orbit scan")
-    target_h1 = tuple(row[: n - 1] for row in target[: n - 1])
-    leaves = _leaf_batches(fld, n, k + 1)
-    count = 0
-    for prefix in _prefixes(fld, n, k + 1):
-        # every completion of a prefix with another H1 lies in another orbit
-        if prefix is None or prefix[0] != target_h1:
-            continue
-        h1, _, u = prefix
-        for batch in leaves():
-            count += sum(key == target for key in _leaf_keys(fld, h1, u, batch))
-    return count
+    h1 = tuple(row[: n - 1] for row in target[: n - 1])
+    buckets = _census(rep.field, n, k, budget, "orbit scan", _leaf_keys, h1)
+    return buckets.get(target, 0)
 
 
 def orbit_census(q, n: int, k: int, budget=None):
@@ -271,22 +281,8 @@ def orbit_census(q, n: int, k: int, budget=None):
     Returns ``(buckets, singular)`` where buckets maps the canonical-form
     structural key to the number of degree-<=k matrices in that orbit.
     """
-    fld = _field(q)
-    _check_scan(fld, n, k, budget, "orbit census")
-    leaves = _leaf_batches(fld, n, k + 1)
-    buckets = {}
-    singular = 0
-    for prefix in _prefixes(fld, n, k + 1):
-        if prefix is None:
-            singular += fld.q ** (n * (k + 1))
-            continue
-        h1, _, u = prefix
-        for batch in leaves():
-            for key in _leaf_keys(fld, h1, u, batch):
-                if key is None:
-                    singular += 1
-                else:
-                    buckets[key] = buckets.get(key, 0) + 1
+    buckets = _census(_field(q), n, k, budget, "orbit census", _leaf_keys)
+    singular = buckets.pop(None, 0)
     return buckets, singular
 
 
@@ -310,22 +306,8 @@ class DetDegreeCensus:
 def census_by_det_degree(n: int, q, k: int, budget=None) -> DetDegreeCensus:
     """Bucket counts by determinant degree over all degree-<=k matrices."""
     fld = _field(q)
-    _check_scan(fld, n, k, budget, "determinant census")
-    leaves = _leaf_batches(fld, n, k + 1)
-    buckets = {}
-    singular = 0
-    for prefix in _prefixes(fld, n, k + 1):
-        if prefix is None:
-            singular += fld.q ** (n * (k + 1))
-            continue
-        _, t1, u = prefix
-        for batch in leaves():
-            degree = _degrees(_images(fld, u[-1:], batch)[0])
-            live = degree >= 0
-            singular += live.size - int(np.count_nonzero(live))
-            for d, c in enumerate(np.bincount(degree[live]).tolist()):
-                if c:
-                    buckets[t1 + d] = buckets.get(t1 + d, 0) + c
+    buckets = _census(fld, n, k, budget, "determinant census", _leaf_degrees)
+    singular = buckets.pop(None, 0)
     return DetDegreeCensus(n, fld.q, k, buckets, singular)
 
 
@@ -403,11 +385,12 @@ def _leading_layers(fld: GF, bounds, idx):
     """The leading layers of the family members idx, straight from their
     digits: an array (L, n, n) whose row j is the vector of degree-k_j
     coefficients of column j (e_j when k_j = 0)."""
-    entries = _family_entries(fld, bounds, idx)
-    out = np.zeros((len(idx), len(bounds), len(bounds)), dtype=np.intp)
-    for i, row in enumerate(entries):
-        for j, e in enumerate(row):
-            out[:, j, i] = e[-1]
+    n, q = len(bounds), fld.q
+    out = np.zeros((len(idx), n, n), dtype=np.intp)
+    out[:, range(n), range(n)] = [int(not kj) for kj in bounds]  # e_j when k_j = 0
+    for p, (i, j, d) in enumerate(_free_positions(n, bounds)):
+        if d == bounds[j]:
+            out[:, j, i] = idx // q**p % q
     return out
 
 
@@ -497,11 +480,24 @@ def _key_t(key) -> int:
 
 def verify_grid(grid, budget=None):
     """Compare scan censuses against the closed forms over a grid of
-    (n, q, max_k) triples.  Returns (reports, all_match)."""
+    (n, q, max_k) triples.  Returns (reports, all_match).  A grid that would
+    check nothing (empty, or a triple with n < 1 or max_k < 0) is refused
+    before the first scan."""
+    grid = tuple(grid)
+    if not grid:
+        raise InvalidParams("verify grid is empty")
+    for n, q, kmax in grid:
+        if n < 1 or kmax < 0:
+            raise InvalidParams(f"verify grid triple {n},{q},{kmax} needs n >= 1 and kmax >= 0")
     reports = []
+
+    def check(params, t, kind, want, got):
+        reports.append(counting.CountReport.compare({**params, "t": t, "kind": kind}, want, got))
+
     for n, q, kmax in grid:
         for k in range(kmax + 1):
-            buckets, singular = orbit_census(q, n, k, budget)
+            params = {"n": n, "q": q, "k": k}
+            buckets, _ = orbit_census(q, n, k, budget)
             total_by_t = {}
             for key, cnt in buckets.items():
                 t = _key_t(key)
@@ -509,23 +505,11 @@ def verify_grid(grid, budget=None):
             # every orbit with t <= k must hit the closed form exactly
             for key, cnt in sorted(buckets.items()):
                 t = _key_t(key)
-                if t > k:
-                    continue
-                reports.append(
-                    counting.CountReport.compare(
-                        {"n": n, "q": q, "k": k, "t": t, "kind": "orbit"},
-                        counting.orbit_count_formula(n, q, t, k),
-                        cnt,
-                    )
-                )
+                if t <= k:
+                    check(params, t, "orbit", counting.orbit_count_formula(n, q, t, k), cnt)
             for t in range(k + 1):
-                reports.append(
-                    counting.CountReport.compare(
-                        {"n": n, "q": q, "k": k, "t": t, "kind": "total"},
-                        counting.total_count_formula(n, q, t, k),
-                        total_by_t.get(t, 0),
-                    )
-                )
+                want = counting.total_count_formula(n, q, t, k)
+                check(params, t, "total", want, total_by_t.get(t, 0))
             # the canonical forms observed must be enumerated ones, and for
             # t <= k the scan holds every one of them; the oracle value counts
             # each missing or stray form on top of the enumerated ones
@@ -533,13 +517,7 @@ def verify_grid(grid, budget=None):
                 want = {m.key() for m in enumerate_hnf_reps(n, q, t)}
                 got = {key for key in buckets if _key_t(key) == t}
                 wrong = got ^ want if t <= k else got - want
-                reports.append(
-                    counting.CountReport.compare(
-                        {"n": n, "q": q, "k": k, "t": t, "kind": "rep-inventory"},
-                        len(want),
-                        len(want) + len(wrong),
-                    )
-                )
+                check(params, t, "rep-inventory", len(want), len(want) + len(wrong))
     return reports, all(r.match for r in reports)
 
 

@@ -187,13 +187,7 @@ class Poly:
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor via the Euclidean algorithm."""
-    if f.field != g.field:
-        raise MixedFields(f"{f.field} vs {g.field}")
-    if f.is_zero() and g.is_zero():
-        raise BothZero("gcd(0, 0) is undefined")
-    while not g.is_zero():
-        f, g = g, f % g
-    return f.monic()
+    return poly_xgcd(f, g)[0]
 
 
 def poly_xgcd(f: Poly, g: Poly):

@@ -19,7 +19,7 @@ from .errors import (
     ZeroColumn,
 )
 from .fields import GF
-from .poly import NEG_INF, Poly, poly_gcd
+from .poly import Poly, poly_gcd
 
 
 class PolyMatrix:

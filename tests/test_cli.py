@@ -307,6 +307,27 @@ def test_zcase_classes_refuses_huge_det_at_once(capsys, det):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_zcase_classes_streams_its_report():
+    # 99992 left classes: writing the report as it is serialized keeps the
+    # peak near 50 MB; building its whole text first took about 135 MB.  The
+    # child reads its peak from VmHWM, not ru_maxrss: on Linux ru_maxrss
+    # keeps the peak of the process that spawned it (here the test runner).
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    child = (
+        "import os\n"
+        "from orbitcount import cli\n"
+        "assert cli.main(['zcase', 'classes', '--det', '99991', '--out', os.devnull]) == 0\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status')"
+        " if line.startswith('VmHWM:')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 90 * 1024  # kB
+
+
 def test_zcase_classes_budget_is_the_class_count(capsys):
     # sigma(4) = 7 left classes
     code, out, err = run(capsys, "zcase", "classes", "--det", "4", "--budget", "6")

@@ -38,6 +38,7 @@ from orbitcount.oracle import (
     iter_polys,
     orbit_census,
     p_members,
+    verify_grid,
 )
 from orbitcount.poly import NEG_INF, Poly
 from orbitcount.polymat import PolyMatrix, _det_cofactor, det, hnf, is_canonical_hnf
@@ -571,6 +572,17 @@ def test_P_QR_counts_match_per_member_rank(q):
                 assert count_QR_bruteforce(kind, i, bounds, q) == want
 
 
+@pytest.mark.parametrize("q", sorted(P_DIFFERENTIAL_BOUNDS))
+def test_leading_layers_match_decoded_candidates(q):
+    fld = field_of_order(q)
+    for bounds in P_DIFFERENTIAL_BOUNDS[q]:
+        idx = np.arange(q ** (len(bounds) * sum(bounds)), dtype=np.intp)
+        layers = oracle._leading_layers(fld, bounds, idx).tolist()
+        for i in idx.tolist():
+            m = _decode_p_member(fld, bounds, i)
+            assert layers[i] == reference_leading_layers(m, bounds)
+
+
 def test_count_P_asserts_dependent_leading_layers(monkeypatch):
     # independent leading layers would contradict a constant determinant
     def identity_layers(fld, bounds, idx):
@@ -635,3 +647,18 @@ def test_R_n_counts_whole_dependence_at_last_column():
     # at i = n the set is all of P with the last leading layer zero,
     # i.e. P with the last bound lowered by one
     assert count_QR_bruteforce("R", 2, (1, 1), 2) == p_count_formula((1, 0), 2)
+
+
+@pytest.mark.parametrize("grid", [[(2, 2, -1)], []])
+def test_verify_grid_refuses_a_grid_that_checks_nothing(grid):
+    with pytest.raises(InvalidParams):
+        verify_grid(grid)
+
+
+def test_verify_grid_checks_every_triple_before_the_first_scan(monkeypatch):
+    def scan(*args):
+        raise AssertionError("scanned before the whole grid was checked")
+
+    monkeypatch.setattr(oracle, "orbit_census", scan)
+    with pytest.raises(InvalidParams):
+        verify_grid([(2, 2, 1), (2, 2, -1)])
