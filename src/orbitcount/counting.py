@@ -84,14 +84,17 @@ def _compositions(t: int, n: int):
 
 def c_nt(n: int, q: int, t: int) -> int:
     """Number of canonical forms with determinant degree t: the sum of
-    q^(t_1 + 2 t_2 + ... + n t_n) over compositions of t into n parts."""
+    q^(t_1 + 2 t_2 + ... + n t_n) over compositions of t into n parts, which
+    is the u^t coefficient of prod_{i=1..n} 1/(1 - q^i u), that is
+    q^t times the Gaussian binomial [n + t - 1 choose t]_q."""
     _check_nq(n, q)
     if t < 0:
         raise InvalidParams(f"t must be >= 0, got {t}")
-    return sum(
-        q ** sum((i + 1) * ti for i, ti in enumerate(parts))
-        for parts in _compositions(t, n)
-    )
+    num = den = 1
+    for j in range(1, t + 1):
+        num *= q ** (n - 1 + j) - 1
+        den *= q**j - 1
+    return q**t * (num // den)
 
 
 def total_count_formula(n: int, q: int, t: int, k: int) -> int:

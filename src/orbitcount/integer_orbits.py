@@ -7,7 +7,8 @@ are closed forms in the four entries; any other shape raises
 UnsupportedDimension.
 
 All matrix arithmetic is exact; norm thresholds compare the squared Frobenius
-norm against T^2 so no square roots are taken.
+norm against T^2, and the square roots that bound a row of the ball are
+floored exactly.
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ def det_int(m) -> int:
         raise UnsupportedDimension(f"only 2x2 integer matrices are supported, got {len(m)} rows")
     (a, b), (c, d) = m
     return a * d - b * c
-
-
-def frobenius_sq(m) -> int:
-    return sum(v * v for row in m for v in row)
 
 
 def _ext_gcd(a: int, c: int):
@@ -88,39 +85,99 @@ def snf_int(m) -> IntMatrix:
 # -- enumeration -------------------------------------------------------------
 
 
-def enumerate_det_norm(n: int, det_value: int, T: int, budget=None):
-    """Yield every n x n integer matrix with the given determinant and
-    squared Frobenius norm <= T^2, exactly once, in a deterministic order.
+def _bezout_table(T: int):
+    """Arrays g, u of shape (T + 1, T): for 1 <= m <= T and 0 <= r < T,
+    g[m, r] = gcd(r, m) and u[m, r] * r == g[m, r] (mod m).  The extended
+    Euclidean algorithm of ``_ext_gcd`` runs on every pair at once, each
+    step on the pairs whose remainder is still nonzero."""
+    m, r = np.meshgrid(np.arange(T + 1), np.arange(T), indexing="ij")
+    old, cur = r.ravel(), m.ravel()
+    u, s = np.ones_like(old), np.zeros_like(old)
+    live = np.flatnonzero(cur)
+    while live.size:
+        o, c = old[live], cur[live]
+        q = o // c
+        old[live], cur[live] = c, o - q * c
+        uo, so = u[live], s[live]
+        u[live], s[live] = so, uo - q * so
+        live = live[cur[live] != 0]
+    return old.reshape(m.shape), u.reshape(m.shape)
 
-    Only n = 2 is supported.  For each a, the (b, c) of the ball form one
-    numpy block, walked in (b, c) order: for a != 0 it keeps the (b, c) whose
-    d = (det + b*c)/a is an integer inside the ball; for a = 0 it keeps the
-    (b, c) with b*c = -det, and d runs free within the ball.  A det with
-    2|det| > T^2 has no matrix in the ball and yields nothing.
+
+def _isqrt(n):
+    """Elementwise floor square root of an int64 array with entries in
+    [0, 2^52): the float root is off by at most one there."""
+    s = np.sqrt(n).astype(np.int64)
+    s -= s * s > n
+    return s + ((s + 1) * (s + 1) <= n)
+
+
+def _runs(n):
+    """For run lengths n: the run of each element and its offset k = 0, 1,
+    ..., n - 1 within the run."""
+    run = np.repeat(np.arange(n.size), n)
+    return run, np.arange(run.size) - (np.cumsum(n) - n)[run]
+
+
+def _ball_blocks(det_value: int, T: int, budget=None):
+    """Every 2x2 integer matrix with determinant det_value and squared
+    Frobenius norm <= T^2, as int64 arrays (a, b, c, d): one block per row
+    value a, ascending, each block in (b, c, d) order.
+
+    For a != 0, b*c = -det (mod |a|) is solved per b: it has a solution iff
+    g = gcd(b, |a|) divides det, and then c runs through one residue class
+    mod |a|/g, so only those c are visited; d = (det + b*c)/a is exact and
+    a norm filter keeps the points of the ball.  For a = 0 the (b, c) with
+    b*c = -det come from one grid mask and d runs free within the ball.  A
+    det with 2|det| > T^2 has no matrix in the ball and yields nothing.
     """
-    if n != 2:
-        raise UnsupportedDimension("only 2x2 enumeration is supported")
     if T < 1:
         raise InvalidParams(f"T must be >= 1, got {T}")
     _budget(budget).check(2 * T + 1, [3], "norm-ball scan")
     if 2 * abs(det_value) > T * T:  # |ad - bc| <= (a^2 + b^2 + c^2 + d^2) / 2
         return
+    D = det_value
+    gcds, invs = _bezout_table(T)
     for a in range(-T, T + 1):
-        r = math.isqrt(T * T - a * a)
-        b, c = np.ogrid[-r : r + 1, -r : r + 1]
-        rest = T * T - a * a - b * b - c * c  # the room left for d^2
-        if a:
-            num = det_value + b * c
-            d = num // a
-            keep = (rest >= 0) & (num % a == 0) & (d * d <= rest)
-            for (i, j), dd in zip(np.argwhere(keep).tolist(), d[keep].tolist()):
-                yield ((a, i - r), (j - r, dd))
+        room = T * T - a * a
+        r = math.isqrt(room)
+        if a == 0:
+            b, c = np.ogrid[-r : r + 1, -r : r + 1]
+            i, j = np.nonzero((b * b + c * c <= room) & (b * c == -D))
+            b, c = i - r, j - r
+            dmax = _isqrt(room - b * b - c * c)
+            run, k = _runs(2 * dmax + 1)
+            yield np.zeros_like(k), b[run], c[run], k - dmax[run]
             continue
-        keep = (rest >= 0) & (b * c == -det_value)
-        for (i, j), room in zip(np.argwhere(keep).tolist(), rest[keep].tolist()):
-            dmax = math.isqrt(room)
-            for dd in range(-dmax, dmax + 1):
-                yield ((0, i - r), (j - r, dd))
+        m = abs(a)
+        b = np.arange(-r, r + 1)
+        b = b[D % gcds[m, b % m] == 0]
+        g, u = gcds[m, b % m], invs[m, b % m]
+        step = m // g
+        c0 = (-(D // g) % step) * (u % step) % step  # b*c = -det (mod m) iff c = c0 (mod step)
+        cmax = _isqrt(room - b * b)
+        cmin = (c0 + cmax) % step - cmax  # the least such c >= -cmax
+        run, k = _runs(np.maximum((cmax - cmin) // step + 1, 0))
+        b, c = b[run], cmin[run] + k * step[run]
+        d = (D + b * c) // a
+        keep = b * b + c * c + d * d <= room
+        yield np.full(np.count_nonzero(keep), a), b[keep], c[keep], d[keep]
+
+
+def enumerate_det_norm(n: int, det_value: int, T: int, budget=None):
+    """Yield every n x n integer matrix with the given determinant and
+    squared Frobenius norm <= T^2, exactly once, as nested tuples of Python
+    ints in a deterministic order.
+
+    Only n = 2 is supported.  The points come from the norm-ball block walk
+    (``_ball_blocks``): row value a ascending, and within a row (b, c, d)
+    in lexicographic order.
+    """
+    if n != 2:
+        raise UnsupportedDimension("only 2x2 enumeration is supported")
+    for block in _ball_blocks(det_value, T, budget):
+        for a, b, c, d in zip(*(v.tolist() for v in block)):
+            yield ((a, b), (c, d))
 
 
 @dataclass(frozen=True)
@@ -142,31 +199,81 @@ class RatioReport:
         }
 
 
+def _block_classes(a, b, c, d, det_value: int, bezout):
+    """The closed forms of ``snf_int`` and ``hnf_int`` on one nonempty block
+    of the ball walk (a is constant, det_value > 0): arrays (g, g1, corner),
+    g the content of the four entries, so the Smith form is
+    diag(g, det/g), and the Hermite form [[g1, corner], [0, det/g1]] with
+    g1 = gcd(a, c) and corner = (x*b + y*d) mod det/g1 for the Bezout pair
+    x*a + y*c = g1 read off ``bezout = _bezout_table(T)``."""
+    g = np.gcd(np.gcd(a, b), np.gcd(c, d))
+    a0 = int(a[0])
+    if a0:
+        gcds, invs = bezout
+        m = abs(a0)
+        g1, y = gcds[m, c % m], invs[m, c % m]
+        x = (g1 - y * c) // a0  # y*c = g1 (mod a), so exact
+    else:
+        g1, x, y = np.abs(c), 0, np.sign(c)
+    return g, g1, (x * b + y * d) % (det_value // g1)
+
+
 def orbit_ratio_experiment(det_value: int, T: int, ladder=None, budget=None) -> RatioReport:
     """Census of the determinant surface inside nested norm balls, bucketed by
-    two-sided (Smith) class and by left (Hermite) class."""
+    two-sided (Smith) class and by left (Hermite) class.
+
+    Each block of the ball walk is classified in numpy (``_block_classes``)
+    and each point gets its rung, the least ladder value L with norm <= L^2.
+    One packed key (class, rung) per point is counted with ``np.unique``, and
+    a count at a rung also counts at every larger rung.  g and g1 divide a
+    nonzero entry, so both are <= max(ladder) = T', and the keys stay below
+    T'^4 / 2, inside int64 for every T' < 65000; the walk's (T' + 1) x T'
+    Bezout table outgrows memory long before that.
+    """
     if det_value <= 0:
         raise NonPositiveDeterminant("the experiment needs det > 0")
     ladder = tuple(sorted(set(ladder or ()) | {T}))
     if ladder[0] < 1:
         raise InvalidParams(f"ladder rungs must be >= 1, got {ladder[0]}")
-    class_counts = {L: {} for L in ladder}
-    hnf_counts = {L: {} for L in ladder}
-    thresholds = [(L, L * L) for L in ladder]
-    for m in enumerate_det_norm(2, det_value, max(ladder), budget):
-        s = snf_int(m)
-        h = hnf_int(m)
-        nsq = frobenius_sq(m)
-        for L, L2 in thresholds:
-            if nsq <= L2:
-                class_counts[L][s] = class_counts[L].get(s, 0) + 1
-                hnf_counts[L][h] = hnf_counts[L].get(h, 0) + 1
-    return RatioReport(det_value, ladder, class_counts, hnf_counts)
+    D, top, rungs = det_value, ladder[-1], len(ladder)
+    smith, left = {}, {}
+    bezout = None
+    for a, b, c, d in _ball_blocks(D, top, budget):
+        if not a.size:
+            continue
+        if bezout is None:  # built once the walk's own checks have passed
+            bezout, squares = _bezout_table(top), np.array([L * L for L in ladder])
+        g, g1, corner = _block_classes(a, b, c, d, D, bezout)
+        rung = np.searchsorted(squares, a * a + b * b + c * c + d * d)
+        for tally, key in ((smith, g), (left, g1 * (D + 1) + corner)):
+            keys, counts = np.unique(key * rungs + rung, return_counts=True)
+            for k, n in zip(keys.tolist(), counts.tolist()):
+                tally[k] = tally.get(k, 0) + n
+
+    def ladder_counts(tally, form):
+        out = {L: {} for L in ladder}
+        for key, n in sorted(tally.items()):
+            cls, i = divmod(key, rungs)
+            cls = form(cls)
+            for L in ladder[i:]:
+                out[L][cls] = out[L].get(cls, 0) + n
+        return out
+
+    def hermite(key):
+        g1, corner = divmod(key, D + 1)
+        return ((g1, corner), (0, D // g1))
+
+    return RatioReport(
+        D, ladder,
+        ladder_counts(smith, lambda g: ((g, 0), (0, D // g))),
+        ladder_counts(left, hermite),
+    )
 
 
 def count_det_norm(det_value: int, T: int, budget=None) -> int:
-    """N(T) for the whole determinant surface."""
-    return sum(1 for _ in enumerate_det_norm(2, det_value, T, budget))
+    """N(T) for the whole determinant surface: the sizes of the ball walk's
+    blocks, added up."""
+    return sum(a.size for a, _, _, _ in _ball_blocks(det_value, T, budget))
 
 
 def hnf_classes_for_det(det_value: int, budget=None):

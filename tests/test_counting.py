@@ -4,6 +4,7 @@ import pytest
 
 from orbitcount.counting import (
     CountReport,
+    _compositions,
     c_nt,
     clear_caches,
     gl_count,
@@ -15,6 +16,7 @@ from orbitcount.counting import (
     total_count_formula,
 )
 from orbitcount.errors import BoundTooSmall, InvalidParams, PreconditionViolation
+from orbitcount.oracle import enumerate_hnf_reps
 
 
 def test_gl_count_values():
@@ -67,6 +69,24 @@ def test_c_nt_is_a_sum_over_compositions():
     # spell out t = 2, n = 2: (2,0) -> q^2, (1,1) -> q^3, (0,2) -> q^4
     q = 3
     assert c_nt(2, q, 2) == q**2 + q**3 + q**4
+
+
+def reference_c_nt(n, q, t):
+    """The sum over compositions of t into n parts, kept as the reference
+    for the closed form of c_nt."""
+    return sum(
+        q ** sum((i + 1) * ti for i, ti in enumerate(parts)) for parts in _compositions(t, n)
+    )
+
+
+def test_c_nt_closed_form_matches_compositions_sum():
+    for n, q, t in product(range(1, 6), (2, 3, 4, 5, 7, 8, 9), range(8)):
+        assert c_nt(n, q, t) == reference_c_nt(n, q, t), (n, q, t)
+
+
+def test_c_nt_counts_the_canonical_forms():
+    for n, q, t in [(1, 2, 3), (2, 2, 2), (2, 3, 2), (2, 4, 1), (3, 2, 2), (3, 3, 1), (4, 2, 1)]:
+        assert len(enumerate_hnf_reps(n, q, t)) == c_nt(n, q, t) == reference_c_nt(n, q, t)
 
 
 def test_total_count_anchors():

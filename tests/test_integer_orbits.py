@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from orbitcount import cli, integer_orbits
 from orbitcount.errors import (
     BudgetExceeded,
     InvalidParams,
@@ -12,17 +13,24 @@ from orbitcount.errors import (
     UnsupportedDimension,
 )
 from orbitcount.integer_orbits import (
+    RatioReport,
+    _ball_blocks,
+    _bezout_table,
+    _block_classes,
     count_det_norm,
     det_int,
     drs_constant,
     enumerate_det_norm,
-    frobenius_sq,
     hnf_classes_for_det,
     hnf_int,
     orbit_ratio_experiment,
     snf_int,
 )
 from orbitcount.oracle import EnumerationBudget
+
+
+def frobenius_sq(m) -> int:
+    return sum(v * v for row in m for v in row)
 
 
 def reference_hnf_int(m):
@@ -389,5 +397,115 @@ def test_drs_constant_validation():
 
 def test_det_past_the_ball_has_no_matrix():
     # |ad - bc| <= (a^2 + b^2 + c^2 + d^2) / 2, so 2|D| > T^2 leaves none
+    assert count_det_norm(10**20, 5) == 0
+    assert count_det_norm(-(10**20), 5) == 0
+
+
+def reference_orbit_ratio_experiment(det_value, T, ladder=None):
+    """The per-matrix census (one hnf_int and one snf_int call per point of
+    the ball), kept as the reference for the batched classification."""
+    ladder = tuple(sorted(set(ladder or ()) | {T}))
+    class_counts = {L: {} for L in ladder}
+    hnf_counts = {L: {} for L in ladder}
+    for m in enumerate_det_norm(2, det_value, max(ladder)):
+        s, h, nsq = snf_int(m), hnf_int(m), frobenius_sq(m)
+        for L in ladder:
+            if nsq <= L * L:
+                class_counts[L][s] = class_counts[L].get(s, 0) + 1
+                hnf_counts[L][h] = hnf_counts[L].get(h, 0) + 1
+    return RatioReport(det_value, ladder, class_counts, hnf_counts)
+
+
+def test_block_classes_match_euclidean_reference_pointwise():
+    """The batched Smith and Hermite keys of every matrix of the T = 40 ball,
+    point by point, against the general-n Euclidean loops."""
+    bezout = _bezout_table(40)
+    checked = 0
+    for det_value in (1, 2, 3, 4, 6, 12):
+        for a, b, c, d in _ball_blocks(det_value, 40):
+            if not a.size:
+                continue
+            g, g1, corner = _block_classes(a, b, c, d, det_value, bezout)
+            rows = zip(*(v.tolist() for v in (a, b, c, d, g, g1, corner)))
+            for a_, b_, c_, d_, g_, g1_, h_ in rows:
+                m = ((a_, b_), (c_, d_))
+                assert ((g_, 0), (0, det_value // g_)) == reference_snf_int(m), m
+                assert ((g1_, h_), (0, det_value // g1_)) == reference_hnf_int(m), m
+                checked += 1
+    assert checked == 95244
+
+
+def test_bezout_table_is_gcd_and_inverse():
+    gcds, invs = _bezout_table(30)
+    m, r = np.meshgrid(np.arange(1, 31), np.arange(30), indexing="ij")
+    assert (gcds[1:] == np.gcd(r, m)).all()
+    assert ((invs[1:] * r - gcds[1:]) % m == 0).all()
+
+
+@pytest.mark.parametrize("det_value, T, ladder", [(4, 60, [15, 30]), (12, 40, None),
+                                                  (6, 41, None), (1, 30, None)])
+def test_ratio_experiment_matches_per_matrix_reference(det_value, T, ladder):
+    got = orbit_ratio_experiment(det_value, T, ladder)
+    want = reference_orbit_ratio_experiment(det_value, T, ladder)
+    assert got == want
+    assert got.to_json() == want.to_json()
+    assert all(type(v) is int for d in got.class_counts.values() for v in d.values())
+
+
+def quadric_count(det_value, T):
+    """N_D(T) along the quadric route: with u = a + d, v = a - d, s = b + c,
+    w = b - c, ad - bc = D is u^2 + w^2 - (v^2 + s^2) = 4D with u = v and
+    s = w (mod 2), and the norm is (u^2 + v^2 + s^2 + w^2)/2.  So N_D(T) is
+    the sum over parities (alpha, beta) and 0 <= Q <= T^2 - 2D of
+    R(Q + 4D) R(Q), R counting x^2 + y^2 = n with x = alpha, y = beta
+    (mod 2)."""
+    assert det_value >= 1  # Q + 4D >= 0, so no index wraps
+    top = T * T + 2 * det_value  # the largest u^2 + w^2 in the ball
+    side = np.arange(-math.isqrt(top), math.isqrt(top) + 1)
+    total = 0
+    for alpha in (0, 1):
+        for beta in (0, 1):
+            x, y = side[side % 2 == alpha], side[side % 2 == beta]
+            norms = (x[:, None] ** 2 + y[None, :] ** 2).ravel()
+            R = np.bincount(norms[norms <= top], minlength=top + 1)
+            Q = np.arange(T * T - 2 * det_value + 1)
+            total += int((R[Q + 4 * det_value] * R[Q]).sum())
+    return total
+
+
+@pytest.mark.parametrize("det_value, T, expect", [
+    (1, 2, 20), (4, 4, 68), (4, 30, 9372), (4, 60, 37468), (1, 120, 86116),
+    (6, 41, 20320), (1, 200, None), (4, 200, None),
+])
+def test_quadric_route_matches_the_ball_walk(det_value, T, expect):
+    n = count_det_norm(det_value, T)
+    assert quadric_count(det_value, T) == n
+    if expect is not None:
+        assert n == expect
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used")
+
+
+def test_count_det_norm_refuses_bad_T_and_over_budget_balls(monkeypatch, capsys):
+    monkeypatch.setattr(integer_orbits, "np", _NoNumpy())  # refusals build no array
+    for T in (0, -3):
+        with pytest.raises(InvalidParams):
+            count_det_norm(4, T)
+    with pytest.raises(BudgetExceeded):
+        count_det_norm(1, 10**4, EnumerationBudget(100))
+    with pytest.raises(BudgetExceeded):
+        count_det_norm(1, 300)  # 601^3 > the default budget 10^8
+    # the CLI's zcase ratio walks the same ball: exit 2 and exit 3
+    assert cli.main(["zcase", "ratio", "--det", "4", "--T", "0"]) == 2
+    assert cli.main(["zcase", "ratio", "--det", "4", "--T", "300"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+
+def test_det_past_the_ball_returns_before_any_array(monkeypatch):
+    monkeypatch.setattr(integer_orbits, "np", _NoNumpy())
     assert count_det_norm(10**20, 5) == 0
     assert count_det_norm(-(10**20), 5) == 0
