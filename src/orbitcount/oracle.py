@@ -5,7 +5,11 @@ budget.  ``iter_matrices`` walks the matrix index space in index order:
 row-major over entries with little-endian coefficient digits (entry (0,0)
 coefficient 0 is the least significant digit).  The ambient censuses visit
 the same matrices grouped by their first n - 1 columns and return buckets,
-whose counts do not depend on the order of the walk.  The ambient scans, the
+whose counts do not depend on the order of the walk.  They finish the last
+columns of many prefixes in one numpy batch: each matrix's canonical form
+is packed into one int64 key, the keys are counted with ``np.unique``, and
+only the distinct ones are decoded, so no Python runs per matrix.  The
+ambient scans, the
 unipotent-family scan and the orbit-side member counter compute over F_q[x]
 in numpy batches through one multiply-accumulate kernel (``_mac``) on the
 field's tables (``fields.tables``), for every field and every n.  Their
@@ -124,8 +128,33 @@ def iter_matrices(q, n: int, k: int):
 # is [H1, y' mod h; 0, h] with h = monic(w) and y' the first n - 1 entries of
 # y, and deg det M = deg det H1 + deg w.  This is the column-wise Hermite
 # reduction of Storjohann, Algorithms for Matrix Canonical Forms (ETH 2000).
+#
+# A leaf is one (prefix, last column) pair.  Consecutive full-rank prefixes
+# are gathered until their completions fill a batch of _CENSUS_LEAVES
+# leaves, and the shared block of last columns is tiled once per prefix, so
+# y is computed for the whole batch at once.  The leaves are then grouped by
+# d = deg w; h is monic, so each quotient digit of y' mod h is the top
+# remainder coefficient, and the long division is a _mac with negated terms.
+# Each leaf's form packs into one int64: an id of H1 within the batch, then
+# the low coefficients of h and the residues as base-q digits
+# (a census whose keys could reach 2^63 is refused before it starts).
+# np.unique counts the keys of a batch, the census adds the counts up per
+# (H1, d, digits), and each distinct form is decoded into its structural key
+# once, at the end.
 
-_LEAF_CHUNK = 1 << 16  # last columns, unipotent candidates or members per numpy batch
+_LEAF_CHUNK = 1 << 16  # unipotent candidates or members per numpy batch
+# leaves per census batch (the smaller of the two counts): the finish holds a
+# few coefficient arrays (n, D, L) of one byte per entry, and wider batches
+# raise the peak memory, not the speed
+_CENSUS_LEAVES = 1 << 12
+
+
+@lru_cache(maxsize=None)
+def _narrow_tables(fld: GF):
+    """``tables(fld)`` in the narrowest unsigned dtype that holds q, so that
+    every array computed through them is that narrow too."""
+    dtype = np.uint8 if fld.q <= 256 else np.uint16
+    return tuple(t.astype(dtype) for t in tables(fld))
 
 
 def _mac(tbl, acc, a, b):
@@ -181,16 +210,19 @@ def _prefixes(fld: GF, n: int, width: int):
         yield form.h.key()[: n - 1], form.det_degree, form.u.entries
 
 
-def _images(fld: GF, rows, batch):
-    """r @ c for each row r of polynomials and each column c of the batch,
-    through the field tables: an array (len(rows), D, L) of little-endian
-    coefficients."""
-    tbl = tables(fld)
-    depth = batch.shape[1] - 1 + max(len(e.coeffs) for r in rows for e in r)
-    out = np.zeros((len(rows), depth, batch.shape[2]), dtype=np.intp)
-    for y, r in zip(out, rows):
-        for e, c in zip(r, batch):
-            _mac(tbl, y, e.coeffs, c)
+def _images(tbl, u, owner, batch):
+    """r @ c for every leaf: u is an array (R, n, Du, P) holding R witness
+    rows of each of P prefixes, owner (L,) the prefix of each leaf, and batch
+    (n, width, L) its last column.  Returns an array (R, D, L) of
+    little-endian coefficients."""
+    depth = batch.shape[1] + u.shape[2] - 1
+    out = np.zeros((len(u), depth, batch.shape[2]), dtype=batch.dtype)
+    for y, row in zip(out, u):
+        for e, c in zip(row, batch):
+            # with one prefix each coefficient stays a field element (a row
+            # lookup in _mac); one that is 0 for every prefix is skipped
+            coeffs = [int(v[0]) if len(v) == 1 else v[owner] if v.any() else 0 for v in e]
+            _mac(tbl, y, coeffs, c)
     return out
 
 
@@ -201,55 +233,123 @@ def _degrees(w):
     return np.where(nonzero.any(axis=0), top, -1)
 
 
-def _leaf_keys(fld: GF, prefix, batch):
-    """The canonical-form keys of the completions of a prefix in the batch,
-    counted: ``(key, count)`` pairs, key None for the singular ones."""
-    h1, _, u = prefix
-    _, mul, _, inv = tables(fld)
-    y = _images(fld, u, batch)
+def _trim(coeffs) -> tuple:
+    """A coefficient list as a normalised ``Poly.coeffs`` tuple."""
+    end = len(coeffs)
+    while end and not coeffs[end - 1]:
+        end -= 1
+    return tuple(coeffs[:end])
+
+
+def _leaf_keys(fld: GF, group, u, owner, batch):
+    """The canonical forms of the leaves of a batch, counted: ``(form,
+    count)`` pairs, form None for the singular ones and otherwise packed as
+    ``(h1, d, rest)`` (see _form_key).  group lists the prefixes of the
+    batch, and u, owner and batch are as in _images."""
+    add, mul, neg, inv = tbl = _narrow_tables(fld)
+    q, n = fld.q, len(u)
+    y = _images(tbl, u, owner, batch)
     w = y[-1]
-    lead = w[np.maximum(_degrees(w), 0), np.arange(w.shape[1])]
-    y[-1] = mul[inv[lead], w]  # monic; w = 0 stays 0
-    zeros = ((),) * len(h1)
-    counts = {}
-    for ys in y.transpose(2, 0, 1).tolist():
-        h = Poly(fld, ys[-1])
-        key = None
-        if h:
-            above = tuple(row + ((Poly(fld, c) % h).coeffs,) for row, c in zip(h1, ys))
-            key = above + (zeros + (h.coeffs,),)
-        counts[key] = counts.get(key, 0) + 1
-    return counts.items()
+    deg = _degrees(w)
+    h1_ids = {}
+    h1_of = np.array([h1_ids.setdefault(p[0], len(h1_ids)) for p in group])[owner]
+    h1s = list(h1_ids)
+    out = [(None, int(np.count_nonzero(deg < 0)))]
+    for d in np.unique(deg[deg >= 0]).tolist():
+        sel = np.flatnonzero(deg == d)
+        low = mul[inv[w[d, sel]], w[:d, sel]]  # monic(w) below x^d: (d, Lg)
+        r = y[:-1, :, sel]
+        minus = neg[low]
+        for j in range(len(w) - 1, d - 1, -1) if d else ():
+            # take r[j] x^(j - d) h off r; r[j] itself is not read again
+            r[:, j - d : j] = add[r[:, j - d : j], mul[r[:, j, None], minus]]
+        size = q ** (n * d)
+        packed = h1_of[sel] * size + q ** np.arange(n * d, dtype=np.int64) @ np.concatenate(
+            [low, r[:, :d].reshape(-1, len(sel))]
+        )
+        keys, counts = np.unique(packed, return_counts=True)
+        for key, count in zip(keys.tolist(), counts.tolist()):
+            h1_id, rest = divmod(key, size)
+            out.append(((h1s[h1_id], d, rest), count))
+    return out
 
 
-def _leaf_degrees(fld: GF, prefix, batch):
-    """The determinant degrees of the completions of a prefix in the batch,
-    counted: ``(degree, count)`` pairs, degree None for the singular ones."""
-    _, t1, u = prefix
-    degree = _degrees(_images(fld, u[-1:], batch)[0])
-    counts = np.bincount(degree + 1).tolist()  # slot 0 holds the singular ones
-    return [(t1 + d - 1 if d else None, c) for d, c in enumerate(counts) if c]
+def _form_key(q: int, n: int, form):
+    """The structural key of the canonical form [H1, y' mod h; 0, h] packed
+    as ``(h1, d, rest)``: H1's rows as keys, d = deg h, and as base-q digits
+    of rest, least significant first, the d low coefficients of h and then d
+    coefficients of each entry of y' mod h."""
+    h1, d, rest = form
+    coeffs = digits(rest, q, n * d)
+    above = tuple(row + (_trim(coeffs[d * (i + 1) : d * (i + 2)]),) for i, row in enumerate(h1))
+    return above + (((),) * (n - 1) + (tuple(coeffs[:d]) + (1,),),)
+
+
+def _orbits(q: int, n: int, buckets):
+    """An orbit census with its forms decoded: (buckets by structural key,
+    singular count)."""
+    singular = buckets.pop(None, 0)
+    return {_form_key(q, n, form): count for form, count in buckets.items()}, singular
+
+
+def _leaf_degrees(fld: GF, group, u, owner, batch):
+    """The determinant degrees of the leaves of a batch, counted: ``(degree,
+    count)`` pairs, degree None for the singular ones."""
+    d = _degrees(_images(_narrow_tables(fld), u[-1:], owner, batch)[0])
+    t1 = np.array([p[1] for p in group])[owner]
+    counts = np.bincount(np.where(d >= 0, t1 + d + 1, 0)).tolist()  # slot 0: singular
+    return [(s - 1 if s else None, c) for s, c in enumerate(counts) if c]
 
 
 def _census(fld: GF, n: int, k: int, budget, what: str, finish, h1=None):
-    """One walk over every n x n matrix of entry degree <= k, prefix by
-    prefix, adding up the ``(bucket, count)`` pairs that
-    ``finish(fld, prefix, batch)`` returns for each batch of at most
-    _LEAF_CHUNK last columns (digit arrays (n, k + 1, L)); bucket None counts
-    the singular ones.  With h1 given, only prefixes with that H1 are
-    completed.  A single batch is decoded once and shared by every prefix."""
+    """One walk over every n x n matrix of entry degree <= k, adding up the
+    ``(bucket, count)`` pairs that ``finish(fld, group, u, owner, batch)``
+    returns for each batch of at most _CENSUS_LEAVES leaves (see _images);
+    bucket None counts the singular ones.  With h1 given, only prefixes with
+    that H1 are completed.  When the q^(n(k+1)) last columns fit in a batch
+    they are decoded once, and a batch holds the completions of as many
+    consecutive prefixes as fit; otherwise each batch holds part of one
+    prefix's completions."""
     if n < 1 or k < 0:
         raise InvalidParams(f"{what} needs n >= 1 and k >= 0, got n = {n}, k = {k}")
     _budget(budget).check(fld.q, [n * n * (k + 1)], what)
-    q, width, chunk = fld.q, k + 1, _LEAF_CHUNK
+    q, width = fld.q, k + 1
     total = q ** (n * width)
+    chunk = min(_LEAF_CHUNK, _CENSUS_LEAVES)
+    per = max(1, chunk // total)  # prefixes per batch
+    # a packed key is below per * q^(n d), and d = deg w <= n k since deg det
+    # M <= n k; the budget check has seen q^(n^2 (k+1)), so the power is cheap
+    if finish is _leaf_keys and per * q ** (n * n * k) >= 1 << 63:
+        raise BudgetExceeded(
+            f"{what}: packed leaf keys of {per} * {q}^{n * n * k} exceed the 64-bit key"
+        )
+    dtype = _narrow_tables(fld)[0].dtype
 
     def decode(lo):
         idx = np.arange(lo, min(lo + chunk, total), dtype=np.intp)
-        return np.array(digits(idx, q, n * width)).reshape(n, width, len(idx))
+        return np.array(digits(idx, q, n * width), dtype=dtype).reshape(n, width, len(idx))
 
-    shared = (decode(0),) if total <= chunk else None
+    shared = decode(0) if total <= chunk else None
     buckets = {}
+
+    def flush(group):
+        du = max(len(e.coeffs) for p in group for row in p[2] for e in row)
+        u = np.zeros((n, n, du, len(group)), dtype=dtype)
+        for i, p in enumerate(group):
+            for r, row in enumerate(p[2]):
+                for c, e in enumerate(row):
+                    u[r, c, : len(e.coeffs), i] = e.coeffs
+        if shared is not None:
+            batches = [(np.repeat(np.arange(len(group)), total), np.tile(shared, len(group)))]
+        else:  # one prefix, its last columns in chunks
+            batches = (
+                (np.zeros(b.shape[2], dtype=np.intp), b) for b in map(decode, range(0, total, chunk))
+            )
+        for owner, batch in batches:
+            for bucket, count in finish(fld, group, u, owner, batch):
+                buckets[bucket] = buckets.get(bucket, 0) + count
+
+    group = []
     for prefix in _prefixes(fld, n, width):
         # every completion of a prefix with another H1 lies in another orbit
         if h1 is not None and (prefix is None or prefix[0] != h1):
@@ -257,9 +357,12 @@ def _census(fld: GF, n: int, k: int, budget, what: str, finish, h1=None):
         if prefix is None:
             buckets[None] = buckets.get(None, 0) + total
             continue
-        for batch in shared or map(decode, range(0, total, chunk)):
-            for bucket, count in finish(fld, prefix, batch):
-                buckets[bucket] = buckets.get(bucket, 0) + count
+        group.append(prefix)
+        if len(group) == per:
+            flush(group)
+            group = []
+    if group:
+        flush(group)
     return buckets
 
 
@@ -272,7 +375,7 @@ def count_orbit_bruteforce(rep: PolyMatrix, k: int, budget=None) -> int:
     target = hnf(rep).h.key()
     h1 = tuple(row[: n - 1] for row in target[: n - 1])
     buckets = _census(rep.field, n, k, budget, "orbit scan", _leaf_keys, h1)
-    return buckets.get(target, 0)
+    return _orbits(rep.field.q, n, buckets)[0].get(target, 0)
 
 
 def orbit_census(q, n: int, k: int, budget=None):
@@ -281,9 +384,8 @@ def orbit_census(q, n: int, k: int, budget=None):
     Returns ``(buckets, singular)`` where buckets maps the canonical-form
     structural key to the number of degree-<=k matrices in that orbit.
     """
-    buckets = _census(_field(q), n, k, budget, "orbit census", _leaf_keys)
-    singular = buckets.pop(None, 0)
-    return buckets, singular
+    fld = _field(q)
+    return _orbits(fld.q, n, _census(fld, n, k, budget, "orbit census", _leaf_keys))
 
 
 @dataclass(frozen=True)
@@ -442,32 +544,47 @@ def count_QR_bruteforce(kind: str, i: int, bounds, q, budget=None) -> int:
 # -- canonical form enumeration ----------------------------------------------
 
 
-def enumerate_hnf_reps(n: int, q, t: int, budget=None):
-    """Every canonical form with determinant degree t, exactly once."""
-    budget = _budget(budget)
-    fld = _field(q)
-    budget.check(
+def _hnf_rep_rows(fld: GF, n: int, t: int, budget, entry):
+    """The rows of every canonical form with determinant degree t, each
+    entry given as ``entry(coefficients)``.  The budget is checked on the
+    call, before the first form."""
+    _budget(budget).check(
         fld.q,
         (sum((j + 1) * tj for j, tj in enumerate(parts)) for parts in _compositions(t, n)),
         "canonical form enumeration",
     )
+    return _hnf_rep_walk(fld.q, n, t, entry)
+
+
+def _hnf_rep_walk(q: int, n: int, t: int, entry):
     # the n diagonal slots vary slowest, then the above-diagonal slots column
     # by column; callers pick reps by index, so this order is kept fixed
     cells = [(j, j) for j in range(n)] + [(i, j) for j in range(n) for i in range(j)]
-    zero = Poly.zero(fld)
-    reps = []
+    zero = entry(())
     for parts in _compositions(t, n):
         # column j holds polynomials of degree < t_j above the diagonal, and
-        # one of them plus x^t_j on it
-        low = [list(iter_polys(fld, tj - 1 if tj else NEG_INF)) for tj in parts]
-        slots = [[p + Poly(fld, (0,) * tj + (1,)) for p in ps] for tj, ps in zip(parts, low)]
-        slots += [low[j] for _, j in cells[n:]]
+        # one of them plus x^t_j on it, in iter_polys order
+        low = [[digits(idx, q, tj) for idx in range(q**tj)] for tj in parts]
+        slots = [[entry(tuple(c) + (1,)) for c in cs] for cs in low]
+        slots += [[entry(_trim(c)) for c in low[j]] for _, j in cells[n:]]
         for choice in product(*slots):
             rows = [[zero] * n for _ in range(n)]
-            for (i, j), p in zip(cells, choice):
-                rows[i][j] = p
-            reps.append(PolyMatrix(rows))
-    return reps
+            for (i, j), e in zip(cells, choice):
+                rows[i][j] = e
+            yield rows
+
+
+def iter_hnf_rep_keys(n: int, q, t: int, budget=None):
+    """The structural keys of ``enumerate_hnf_reps(n, q, t)``, in the same
+    order, without building a matrix."""
+    rows = _hnf_rep_rows(_field(q), n, t, budget, tuple)
+    return (tuple(map(tuple, r)) for r in rows)
+
+
+def enumerate_hnf_reps(n: int, q, t: int, budget=None):
+    """Every canonical form with determinant degree t, exactly once."""
+    fld = _field(q)
+    return [PolyMatrix(r) for r in _hnf_rep_rows(fld, n, t, budget, lambda c: Poly(fld, c))]
 
 
 # -- the closed forms against the census -------------------------------------
@@ -514,7 +631,7 @@ def verify_grid(grid, budget=None):
             # t <= k the scan holds every one of them; the oracle value counts
             # each missing or stray form on top of the enumerated ones
             for t in sorted(set(total_by_t) | set(range(k + 1))):
-                want = {m.key() for m in enumerate_hnf_reps(n, q, t)}
+                want = set(iter_hnf_rep_keys(n, q, t))
                 got = {key for key in buckets if _key_t(key) == t}
                 wrong = got ^ want if t <= k else got - want
                 check(params, t, "rep-inventory", len(want), len(want) + len(wrong))

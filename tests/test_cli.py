@@ -225,6 +225,21 @@ def test_brute_orbit_of_input(tmp_path, capsys):
     assert json.loads(out)["count"] == "12"
 
 
+def test_orbit_scan_past_the_64_bit_key_exits_3(tmp_path, capsys):
+    """Any budget is accepted, but an orbit scan whose packed keys could
+    reach 2^63 (here 2^64 at n = 2, q = 2, k = 16) is refused at once."""
+    src = {"field": {"p": 2, "e": 1}, "entries": [[[1], []], [[], [1]]]}
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(src))
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "brute", "--k", "16", "--input", str(path), "--budget", str(10**30)
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and "64-bit" in err
+
+
 def test_brute_census(capsys):
     code, out, _ = run(capsys, "brute", "--n", "2", "--q", "2", "--k", "1")
     assert code == 0

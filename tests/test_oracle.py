@@ -1,6 +1,8 @@
 """Ground-truth enumeration checks: the oracles against hand values, the
 formulas, and each other."""
 
+from collections import Counter
+from functools import lru_cache
 from itertools import product, zip_longest
 
 import numpy as np
@@ -22,7 +24,7 @@ from orbitcount.errors import (
     NotSquare,
     PreconditionViolation,
 )
-from orbitcount.fields import field_of_order
+from orbitcount.fields import digits, field_of_order, tables
 from orbitcount.linalg import iter_affine_space, rank, solve_affine
 from orbitcount.oracle import (
     EnumerationBudget,
@@ -34,6 +36,7 @@ from orbitcount.oracle import (
     count_P_bruteforce,
     count_QR_bruteforce,
     enumerate_hnf_reps,
+    iter_hnf_rep_keys,
     iter_matrices,
     iter_polys,
     orbit_census,
@@ -185,6 +188,128 @@ def test_n1_scan_over_many_leaf_batches():
     k = 19
     census = census_by_det_degree(1, 2, k)
     assert census.buckets == {t: 2**t for t in range(k + 1)} and census.singular == 1
+
+
+# -- the batched leaf finish against the per-prefix reference ---------------
+
+
+def reference_leaf_keys(fld, prefix, batch):
+    """The per-prefix finish that the batched one replaced: y = u @ c through
+    the field tables for one prefix, then a Poly divmod for each entry of
+    every nonsingular leaf.  Returns ``(key, count)`` pairs, key None for the
+    singular ones."""
+    h1, _, u = prefix
+    tbl = tables(fld)
+    _, mul, _, inv = tbl
+    depth = batch.shape[1] - 1 + max(len(e.coeffs) for r in u for e in r)
+    y = np.zeros((len(u), depth, batch.shape[2]), dtype=np.intp)
+    for yr, r in zip(y, u):
+        for e, c in zip(r, batch):
+            oracle._mac(tbl, yr, e.coeffs, c)
+    w = y[-1]
+    lead = w[np.maximum(oracle._degrees(w), 0), np.arange(w.shape[1])]
+    y[-1] = mul[inv[lead], w]  # monic; w = 0 stays 0
+    zeros = ((),) * len(h1)
+    counts = {}
+    for ys in y.transpose(2, 0, 1).tolist():
+        h = Poly(fld, ys[-1])
+        key = None
+        if h:
+            above = tuple(row + ((Poly(fld, c) % h).coeffs,) for row, c in zip(h1, ys))
+            key = above + (zeros + (h.coeffs,),)
+        counts[key] = counts.get(key, 0) + 1
+    return counts.items()
+
+
+@lru_cache(maxsize=None)
+def reference_prefix_census(q, n, k):
+    """Every prefix finished by reference_leaf_keys, all last columns in one
+    batch: (orbit buckets, singular count)."""
+    fld = field_of_order(q)
+    total = q ** (n * (k + 1))
+    batch = np.array(digits(np.arange(total), q, n * (k + 1))).reshape(n, k + 1, total)
+    buckets = {}
+    for prefix in oracle._prefixes(fld, n, k + 1):
+        pairs = [(None, total)] if prefix is None else reference_leaf_keys(fld, prefix, batch)
+        for key, count in pairs:
+            buckets[key] = buckets.get(key, 0) + count
+    singular = buckets.pop(None, 0)
+    return buckets, singular
+
+
+GATE_POINTS = [(2, 2, 2), (2, 3, 1), (2, 4, 1), (3, 2, 1), (1, 3, 3)]
+
+
+@pytest.mark.parametrize("batching", ["default", "7-leaf", "one-prefix"])
+@pytest.mark.parametrize("n,q,k", GATE_POINTS)
+def test_batched_finish_matches_reference_finish(monkeypatch, n, q, k, batching):
+    """The three ambient scans against the per-prefix reference, with batches
+    of many prefixes, of 7 leaves, and of one prefix each.
+
+    The orbit scan completes only the prefixes with its rep's H1, so one
+    scan per H1 checks every restriction the walk makes.  Batches of 7
+    leaves cost about 0.3 ms each, so under them the orbit scan runs for the
+    H1 with the fewest prefixes only, and at 3,2,1 (37,450 such batches per
+    census) the censuses are left to the other two batchings.
+    """
+    if batching == "7-leaf":
+        monkeypatch.setattr(oracle, "_LEAF_CHUNK", 7)
+    elif batching == "one-prefix":
+        monkeypatch.setattr(oracle, "_CENSUS_LEAVES", q ** (n * (k + 1)))
+    fld = field_of_order(q)
+    orbits, singular = reference_prefix_census(q, n, k)
+    if batching != "7-leaf" or n < 3:
+        assert orbit_census(fld, n, k) == (orbits, singular)
+        degrees = {}
+        for key, count in orbits.items():
+            t = oracle._key_t(key)
+            degrees[t] = degrees.get(t, 0) + count
+        census = census_by_det_degree(n, fld, k)
+        assert census.buckets == degrees and census.singular == singular
+    # each orbit scan reduces every prefix again: reduce them once here
+    prefixes = list(oracle._prefixes(fld, n, k + 1))
+    monkeypatch.setattr(oracle, "_prefixes", lambda *args: iter(prefixes))
+    rep_of = {}
+    for key in sorted(orbits):
+        rep_of.setdefault(tuple(row[: n - 1] for row in key[: n - 1]), key)
+    if batching == "7-leaf":
+        share = Counter(p[0] for p in prefixes if p is not None)
+        rep_of = {h1: rep_of[h1] for h1 in [min(rep_of, key=share.__getitem__)]}
+    for key in rep_of.values():
+        assert count_orbit_bruteforce(matrix_of_key(fld, key), k) == orbits[key]
+
+
+class Walked(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "n,q,k,fits",
+    [
+        (2, 2, 15, True),  # keys below 2^60
+        (2, 2, 16, False),  # 2^64
+        (3, 2, 6, True),  # 2^54
+        (3, 2, 7, False),  # exactly 2^63
+        (1, 2, 62, True),
+        (1, 2, 63, False),
+    ],
+)
+def test_packed_keys_fit_in_int64_at_the_edge(monkeypatch, n, q, k, fits):
+    """Under a budget that admits the scan, a census whose packed keys could
+    reach 2^63 is refused, and one below it starts its walk; neither builds
+    an array first (the walk is replaced by one that stops at once)."""
+
+    def walk(*args):
+        raise Walked
+
+    monkeypatch.setattr(oracle, "_prefixes", walk)
+    huge = EnumerationBudget(1 << 400)
+    rep = PolyMatrix.identity(field_of_order(q), n)
+    for scan in (lambda: orbit_census(q, n, k, huge), lambda: count_orbit_bruteforce(rep, k, huge)):
+        with pytest.raises(Walked if fits else BudgetExceeded):
+            scan()
+    with pytest.raises(Walked):  # the degree census packs no key
+        census_by_det_degree(n, q, k, huge)
 
 
 # -- orbit counting ----------------------------------------------------------
@@ -430,6 +555,19 @@ def reference_enumerate_hnf_reps(n, q, t):
                         rows[i][j] = above[pos]
                         pos += 1
                 yield PolyMatrix(rows)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rep_keys_match_enumerated_reps_in_order(n, q):
+    for t in range(4):
+        got = list(iter_hnf_rep_keys(n, q, t))
+        assert got == [m.key() for m in enumerate_hnf_reps(n, q, t)], (n, q, t)
+
+
+def test_rep_keys_check_the_budget_on_the_call():
+    with pytest.raises(BudgetExceeded):
+        iter_hnf_rep_keys(2, 2, 3, EnumerationBudget(max_items=10))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
