@@ -5,8 +5,9 @@ residue itself; for extension fields the base-p digits of the value are the
 coefficients of the element in the power basis of the defining modulus
 (little-endian, so value ``p`` is the generator ``x`` of the power basis).
 
-Extension fields multiply through log/exp tables built once at construction,
-so all per-element operations are O(1) table lookups.
+Every field, prime or extension, is its four tables: add, mul, neg and inv,
+lists built once at construction, so each per-element operation is one
+lookup.  ``tables`` hands the batched numpy kernels the same tables as arrays.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from functools import lru_cache
 from .errors import (
     BudgetExceeded,
     DivisionByZero,
+    InvalidParams,
     NonPrimeCharacteristic,
     ReducibleModulus,
     UnsupportedSize,
@@ -63,6 +65,11 @@ def digits(v, base: int, width: int):
     return out
 
 
+def is_int_list(values) -> bool:
+    """Whether values is a JSON list of integers (booleans excluded)."""
+    return isinstance(values, list) and all(type(v) is int for v in values)
+
+
 def _modulus_is_irreducible(modulus, p):
     """Exhaustive irreducibility test over F_p: no monic divisor of degree
     1..e/2 (degree 1 being the roots).  Fine at the sizes this package
@@ -77,6 +84,53 @@ def _modulus_is_irreducible(modulus, p):
         for d in range(1, e // 2 + 1)
         for idx in range(p**d)
     )
+
+
+def _build_tables(p: int, e: int, modulus):
+    """The add, mul, neg and inv tables of F_{p^e} (inv[0] is 0), and the
+    exp/log tables of its least generator, every entry a shared object.
+
+    add[a] is add[a - p^i] with digit i stepped once more, i the lowest
+    nonzero digit of a.  From x·(r + t x^(e-1)) = r·x - t·(modulus below
+    x^e) come the rows of x^i·b, from their sums the row of g·b, and the mul
+    row of g^j is the row of g^(j-1) mapped through that of g.
+    """
+    q, top = p**e, p ** (e - 1)
+    elems = list(range(q))
+    steps = []  # steps[i][b]: b with digit i stepped up by one, mod p
+    for w in (p**i for i in range(e)):
+        steps.append([elems[b + w if b // w % p < p - 1 else b - (p - 1) * w] for b in elems])
+    add = [elems]
+    for a in range(1, q):
+        i = next(i for i, d in enumerate(digits(a, p, e)) if d)
+        add.append(list(map(steps[i].__getitem__, add[a - p**i])))
+    neg = [elems[row.index(0)] for row in add]
+    times_x = [elems]  # times_x[i][b] = x^i·b
+    for _ in range(1, e):
+        xe = neg[sum(c * p**j for j, c in enumerate(modulus[:-1]))]
+        multiples = [0]  # t·x^e for t in F_p
+        for _ in range(1, p):
+            multiples.append(add[multiples[-1]][xe])
+        times_x.append([add[v % top * p][multiples[v // top]] for v in times_x[-1]])
+    for g in range(1, q):
+        row = [0] * q  # g·b
+        for i, d in enumerate(digits(g, p, e)):
+            for _ in range(d):
+                row = [add[u][v] for u, v in zip(row, times_x[i])]
+        exp = [1]
+        while row[exp[-1]] != 1:
+            exp.append(row[exp[-1]])
+        if len(exp) == q - 1:
+            break
+    mul = [[0] * q] * q  # every row but row 0 is replaced below
+    mul[1] = elems
+    for prev, v in zip(exp, exp[1:]):
+        mul[v] = list(map(row.__getitem__, mul[prev]))
+    log = [0] * q
+    for i, v in enumerate(exp):
+        log[v] = i
+    inv = [0] + [exp[-log[a] % (q - 1)] for a in elems[1:]]
+    return add, mul, neg, inv, exp, log
 
 
 class GF:
@@ -110,88 +164,28 @@ class GF:
         self.e = e
         self.q = q
         self.modulus = modulus
-        if e > 1:
-            self._build_tables()
+        self._add, self._mul, self._neg, self._inv, self._exp, self._log = _build_tables(
+            p, e, modulus
+        )
 
-    # -- table construction for extension fields -----------------------------
-
-    def _pack(self, coeffs) -> int:
-        v = 0
-        for c in reversed(coeffs):
-            v = v * self.p + c
-        return v
-
-    def _unpack(self, v: int):
-        return digits(v, self.p, self.e)
-
-    def _build_tables(self):
-        from .poly import Poly  # poly imports this module
-
-        q = self.q
-        fp = prime_field(self.p)
-        modulus = Poly(fp, self.modulus)
-
-        def _raw_mul(a, b):
-            prod = Poly(fp, self._unpack(a)) * Poly(fp, self._unpack(b))
-            return self._pack((prod % modulus).coeffs)
-
-        # find a multiplicative generator by direct order computation
-        for g in range(2, q):
-            acc = 1
-            exp = [1]
-            for _ in range(q - 1):
-                acc = _raw_mul(acc, g)
-                if acc == 1:
-                    break
-                exp.append(acc)
-            if len(exp) == q - 1:
-                break
-        else:  # pragma: no cover - a generator always exists
-            raise UnsupportedSize("no multiplicative generator found")
-        self._exp = exp
-        self._log = [0] * q
-        for i, v in enumerate(exp):
-            self._log[v] = i
-        # digitwise addition table
-        self._add = [
-            [
-                self._pack([(x + y) % self.p for x, y in zip(self._unpack(a), self._unpack(b))])
-                for b in range(q)
-            ]
-            for a in range(q)
-        ]
-        self._neg = [self._add[a].index(0) for a in range(q)]
-
-    # -- arithmetic ----------------------------------------------------------
+    # -- arithmetic: one lookup each, on elements in [0, q) -----------------
 
     def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
         return self._add[a][b]
 
     def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
         return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a - b) % self.p
         return self._add[a][self._neg[b]]
 
     def mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self._mul[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("0 has no multiplicative inverse")
-        if self.e == 1:
-            return pow(a, self.p - 2, self.p)
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        return self._inv[a]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -227,25 +221,27 @@ class GF:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GF":
-        return field_spec(obj["p"], obj.get("e", 1), obj.get("modulus"))
+        """The field ``to_json`` wrote; any other shape raises InvalidParams."""
+        ok = isinstance(obj, dict) and is_int_list([obj.get("p"), obj.get("e", 1)])
+        modulus = obj.get("modulus") if ok else None
+        if not ok or not (modulus is None or is_int_list(modulus)):
+            shape = '{"p": int, "e": int, "modulus": [int]}'
+            raise InvalidParams(f"a field must be {shape}, got {obj!r}")
+        return field_spec(obj["p"], obj.get("e", 1), modulus)
 
 
 @lru_cache(maxsize=None)
 def tables(fld: GF):
-    """The addition, multiplication, negation and inverse tables of fld as
-    numpy arrays (the inverse of 0 read as 0), built on first use.  The
-    batched kernels of ``linalg`` and ``oracle`` compute through them."""
+    """The add, mul, neg and inv tables of fld (the inverse of 0 read as 0)
+    as numpy arrays of the narrowest unsigned dtype that holds q, for the
+    batched kernels of ``linalg`` and ``oracle``."""
     # numpy loads here, not at the top: fields is the first module the
     # package imports, and loading numpy ahead of the others raises the peak
     # resident memory of every run by about 0.7 MB
     import numpy as np
 
-    elems = fld.elements()
-    add = np.array([[fld.add(a, b) for b in elems] for a in elems], dtype=np.intp)
-    mul = np.array([[fld.mul(a, b) for b in elems] for a in elems], dtype=np.intp)
-    neg = np.array([fld.neg(a) for a in elems], dtype=np.intp)
-    inv = np.array([0] + [fld.inv(a) for a in fld.units()], dtype=np.intp)
-    return add, mul, neg, inv
+    dtype = np.uint8 if fld.q <= 256 else np.uint16
+    return tuple(np.array(t, dtype=dtype) for t in (fld._add, fld._mul, fld._neg, fld._inv))
 
 
 @lru_cache(maxsize=None)

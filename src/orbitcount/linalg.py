@@ -2,9 +2,9 @@
 
 Vectors are lists of integer-coded field elements.  One Gauss-Jordan kernel
 (``rref``) reduces a whole batch of systems at once in numpy, through the
-field's add/mul/neg/inv tables; ``rank``, ``solve_affine`` and the constant
-inverse of the conjugation move pass it a batch of one, and the orbit-side
-counters of ``oracle`` pass it every outer choice of a count at once.
+field's tables widened to intp for flat ``x * q + y`` lookups; ``rank``,
+``solve_affine`` and the constant inverse of the conjugation move pass it a
+batch of one, and the orbit-side counters pass it a whole count at once.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ def rref(systems, ncols: int, field: GF):
     rank of each system, an array (L,); and a boolean array (L, ncols) that
     marks each system's pivot columns.
     """
-    add, mul, neg, inv = tables(field)
+    add, mul, neg, inv = (t.astype(np.intp) for t in tables(field))  # x * q + y needs intp
     q = len(neg)
     add, mul = add.ravel(), mul.ravel()  # table[x * q + y] is one take per lookup
     a = np.array(systems, dtype=np.intp)

@@ -9,10 +9,11 @@ whose counts do not depend on the order of the walk.  They finish the last
 columns of many prefixes in one numpy batch: each matrix's canonical form
 is packed into one int64 key, the keys are counted with ``np.unique``, and
 only the distinct ones are decoded, so no Python runs per matrix.  The
-ambient scans, the
-unipotent-family scan and the orbit-side member counter compute over F_q[x]
-in numpy batches through one multiply-accumulate kernel (``_mac``) on the
-field's tables (``fields.tables``), for every field and every n.  Their
+ambient scans, the unipotent-family scan and the orbit-side member counter
+compute over F_q[x] in numpy batches through one multiply-accumulate kernel
+(``_mac``) on the field's tables (``fields.tables``: the add/mul/neg/inv
+tables every ``GF`` computes with, as arrays of the narrowest unsigned dtype
+that holds q), for every field and every n.  Their
 linear algebra (the Lemma 2 leading-layer ranks, and the row spaces and
 last-row systems of ``count_orbit_members``) runs whole batches through the
 one elimination kernel, ``linalg.rref``; the budget is checked on exponents,
@@ -149,14 +150,6 @@ _LEAF_CHUNK = 1 << 16  # unipotent candidates or members per numpy batch
 _CENSUS_LEAVES = 1 << 12
 
 
-@lru_cache(maxsize=None)
-def _narrow_tables(fld: GF):
-    """``tables(fld)`` in the narrowest unsigned dtype that holds q, so that
-    every array computed through them is that narrow too."""
-    dtype = np.uint8 if fld.q <= 256 else np.uint16
-    return tuple(t.astype(dtype) for t in tables(fld))
-
-
 def _mac(tbl, acc, a, b):
     """acc + a·b, written into acc, for a batch of L polynomial products.
 
@@ -246,7 +239,7 @@ def _leaf_keys(fld: GF, group, u, owner, batch):
     count)`` pairs, form None for the singular ones and otherwise packed as
     ``(h1, d, rest)`` (see _form_key).  group lists the prefixes of the
     batch, and u, owner and batch are as in _images."""
-    add, mul, neg, inv = tbl = _narrow_tables(fld)
+    add, mul, neg, inv = tbl = tables(fld)
     q, n = fld.q, len(u)
     y = _images(tbl, u, owner, batch)
     w = y[-1]
@@ -295,7 +288,7 @@ def _orbits(q: int, n: int, buckets):
 def _leaf_degrees(fld: GF, group, u, owner, batch):
     """The determinant degrees of the leaves of a batch, counted: ``(degree,
     count)`` pairs, degree None for the singular ones."""
-    d = _degrees(_images(_narrow_tables(fld), u[-1:], owner, batch)[0])
+    d = _degrees(_images(tables(fld), u[-1:], owner, batch)[0])
     t1 = np.array([p[1] for p in group])[owner]
     counts = np.bincount(np.where(d >= 0, t1 + d + 1, 0)).tolist()  # slot 0: singular
     return [(s - 1 if s else None, c) for s, c in enumerate(counts) if c]
@@ -323,7 +316,7 @@ def _census(fld: GF, n: int, k: int, budget, what: str, finish, h1=None):
         raise BudgetExceeded(
             f"{what}: packed leaf keys of {per} * {q}^{n * n * k} exceed the 64-bit key"
         )
-    dtype = _narrow_tables(fld)[0].dtype
+    dtype = tables(fld)[0].dtype
 
     def decode(lo):
         idx = np.arange(lo, min(lo + chunk, total), dtype=np.intp)
@@ -652,7 +645,8 @@ def count_orbit_members(rep: PolyMatrix, k: int, budget=None) -> int:
     as one system with n right-hand sides.  For fixed first n-1 rows,
     det V = sum_j v_last[j] C_j is affine-linear in the last row, so the last
     row is counted by linear algebra instead of enumeration: q^(nb - rank)
-    solutions when consistent.  The outer choices (the first n-1 rows) are
+    solutions when consistent.  A 1x1 orbit {c·h : c in F_q^*} is counted
+    at once.  The outer choices (the first n-1 rows) are
     decoded as digit arrays in batches; their cofactors C_j, the last-row
     systems and the ranks of all those systems are computed at once through
     the field tables (``_det``, ``_mac``, ``linalg.rref``).  Cross-checked
@@ -666,6 +660,9 @@ def count_orbit_members(rep: PolyMatrix, k: int, budget=None) -> int:
     H = hnf(rep).h
     fld = rep.field
     n, q = rep.rows, fld.q
+    if n == 1:
+        # the orbit of [h] is {c·h : c in F_q^*}
+        return (q - 1) * (H.entries[0][0].degree <= k)
     add, mul, neg, _ = tbl = tables(fld)
     nunk = n * k  # coefficients v_j[d] at column j * k + d - 1, d = 1..k
 

@@ -120,17 +120,12 @@ class Poly:
         if not a or not b:
             return Poly(f, ())
         out = [0] * (len(a) + len(b) - 1)
-        if f.e == 1:
-            p = f.p
-            for i, ca in enumerate(a):
-                if ca:
-                    for j, cb in enumerate(b):
-                        out[i + j] = (out[i + j] + ca * cb) % p
-        else:
-            for i, ca in enumerate(a):
-                if ca:
-                    for j, cb in enumerate(b):
-                        out[i + j] = f.add(out[i + j], f.mul(ca, cb))
+        add, mul = f._add, f._mul
+        for i, ca in enumerate(a):
+            if ca:
+                row = mul[ca]
+                for j, cb in enumerate(b):
+                    out[i + j] = add[out[i + j]][row[cb]]
         return Poly(f, out)
 
     def scale(self, c: int) -> "Poly":

@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    InvalidParams,
     MixedFields,
     NotSquare,
     ShapeMismatch,
     SingularMatrix,
     ZeroColumn,
 )
-from .fields import GF
+from .fields import GF, is_int_list
 from .poly import Poly, poly_gcd
 
 
@@ -74,8 +75,13 @@ class PolyMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PolyMatrix":
-        field = GF.from_json(obj["field"])
-        return cls.from_ints(field, obj["entries"])
+        """The matrix ``to_json`` wrote; any other shape raises InvalidParams."""
+        rows = obj.get("entries") if isinstance(obj, dict) else None
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(map(is_int_list, row)) for row in rows
+        ):
+            raise InvalidParams('a matrix must be {"field": ..., "entries": [[[int]]]}')
+        return cls.from_ints(GF.from_json(obj.get("field")), rows)
 
     # -- views ---------------------------------------------------------------
 

@@ -216,6 +216,22 @@ def test_hnf_missing_file_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [1, 2],
+        {"field": {"p": 2, "e": 1}, "entries": [["a"]]},
+        {"field": {"p": 2, "e": 1}, "entries": [[1, 2]]},
+        {"field": {"p": 3, "e": 1}, "entries": [[[1.5], [0]], [[0], [1]]]},
+        {"field": "x", "entries": [[[1]]]},
+    ],
+)
+def test_hnf_malformed_matrix_json_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert_one_line_error(*run(capsys, "hnf", "--input", str(path)))
+
+
 def test_brute_orbit_of_input(tmp_path, capsys):
     src = {"field": {"p": 2, "e": 1}, "entries": [[[1], []], [[], [0, 1]]]}
     path = tmp_path / "rep.json"

@@ -3,6 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitcount.errors import (
     BudgetExceeded,
@@ -19,7 +20,9 @@ from orbitcount.fields import (
     field_of_order,
     field_spec,
     prime_field,
+    tables,
 )
+from orbitcount.poly import Poly
 
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9]
@@ -282,6 +285,110 @@ def test_extension_tables_match_the_reference(p, e, modulus):
     assert fld._log == log
     assert fld._add == add
     assert fld._neg == neg
+
+
+# -- the tables against the modular formulas ---------------------------------
+# Prime fields computed with these formulas before every field became its
+# tables; they stay here as the reference the tables are checked against.
+
+
+def reference_prime_ops(p):
+    """(add, mul, neg, inv) of F_p by modular arithmetic."""
+    return (
+        lambda a, b: (a + b) % p,
+        lambda a, b: (a * b) % p,
+        lambda a: (-a) % p,
+        lambda a: pow(a, p - 2, p),
+    )
+
+
+@pytest.mark.parametrize("p", [p for p in range(2, 32) if factorize(p) == {p: 1}] + [509])
+def test_prime_tables_match_the_modular_formulas(p):
+    fld = GF(p)
+    add, mul, neg, inv = reference_prime_ops(p)
+    els = range(p)
+    assert fld._add == [[add(a, b) for b in els] for a in els]
+    assert fld._mul == [[mul(a, b) for b in els] for a in els]
+    assert fld._neg == [neg(a) for a in els]
+    assert fld._inv == [0] + [inv(a) for a in els[1:]]
+    assert [fld.sub(a, b) for a in els for b in els] == [(a - b) % p for a in els for b in els]
+    assert [fld.inv(a) for a in els[1:]] == fld._inv[1:]
+
+
+TABLE_FIELDS = [
+    (2, 1, None),
+    (3, 1, None),
+    (2, 2, (1, 1, 1)),
+    (3, 2, (1, 0, 1)),
+    (2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)),  # q = 256, the largest uint8 field
+    (257, 1, None),  # the smallest uint16 field
+    (509, 1, None),
+    (2, 9, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1)),  # x^9 + x^4 + 1
+]
+
+
+@pytest.mark.parametrize("p, e, modulus", TABLE_FIELDS)
+def test_numpy_tables_match_the_scalar_ops(p, e, modulus):
+    fld = field_spec(p, e, modulus)
+    add, mul, neg, inv = tables(fld)
+    dtype = np.uint8 if fld.q <= 256 else np.uint16
+    assert [t.dtype for t in (add, mul, neg, inv)] == [dtype] * 4
+    els = fld.elements()
+    assert add.tolist() == [[fld.add(a, b) for b in els] for a in els]
+    assert mul.tolist() == [[fld.mul(a, b) for b in els] for a in els]
+    assert neg.tolist() == [fld.neg(a) for a in els]
+    assert inv.tolist() == [0] + [fld.inv(a) for a in fld.units()]
+
+
+def test_the_largest_fields_build_quickly():
+    for spec in ((509,), (2, 9, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1))):
+        start = time.perf_counter()
+        GF(*spec)
+        assert time.perf_counter() - start < 0.5
+
+
+def reference_field_ops(fld):
+    """(add, mul) of fld from the coefficient-list kernels: digitwise mod p,
+    and the product of the digit polynomials mod p, reduced by the modulus."""
+    p, e = fld.p, fld.e
+
+    def pack(coeffs):
+        return sum(c * p**i for i, c in enumerate(coeffs))
+
+    def add(a, b):
+        return pack([(x + y) % p for x, y in zip(digits(a, p, e), digits(b, p, e))])
+
+    def mul(a, b):
+        prod = reference_fp_polymul(digits(a, p, e), digits(b, p, e), p)
+        return pack(prod if fld.modulus is None else reference_fp_polymod(prod, fld.modulus, p))
+
+    return add, mul
+
+
+@pytest.mark.parametrize(
+    "p, e, modulus",
+    [(2, 2, (1, 1, 1)), (2, 3, (1, 1, 0, 1)), (3, 2, (1, 0, 1)), (3, 5, (1, 2, 0, 0, 0, 1))],
+)
+def test_extension_mul_and_inv_tables_match_the_reference(p, e, modulus):
+    fld = GF(p, e, modulus)
+    _, mul = reference_field_ops(fld)
+    els = range(fld.q)
+    assert fld._mul == [[mul(a, b) for b in els] for a in els]
+    assert [mul(a, fld._inv[a]) for a in els[1:]] == [1] * (fld.q - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5, 4, 8, 9]), st.data())
+def test_poly_mul_matches_the_schoolbook_reference(q, data):
+    fld = field_of_order(q)
+    coeffs = st.lists(st.integers(0, q - 1), max_size=7)
+    a, b = data.draw(coeffs), data.draw(coeffs)
+    add, mul = reference_field_ops(fld)
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = add(out[i + j], mul(ca, cb))
+    assert Poly(fld, a) * Poly(fld, b) == Poly(fld, out)
 
 
 # -- factorize ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Ground-truth enumeration checks: the oracles against hand values, the
 formulas, and each other."""
 
+import time
 from collections import Counter
 from functools import lru_cache
 from itertools import product, zip_longest
@@ -355,6 +356,20 @@ def test_members_counter_matches_formula_at_q3():
 
 def test_members_counter_below_t_gives_zero():
     assert count_orbit_members(diag2(p2(0, 1), p2(0, 1)), 0) == 0
+
+
+def test_members_counter_of_a_1x1_rep_is_the_formula_at_once():
+    # the orbit of [h] is {c·h : c in F_q^*}: no last-row system is built
+    fld = field_of_order(2)
+    rep = PolyMatrix([[Poly.x(fld)]])
+    start = time.perf_counter()
+    got = count_orbit_members(rep, 400)
+    assert time.perf_counter() - start < 0.01
+    assert got == orbit_count_formula(1, 2, 1, 400) == 1
+    F9 = field_of_order(9)
+    h = Poly(F9, (5, 0, 7, 1))
+    assert count_orbit_members(PolyMatrix([[h]]), 3) == orbit_count_formula(1, 9, 3, 3) == 8
+    assert count_orbit_members(PolyMatrix([[h]]), 2) == 0
 
 
 def test_members_counter_rejects_a_non_square_rep():
