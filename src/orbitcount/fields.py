@@ -164,6 +164,7 @@ class GF:
         self.e = e
         self.q = q
         self.modulus = modulus
+        self._element_set = frozenset(range(q))  # Poly's range check, one hash per coefficient
         self._add, self._mul, self._neg, self._inv, self._exp, self._log = _build_tables(
             p, e, modulus
         )
@@ -234,7 +235,7 @@ class GF:
 def tables(fld: GF):
     """The add, mul, neg and inv tables of fld (the inverse of 0 read as 0)
     as numpy arrays of the narrowest unsigned dtype that holds q, for the
-    batched kernels of ``linalg`` and ``oracle``."""
+    batched kernels of ``linalg``, ``polymat`` and ``oracle``."""
     # numpy loads here, not at the top: fields is the first module the
     # package imports, and loading numpy ahead of the others raises the peak
     # resident memory of every run by about 0.7 MB

@@ -10,14 +10,15 @@ columns of many prefixes in one numpy batch: each matrix's canonical form
 is packed into one int64 key, the keys are counted with ``np.unique``, and
 only the distinct ones are decoded, so no Python runs per matrix.  The
 ambient scans, the unipotent-family scan and the orbit-side member counter
-compute over F_q[x] in numpy batches through one multiply-accumulate kernel
-(``_mac``) on the field's tables (``fields.tables``: the add/mul/neg/inv
+compute over F_q[x] in numpy batches through ``polymat``'s multiply-accumulate
+kernel (``_mac``) on the field's tables (``fields.tables``: the add/mul/neg/inv
 tables every ``GF`` computes with, as arrays of the narrowest unsigned dtype
-that holds q), for every field and every n.  Their
-linear algebra (the Lemma 2 leading-layer ranks, and the row spaces and
-last-row systems of ``count_orbit_members``) runs whole batches through the
-one elimination kernel, ``linalg.rref``; the budget is checked on exponents,
-so no refused cost is ever computed.
+that holds q), for every field and every n, and take every determinant and
+cofactor from the one minor expansion that ``det`` also runs,
+``polymat._minors``.  Their linear algebra (the Lemma 2 leading-layer ranks, and the
+row spaces and last-row systems of ``count_orbit_members``) runs whole
+batches through the one elimination kernel, ``linalg.rref``; the budget is
+checked on exponents, so no refused cost is ever computed.
 """
 
 from __future__ import annotations
@@ -43,9 +44,8 @@ from .linalg import affine_solutions, rref
 # (perfbench/layers.py) patches each of them under this module's name as
 # well, so the names stay importable from here
 from .linalg import iter_affine_space, rank, solve_affine
-from .polymat import det
 from .poly import NEG_INF, Poly
-from .polymat import PolyMatrix, hnf
+from .polymat import PolyMatrix, _mac, _minors, det, hnf
 
 DEFAULT_MAX_ITEMS = 10**8
 
@@ -148,40 +148,6 @@ _LEAF_CHUNK = 1 << 16  # unipotent candidates or members per numpy batch
 # few coefficient arrays (n, D, L) of one byte per entry, and wider batches
 # raise the peak memory, not the speed
 _CENSUS_LEAVES = 1 << 12
-
-
-def _mac(tbl, acc, a, b):
-    """acc + a·b, written into acc, for a batch of L polynomial products.
-
-    acc and b hold little-endian coefficients as arrays (D, L); each
-    coefficient of a is a field element or an array (L,) of them.  acc needs
-    len(a) + len(b) - 1 rows.
-    """
-    add, mul = tbl[0], tbl[1]
-    width = len(b)
-    for i, c in enumerate(a):
-        if not isinstance(c, int):
-            term = mul[c, b]
-        elif c:
-            term = mul[c][b]  # a row lookup: cheaper than mul[c, b]
-        else:
-            continue
-        acc[i : i + width] = add[acc[i : i + width], term]
-
-
-def _det(tbl, m, size: int):
-    """The determinants of a batch of size square matrices, by cofactor
-    expansion along column 0: m is a list of rows, each entry a coefficient
-    list as in _mac.  Returns an array (D, size)."""
-    if not m:
-        return np.ones((1, size), dtype=np.intp)
-    neg = tbl[2]
-    minors = [_det(tbl, [r[1:] for r in m[:i] + m[i + 1 :]], size) for i in range(len(m))]
-    depth = max(len(r[0]) + len(d) - 1 for r, d in zip(m, minors))
-    acc = np.zeros((depth, size), dtype=np.intp)
-    for i, (r, d) in enumerate(zip(m, minors)):
-        _mac(tbl, acc, r[0], neg[d] if i % 2 else d)
-    return acc
 
 
 def _prefixes(fld: GF, n: int, width: int):
@@ -449,7 +415,7 @@ def _p_members_cached(fld: GF, bounds: tuple, max_items: int):
     found = []
     for lo in range(0, total, _LEAF_CHUNK):
         idx = np.arange(lo, min(lo + _LEAF_CHUNK, total), dtype=np.intp)
-        d = _det(tbl, _family_entries(fld, bounds, idx), len(idx))
+        d = _minors(tbl, _family_entries(fld, bounds, idx), len(idx))[tuple(range(n))]
         found.append(idx[(d[1:] == 0).all(axis=0) & (d[0] != 0)])
     members = np.concatenate(found)
     members.flags.writeable = False
@@ -646,11 +612,12 @@ def count_orbit_members(rep: PolyMatrix, k: int, budget=None) -> int:
     det V = sum_j v_last[j] C_j is affine-linear in the last row, so the last
     row is counted by linear algebra instead of enumeration: q^(nb - rank)
     solutions when consistent.  A 1x1 orbit {c·h : c in F_q^*} is counted
-    at once.  The outer choices (the first n-1 rows) are
-    decoded as digit arrays in batches; their cofactors C_j, the last-row
-    systems and the ranks of all those systems are computed at once through
-    the field tables (``_det``, ``_mac``, ``linalg.rref``).  Cross-checked
-    against the ambient scan and the per-choice reference in the test suite.
+    at once.  The outer choices (the first n-1 rows) are decoded as digit
+    arrays in batches; their n cofactors C_j (one ``polymat._minors`` call
+    on those rows), the last-row systems and the ranks of all those systems
+    (``linalg.rref``) are computed at once through the field tables.
+    Cross-checked against the ambient scan and the per-choice reference in
+    the test suite.
     """
     if not rep.is_square():
         raise NotSquare(f"{rep.rows}x{rep.cols}")
@@ -707,11 +674,13 @@ def count_orbit_members(rep: PolyMatrix, k: int, budget=None) -> int:
             for b, xb in zip(basis, x[i * nb : (i + 1) * nb]):
                 v = add[v, mul[b[:, None], xb]]
             rows.append(row_entries(i, list(v)))
-        # C_j with det V = sum_j v_last[j] C_j, signs folded in
+        # C_j with det V = sum_j v_last[j] C_j, signs folded in: the minors
+        # of the first n - 1 rows on the columns other than j
+        minors = _minors(tbl, rows, size)
         cofs = []
         for j in range(n):
-            d = _det(tbl, [row[:j] + row[j + 1 :] for row in rows], size)
-            cofs.append(neg[d] if (n - 1 + j) % 2 else d)
+            c = minors[tuple(range(j)) + tuple(range(j + 1, n))]
+            cofs.append(neg[c] if (n - 1 + j) % 2 else c)
         depth = k + max(len(c) for c in cofs)
         base = np.zeros((depth, size), dtype=np.intp)
         g = np.zeros((nb, depth, size), dtype=np.intp)

@@ -8,7 +8,7 @@ every integer, so degree-bound predicates need no special case for zero.
 
 from __future__ import annotations
 
-from .errors import BothZero, DivisionByZero, MixedFields, NegativeCutoff
+from .errors import BothZero, DivisionByZero, InvalidParams, MixedFields, NegativeCutoff
 from .fields import GF
 
 NEG_INF = float("-inf")
@@ -21,8 +21,11 @@ class Poly:
         n = len(coeffs)
         while n and coeffs[n - 1] == 0:
             n -= 1
+        coeffs = tuple(coeffs[:n])
+        if not field._element_set.issuperset(coeffs):  # from_ints reduces
+            raise InvalidParams(f"coefficients {list(coeffs)} are not all in [0, {field.q})")
         self.field = field
-        self.coeffs = tuple(coeffs[:n])
+        self.coeffs = coeffs
 
     # -- constructors --------------------------------------------------------
 

@@ -1,5 +1,9 @@
 """Matrices over F_q[x]: exact determinant, Hermite normal form, orbit tests.
 
+Every determinant and cofactor comes from one kernel, ``_minors``, on the
+field's tables: ``det`` runs it on a batch of one, ``oracle`` on numpy
+batches (the unipotent-family scan, the cofactors of ``count_orbit_members``).
+
 The Hermite normal form used throughout is the canonical representative of
 the left orbit under unimodular (constant-determinant) matrices: upper
 triangular, monic diagonal, and every above-diagonal entry reduced to degree
@@ -10,6 +14,7 @@ a structural equality of canonical forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import (
     InvalidParams,
@@ -19,7 +24,7 @@ from .errors import (
     SingularMatrix,
     ZeroColumn,
 )
-from .fields import GF, is_int_list
+from .fields import GF, is_int_list, tables
 from .poly import Poly, poly_gcd
 
 
@@ -158,38 +163,57 @@ def satisfies_R(m: PolyMatrix, k: int) -> bool:
     return all(e.degree <= k for row in m.entries for e in row)
 
 
-def _det_cofactor(entries, field):
-    n = len(entries)
-    if n == 1:
-        return entries[0][0]
-    if n == 2:
-        return entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0]
-    acc = Poly.zero(field)
-    for i in range(n):
-        e = entries[i][0]
-        if e.is_zero():
+def _mac(tbl, acc, a, b):
+    """acc + a·b, written into acc, for a batch of L polynomial products.
+
+    acc and b hold little-endian coefficients as arrays (D, L); each
+    coefficient of a is a field element or an array (L,) of them.  acc needs
+    len(a) + len(b) - 1 rows.  tbl is ``fields.tables`` of the field.
+    """
+    add, mul = tbl[0], tbl[1]
+    width = len(b)
+    for i, c in enumerate(a):
+        if not isinstance(c, int):
+            term = mul[c, b]
+        elif c:
+            term = mul[c][b]  # a row lookup: cheaper than mul[c, b]
+        else:
             continue
-        minor = [row[1:] for r, row in enumerate(entries) if r != i]
-        term = e * _det_cofactor(minor, field)
-        acc = acc + term if i % 2 == 0 else acc - term
-    return acc
+        acc[i : i + width] = add[acc[i : i + width], term]
+
+
+def _minors(tbl, rows, size: int):
+    """{cols: array (D, size)}: the minors of the rows (lists of n entries,
+    each a coefficient list as in _mac) of a batch of size matrices, on every
+    increasing tuple cols of len(rows) columns.  Row by row: the minor of
+    rows[:r + 1] on cols is the sum over its i-th column c of (-1)^(r+i)
+    rows[r][c] times the minor of rows[:r] on cols minus c, so an n x n
+    determinant takes n·2^(n-1) _mac products (n! by recursive expansion)."""
+    import numpy as np  # not at the top: see fields.tables
+
+    neg = tbl[2]
+    minors = {(): np.ones((1, size), dtype=np.intp)}
+    for r, row in enumerate(rows):
+        nxt = {}
+        for cols in combinations(range(len(row)), r + 1):
+            terms = [(row[c], minors[cols[:i] + cols[i + 1 :]]) for i, c in enumerate(cols)]
+            depth = max(1, max(len(a) + len(m) - 1 for a, m in terms))
+            acc = np.zeros((depth, size), dtype=np.intp)
+            for i, (a, m) in enumerate(terms):
+                _mac(tbl, acc, a, neg[m] if (r + i) % 2 else m)
+            nxt[cols] = acc
+        minors = nxt
+    return minors
 
 
 def det(m: PolyMatrix) -> Poly:
-    """Exact determinant; cofactor expansion up to n = 5, HNF-based beyond."""
+    """Exact determinant: the full-column minor of ``_minors`` on a batch of
+    one, n·2^(n-1) polynomial products for an n x n matrix."""
     if not m.is_square():
         raise NotSquare(f"{m.rows}x{m.cols}")
-    if m.rows <= 5:
-        return _det_cofactor([list(row) for row in m.entries], m.field)
-    try:
-        form = hnf(m)
-    except SingularMatrix:
-        return Poly.zero(m.field)
-    d = Poly.one(m.field)
-    for i in range(m.rows):
-        d = d * form.h.entries[i][i]
-    # u @ m = h, so det(m) = det(h) / det(u)
-    return d.scale(m.field.inv(form.unit))
+    rows = [[e.coeffs for e in row] for row in m.entries]
+    d = _minors(tables(m.field), rows, 1)[tuple(range(m.rows))]
+    return Poly(m.field, d[:, 0].tolist())
 
 
 def det_constant(u: PolyMatrix) -> int:

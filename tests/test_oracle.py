@@ -8,6 +8,7 @@ from itertools import product, zip_longest
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitcount import oracle
 from orbitcount.counting import (
@@ -45,7 +46,8 @@ from orbitcount.oracle import (
     verify_grid,
 )
 from orbitcount.poly import NEG_INF, Poly
-from orbitcount.polymat import PolyMatrix, _det_cofactor, det, hnf, is_canonical_hnf
+from orbitcount.polymat import PolyMatrix, det, hnf, is_canonical_hnf
+from test_polymat import _det_cofactor  # the kernel-free determinant reference
 
 F2 = field_of_order(2)
 
@@ -113,7 +115,7 @@ def reference_census(q, n, k):
     canonical form.  Returns (orbit buckets, det-degree buckets, singular)."""
     orbits, degrees, singular = {}, {}, 0
     for m in iter_matrices(q, n, k):
-        d = det(m)
+        d = _det_cofactor(m.entries, m.field)
         if d.is_zero():
             singular += 1
             continue
@@ -162,7 +164,7 @@ def test_det_census_matches_per_matrix_reference(n, q, k):
     fld = field_of_order(q)
     degrees, singular = {}, 0
     for m in iter_matrices(fld, n, k):
-        d = det(m)
+        d = _det_cofactor(m.entries, fld)
         if d.is_zero():
             singular += 1
         else:
@@ -352,6 +354,30 @@ def test_members_counter_matches_formula_at_q3():
     rep = PolyMatrix.diagonal([one, x])
     for k in (1, 2):
         assert count_orbit_members(rep, k) == orbit_count_formula(2, 3, 1, k)
+
+
+# (n, q, k) with q^(n^2 (k+1)) <= 2^20 matrices for the ambient leg, and
+# k <= 3 so the reps of each t stay a short list
+THREE_WAY_POINTS = [
+    (n, q, k)
+    for q in (2, 3, 4, 5, 8, 9)
+    for n in (1, 2, 3, 4)
+    for k in range(4)
+    if q ** (n * n * (k + 1)) <= 2**20
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_formula_members_counter_and_ambient_scan_agree(data):
+    """Three independent routes to the size of one orbit: the closed form,
+    the orbit-side member counter and the ambient scan."""
+    n, q, k = data.draw(st.sampled_from(THREE_WAY_POINTS))
+    t = data.draw(st.integers(0, k))
+    rep = data.draw(st.sampled_from(enumerate_hnf_reps(n, q, t)))
+    want = orbit_count_formula(n, q, t, k)
+    assert count_orbit_members(rep, k) == want
+    assert count_orbit_bruteforce(rep, k) == want
 
 
 def test_members_counter_below_t_gives_zero():
@@ -664,7 +690,7 @@ def reference_p_members(bounds, q):
     members = []
     for idx in range(q ** (len(bounds) * sum(bounds))):
         m = _decode_p_member(fld, bounds, idx)
-        d = det(m)
+        d = _det_cofactor(m.entries, fld)
         if d.is_constant() and not d.is_zero():
             members.append(m)
     return members
@@ -749,7 +775,7 @@ def test_count_P_asserts_dependent_leading_layers(monkeypatch):
 def test_p_members_structure():
     for m in p_members((1, 1), 2):
         assert m.constant_layer() == [[1, 0], [0, 1]]
-        d = det(m)
+        d = _det_cofactor(m.entries, m.field)
         assert d.is_constant() and not d.is_zero()
 
 

@@ -3,8 +3,14 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from orbitcount.errors import BothZero, DivisionByZero, MixedFields, NegativeCutoff
-from orbitcount.fields import field_of_order
+from orbitcount.errors import (
+    BothZero,
+    DivisionByZero,
+    InvalidParams,
+    MixedFields,
+    NegativeCutoff,
+)
+from orbitcount.fields import field_of_order, prime_field
 from orbitcount.poly import NEG_INF, Poly, poly_gcd, poly_xgcd, truncate_low
 
 F2 = field_of_order(2)
@@ -137,6 +143,22 @@ def test_mixed_fields_rejected():
         p2(1) + Poly(F3, (1,))
     with pytest.raises(MixedFields):
         poly_gcd(p2(1, 1), Poly(F3, (1, 1)))
+
+
+def test_coefficients_outside_the_field_are_rejected():
+    """Poly takes field elements as they are; from_ints is the constructor
+    that reduces.  Each case once gave a wrong answer or a bare IndexError:
+    7 * 2 over F_5 indexed past the tables, and -1 over F_4 read as 3 in a
+    product or stayed -1 through a sum."""
+    F5 = prime_field(5)
+    with pytest.raises(InvalidParams):
+        Poly(F5, [7]) * Poly(F5, [2])
+    with pytest.raises(InvalidParams):
+        Poly(F4, [-1]) * Poly.one(F4)
+    with pytest.raises(InvalidParams):
+        Poly(F4, [-1]) + Poly.zero(F4)
+    assert Poly.from_ints(F5, [7]) * Poly(F5, [2]) == Poly(F5, [4])
+    assert Poly(F4, [3, 0, 0]).coeffs == (3,)
 
 
 def test_monic():

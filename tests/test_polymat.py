@@ -1,17 +1,17 @@
 """Hermite form and determinant behavior on small matrices."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from orbitcount.errors import NotSquare, ShapeMismatch, SingularMatrix, ZeroColumn
-from orbitcount.fields import field_of_order
+from orbitcount.fields import field_of_order, tables
 from orbitcount import polymat
 from orbitcount.poly import Poly, poly_gcd
 from orbitcount.polymat import (
     PolyMatrix,
-    _det_cofactor,
     column_gcd,
     det,
     det_constant,
@@ -203,8 +203,82 @@ def random_matrix(fld, n, deg, rng):
     )
 
 
+# -- the determinant kernel against two independent routes -------------------
+
+
+def _det_cofactor(entries, field):
+    n = len(entries)
+    if n == 1:
+        return entries[0][0]
+    if n == 2:
+        return entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0]
+    acc = Poly.zero(field)
+    for i in range(n):
+        e = entries[i][0]
+        if e.is_zero():
+            continue
+        minor = [row[1:] for r, row in enumerate(entries) if r != i]
+        term = e * _det_cofactor(minor, field)
+        acc = acc + term if i % 2 == 0 else acc - term
+    return acc
+
+
+def hermite_det(m):
+    """det by the Hermite route: u @ m = h, so det(m) = det(h) / det(u)."""
+    try:
+        form = hnf(m)
+    except SingularMatrix:
+        return Poly.zero(m.field)
+    d = Poly.one(m.field)
+    for i in range(m.rows):
+        d = d * form.h.entries[i][i]
+    return d.scale(m.field.inv(form.unit))
+
+
+def det_cases(fld, n, rng):
+    """Random matrices of entry degree <= 2: a dense one, one with about a
+    third of its entries zero, one with a zero row and one with a repeated
+    row (both singular when n > 1)."""
+    dense = [list(r) for r in random_matrix(fld, n, 2, rng).entries]
+    sparse = [[e if rng.randrange(3) else Poly.zero(fld) for e in r] for r in dense]
+    zero_row = [list(r) for r in random_matrix(fld, n, 2, rng).entries]
+    zero_row[rng.randrange(n)] = [Poly.zero(fld)] * n
+    repeated = [list(r) for r in random_matrix(fld, n, 2, rng).entries]
+    if n > 1:
+        i, j = rng.sample(range(n), 2)
+        repeated[i] = repeated[j]
+    return [PolyMatrix(rows) for rows in (dense, sparse, zero_row, repeated)]
+
+
+# a sign error can only show in odd characteristic (F_3, F_9); F_4 and F_9
+# are extension fields
+DET_FIELDS = [2, 3, 4, 9]
+
+
+@pytest.mark.parametrize("q", DET_FIELDS)
+def test_det_matches_cofactor_reference(q):
+    fld = field_of_order(q)
+    rng = random.Random(q)
+    for n in range(1, 7):
+        for m in det_cases(fld, n, rng):
+            assert det(m) == _det_cofactor(m.entries, fld)
+
+
+@pytest.mark.parametrize("q", DET_FIELDS)
+def test_det_matches_hermite_route(q):
+    fld = field_of_order(q)
+    rng = random.Random(100 + q)
+    for n in range(1, 9):
+        cases = det_cases(fld, n, rng)
+        for m in cases:
+            assert det(m) == hermite_det(m)
+        if n > 1:
+            assert det(cases[2]).is_zero() and det(cases[3]).is_zero()
+
+
 def test_det_past_cofactor_range_matches_cofactor_reference():
-    """Beyond n = 5, det comes from the hnf diagonal and its tracked unit."""
+    """6 x 6 and 7 x 7 matrices of entry degree 1 over F_3 and F_4 against
+    the cofactor reference, and a 6 x 6 with a repeated row."""
     rng = random.Random(6)
     for q in (3, 4):
         fld = field_of_order(q)
@@ -216,17 +290,53 @@ def test_det_past_cofactor_range_matches_cofactor_reference():
         assert det(PolyMatrix(rows)).is_zero()
 
 
-def test_det_makes_no_cofactor_expansion_past_n5(monkeypatch):
-    sizes = []
-    real = polymat._det_cofactor
+@pytest.mark.parametrize("q", [3, 9])
+def test_minors_of_a_mixed_batch_match_det_of_each_member(q):
+    """A batch of L = 5 matrices whose entries mix shared int coefficients
+    and per-member arrays: every minor of the first r rows, r = n - 1 and
+    r = n, equals det and the cofactor reference on that member's
+    submatrix."""
+    fld = field_of_order(q)
+    rng = random.Random(q)
+    n, size = 4, 5
 
-    def spy(entries, field):
-        sizes.append(len(entries))
-        return real(entries, field)
+    def coeff():
+        if rng.randrange(2):
+            return rng.randrange(q)
+        return np.array([rng.randrange(q) for _ in range(size)])
 
-    monkeypatch.setattr(polymat, "_det_cofactor", spy)
-    det(random_matrix(F3, 8, 1, random.Random(8)))
-    assert max(sizes, default=0) <= 5
+    rows = [[[coeff() for _ in range(rng.randrange(1, 4))] for _ in range(n)] for _ in range(n)]
+
+    def member(l, r, cols):
+        return PolyMatrix([
+            [Poly(fld, [int(c if isinstance(c, int) else c[l]) for c in rows[i][j]])
+             for j in cols]
+            for i in range(r)
+        ])
+
+    for r in (n - 1, n):
+        minors = polymat._minors(tables(fld), rows[:r], size)
+        assert sorted(minors) == list(combinations(range(n), r))
+        assert any(d.any() for d in minors.values())
+        for cols, d in minors.items():
+            for l in range(size):
+                sub = member(l, r, cols)
+                assert Poly(fld, d[:, l].tolist()) == det(sub) == _det_cofactor(sub.entries, fld)
+
+
+def test_det_takes_n_2_to_the_n_minus_1_products(monkeypatch):
+    """One 8x8 det makes 8·2^7 multiply-accumulates, not 8! of them."""
+    calls = []
+    real = polymat._mac
+
+    def spy(tbl, acc, a, b):
+        calls.append(len(a))
+        return real(tbl, acc, a, b)
+
+    monkeypatch.setattr(polymat, "_mac", spy)
+    m = random_matrix(F3, 8, 1, random.Random(8))
+    assert det(m) == hermite_det(m)
+    assert len(calls) == 8 * 2**7
 
 
 def test_hnf_unit_is_det_of_witness():
