@@ -100,7 +100,7 @@ def cmd_hnf(args):
 
 def cmd_lemma2(args):
     bounds = _parse_bounds(args.bounds)
-    # the budget-checked scan first: the formula's power and the recursion's
+    # the budget-checked solve first: the formula's power and the recursion's
     # depth grow with the bounds
     brute = oracle.count_P_bruteforce(bounds, args.q, EnumerationBudget(args.budget))
     formula = counting.p_count_formula(bounds, args.q)

@@ -9,16 +9,20 @@ whose counts do not depend on the order of the walk.  They finish the last
 columns of many prefixes in one numpy batch: each matrix's canonical form
 is packed into one int64 key, the keys are counted with ``np.unique``, and
 only the distinct ones are decoded, so no Python runs per matrix.  The
-ambient scans, the unipotent-family scan and the orbit-side member counter
-compute over F_q[x] in numpy batches through ``polymat``'s multiply-accumulate
-kernel (``_mac``) on the field's tables (``fields.tables``: the add/mul/neg/inv
-tables every ``GF`` computes with, as arrays of the narrowest unsigned dtype
-that holds q), for every field and every n, and take every determinant and
-cofactor from the one minor expansion that ``det`` also runs,
-``polymat._minors``.  Their linear algebra (the Lemma 2 leading-layer ranks, and the
-row spaces and last-row systems of ``count_orbit_members``) runs whole
-batches through the one elimination kernel, ``linalg.rref``; the budget is
-checked on exponents, so no refused cost is ever computed.
+unipotent family of Lemma 2 is solved, not scanned: det V is affine in the
+coefficients of the column with the largest bound, so only the other
+columns are enumerated, and each choice's members are the solutions of one
+affine system.  The ambient scans, the unipotent-family solve and the
+orbit-side member counter compute over F_q[x] in numpy batches through
+``polymat``'s multiply-accumulate kernel (``_mac``) on the field's tables
+(``fields.tables``: the add/mul/neg/inv tables every ``GF`` computes with, as
+arrays of the narrowest unsigned dtype that holds q), for every field and
+every n, and take every determinant and cofactor from the one minor
+expansion that ``det`` also runs, ``polymat._minors``.  Their linear algebra
+(the unipotent-family systems and the leading-layer pivots of its members,
+and the row spaces and last-row systems of ``count_orbit_members``) runs
+whole batches through the one elimination kernel, ``linalg.rref``; the
+budget is checked on exponents, so no refused cost is ever computed.
 """
 
 from __future__ import annotations
@@ -143,7 +147,7 @@ def iter_matrices(q, n: int, k: int):
 # (H1, d, digits), and each distinct form is decoded into its structural key
 # once, at the end.
 
-_LEAF_CHUNK = 1 << 16  # unipotent candidates or members per numpy batch
+_LEAF_CHUNK = 1 << 16  # unipotent-family members, or system entries, per numpy batch
 # leaves per census batch (the smaller of the two counts): the finish holds a
 # few coefficient arrays (n, D, L) of one byte per entry, and wider batches
 # raise the peak memory, not the speed
@@ -373,6 +377,19 @@ def census_by_det_degree(n: int, q, k: int, budget=None) -> DetDegreeCensus:
 
 
 # -- the unipotent-at-zero family (constant term I) --------------------------
+#
+# Member idx of the family is the matrix whose free coefficients are the
+# base-q digits of idx in _free_positions order.  det V is linear in any one
+# column, so the members come from a solve in the column c with the largest
+# bound: det V = C_c + sum over i and d = 1..k_c of v_icd x^d C_i, with C_i
+# the cofactors along c, and V(0) = I makes C_c(0) = 1, so det V is constant
+# iff every coefficient of degree 1..sum(bounds) of that sum vanishes, an
+# affine system in the n k_c coefficients v_icd.  The other columns are
+# enumerated in batches; their cofactors come from one _minors call on them
+# as rows (the transpose), every system of a batch is reduced by one rref,
+# and each consistent system's solutions (particular + span) become member
+# indices.  The budget is checked on the systems and on the members, not on
+# the q^(n sum(bounds)) candidates, whose indices need only fit in an int64.
 
 
 def _free_positions(n: int, bounds):
@@ -404,30 +421,122 @@ def _decode_p_member(fld: GF, bounds, idx: int) -> PolyMatrix:
     return PolyMatrix([[Poly(fld, e) for e in row] for row in _family_entries(fld, bounds, idx)])
 
 
+def _span_points(tbl, base, basis, free):
+    """The points of the affine spaces base[s] + span(basis[s, :free[s]]):
+    ``(points, owner)``, an array (M, U) of field elements with M = sum of
+    q^free[s], and the space s of each point.  base is an array (S, U), basis
+    (S, F, U) with F >= max(free); each step adds every nonzero multiple of
+    one more direction to the points of the spaces that have it."""
+    add, mul = tbl[0], tbl[1]
+    points, owner = base, np.arange(len(base))
+    for k in range(basis.shape[1]):
+        grow = np.flatnonzero(free[owner] > k)
+        src, step = points[grow], basis[owner[grow], k]
+        points = np.concatenate([points] + [add[src, mul[t][step]] for t in range(1, len(add))])
+        owner = np.concatenate([owner] + [owner[grow]] * (len(add) - 1))
+    return points, owner
+
+
+def _solutions(tbl, reduced, ranks, pivots):
+    """The solutions of consistent reduced systems (rows of ``rref``, the
+    right-hand side in the last column), in pieces of about _LEAF_CHUNK:
+    ``(points, owner)`` as in _span_points.  Each space's last directions are
+    spread first, so that no piece holds much more than _LEAF_CHUNK points."""
+    q, neg = len(tbl[0]), tbl[2]
+    size, nrows, width = reduced.shape
+    unk = width - 1
+    m = min(nrows, unk)
+    # pivot columns first, then the free ones, each in increasing order
+    order = np.argsort((~pivots).astype(np.intp), axis=1, kind="stable")
+    rows = reduced[:, :m].astype(tbl[0].dtype)
+    at = np.arange(size)
+    base = np.zeros((size, unk), dtype=rows.dtype)
+    # rows past the rank are zero, the right-hand side included
+    base[at[:, None], order[:, :m]] = rows[:, :, unk]
+    free = unk - ranks
+    basis = np.zeros((size, free.max(initial=0), unk), dtype=rows.dtype)
+    for k in range(basis.shape[1]):
+        f = order[at, np.minimum(ranks + k, unk - 1)]
+        # free column f set to 1 moves pivot column order[r] by -reduced[r, f]
+        basis[at[:, None], k, order[:, :m]] = neg[rows[at, :, f]]
+        basis[at, k, f] = 1
+    g = 0  # directions spread per piece: q^g <= _LEAF_CHUNK
+    while q ** (g + 1) <= _LEAF_CHUNK:
+        g += 1
+    heads, first = _span_points(tbl, base, basis[:, g:], np.maximum(free - g, 0))
+    low = np.minimum(free, g)[first]
+    ends = np.cumsum(q**low)
+    for piece in np.split(np.arange(len(heads)), np.flatnonzero(np.diff(ends // _LEAF_CHUNK)) + 1):
+        points, owner = _span_points(tbl, heads[piece], basis[first[piece], :g], low[piece])
+        yield points, first[piece][owner]
+
+
 @lru_cache(maxsize=64)
 def _p_members_cached(fld: GF, bounds: tuple, max_items: int):
-    """The indices of the unimodular candidates, in index order, as a
-    read-only array."""
-    n = len(bounds)
-    EnumerationBudget(max_items=max_items).check(fld.q, [n * sum(bounds)], "unipotent family scan")
-    total = fld.q ** (n * sum(bounds))
+    """The members of the family by the column solve (see above):
+    ``(indices, pivots)``, the member indices in index order and, for each
+    member, the pivot mask of one ``rref`` of its leading layers taken as the
+    columns n, n-1, ..., 1 (a prefix of them is independent iff it is all
+    pivots), both read-only arrays."""
+    n, q = len(bounds), fld.q
+    what = "unipotent family solve"
+    total_k = sum(bounds)
+    c = bounds.index(max(bounds))
+    budget = EnumerationBudget(max_items=max_items)
+    # the choices of the other columns, then the members of their zero choice
+    # alone: there det V = V[c][c], which must be 1, and the other n - 1
+    # entries of column c are free
+    budget.check(q, [n * (total_k - bounds[c])], f"{what} (systems)")
+    budget.check(q, [(n - 1) * bounds[c]], f"{what} (members)")
+    width = n * total_k
+    if width * (q.bit_length() - 1) >= 63 or q**width >= 1 << 63:
+        raise BudgetExceeded(f"{what}: member indices up to {q}^{width} exceed the 64-bit index")
     tbl = tables(fld)
-    found = []
-    for lo in range(0, total, _LEAF_CHUNK):
-        idx = np.arange(lo, min(lo + _LEAF_CHUNK, total), dtype=np.intp)
-        d = _minors(tbl, _family_entries(fld, bounds, idx), len(idx))[tuple(range(n))]
-        found.append(idx[(d[1:] == 0).all(axis=0) & (d[0] != 0)])
+    neg = tbl[2]
+    lo = n * sum(bounds[:c])  # index digits of the columns before c
+    unk = n * bounds[c]  # v_icd is unknown (d - 1) n + i, index digit lo + (d - 1) n + i
+    weights = q ** np.arange(lo, lo + unk, dtype=np.int64)
+    outer = q ** (n * (total_k - bounds[c]))
+    chunk = max(1, _LEAF_CHUNK // max(1, total_k * (unk + 1)))
+    found, count = [], 0
+    for start in range(0, outer, chunk):
+        o = np.arange(start, min(start + chunk, outer), dtype=np.int64)
+        size = len(o)
+        # the choice's digits around the zero digits of column c
+        idx = o % q**lo + o // q**lo * q ** (lo + unk)
+        entries = _family_entries(fld, bounds, idx)
+        minors = _minors(tbl, [[row[j] for row in entries] for j in range(n) if j != c], size)
+        system = np.zeros((size, total_k, unk + 1), dtype=neg.dtype)
+        for i in range(n):
+            cof = minors[tuple(range(i)) + tuple(range(i + 1, n))]
+            cof = neg[cof] if (i + c) % 2 else cof
+            if i == c:
+                system[:, : len(cof) - 1, unk] = neg[cof[1:]].T
+            for d in range(1, bounds[c] + 1):
+                system[:, d - 1 : d - 1 + len(cof), (d - 1) * n + i] = cof.T
+        reduced, ranks, pivots = rref(system, unk, fld)
+        ok = ~((reduced[:, :, unk] != 0) & (np.arange(total_k) >= ranks[:, None])).any(axis=1)
+        count += sum(m * q**e for e, m in enumerate(np.bincount(unk - ranks[ok]).tolist()))
+        if count > max_items:
+            raise BudgetExceeded(f"{what}: {count} members exceed budget {max_items}")
+        for points, owner in _solutions(tbl, reduced[ok], ranks[ok], pivots[ok]):
+            found.append(idx[ok][owner] + points.dot(weights))
     members = np.concatenate(found)
-    members.flags.writeable = False
-    return members
+    del found  # before the sort and the mask take their memory
+    members.sort(kind="stable")  # the default sort loads about 0.25 MB more of numpy
+    mask = np.concatenate([
+        rref(_leading_layers(fld, bounds, part)[:, ::-1].transpose(0, 2, 1), n, fld)[2]
+        for part in np.split(members, range(_LEAF_CHUNK, len(members), _LEAF_CHUNK))
+    ])
+    members.flags.writeable = mask.flags.writeable = False
+    return members, mask
 
 
-def _member_chunks(bounds: tuple, fld: GF, budget):
-    """The member indices, in batches of at most _LEAF_CHUNK."""
+def _members(bounds: tuple, fld: GF, budget):
+    """The cached ``(indices, pivots)`` of the family (see _p_members_cached)."""
     if any(b < 0 for b in bounds) or not bounds:
         raise InvalidParams(f"bad bounds {bounds}")
-    members = _p_members_cached(fld, bounds, _budget(budget).max_items)
-    return [members[lo : lo + _LEAF_CHUNK] for lo in range(0, len(members), _LEAF_CHUNK)]
+    return _p_members_cached(fld, bounds, _budget(budget).max_items)
 
 
 def p_members(bounds, q, budget=None):
@@ -435,11 +544,8 @@ def p_members(bounds, q, budget=None):
     bounds, in index order."""
     fld = _field(q)
     bounds = tuple(bounds)
-    return tuple(
-        _decode_p_member(fld, bounds, i)
-        for idx in _member_chunks(bounds, fld, budget)
-        for i in idx.tolist()
-    )
+    members, _ = _members(bounds, fld, budget)
+    return tuple(_decode_p_member(fld, bounds, i) for i in members.tolist())
 
 
 def _leading_layers(fld: GF, bounds, idx):
@@ -464,16 +570,13 @@ def count_P_bruteforce(bounds, q, budget=None) -> int:
     """
     fld = _field(q)
     bounds = tuple(bounds)
-    n = len(bounds)
-    count = 0
-    for idx in _member_chunks(bounds, fld, budget):
-        count += len(idx)
-        if sum(bounds) >= 1:
-            full = rref(_leading_layers(fld, bounds, idx), n, fld)[1] >= n
-            if full.any():
-                m = _decode_p_member(fld, bounds, int(idx[np.argmax(full)]))
-                raise AssertionError(f"independent leading layers in {m!r}")
-    return count
+    members, pivots = _members(bounds, fld, budget)
+    if sum(bounds) >= 1:
+        full = pivots.all(axis=1)
+        if full.any():
+            m = _decode_p_member(fld, bounds, int(members[np.argmax(full)]))
+            raise AssertionError(f"independent leading layers in {m!r}")
+    return len(members)
 
 
 def count_QR_bruteforce(kind: str, i: int, bounds, q, budget=None) -> int:
@@ -486,18 +589,12 @@ def count_QR_bruteforce(kind: str, i: int, bounds, q, budget=None) -> int:
     n = len(bounds)
     if not 1 <= i <= n:
         raise PreconditionViolation(f"index i = {i} outside [1, {n}]")
-    fld = _field(q)
-    count = 0
-    for idx in _member_chunks(bounds, fld, budget):
-        # the tail layers n, n-1, ..., i as the columns of one system: the
-        # first m columns are independent iff each of them is a pivot column
-        tail = _leading_layers(fld, bounds, idx)[:, i - 1 :][:, ::-1]
-        pivots = rref(tail.transpose(0, 2, 1), n - i + 1, fld)[2]
-        dependent = ~pivots.all(axis=1)
-        if kind == "Q":
-            dependent &= pivots[:, : n - i].all(axis=1)  # independent from column i+1 on
-        count += int(np.count_nonzero(dependent))
-    return count
+    _, pivots = _members(bounds, _field(q), budget)
+    # the layers n, n-1, ..., i are the first n - i + 1 columns of the mask
+    dependent = ~pivots[:, : n - i + 1].all(axis=1)
+    if kind == "Q":
+        dependent &= pivots[:, : n - i].all(axis=1)  # independent from column i+1 on
+    return int(np.count_nonzero(dependent))
 
 
 # -- canonical form enumeration ----------------------------------------------

@@ -103,10 +103,11 @@ def test_criterion_2_corollary_census_exact():
 
 
 def _bound_grid():
-    """(q, bounds): n <= 3 with sum(bounds) <= 4 over F_2 and F_3, <= 3 over F_4."""
-    for q, max_sum in ((2, 4), (3, 4), (4, 3)):
+    """(q, bounds): n <= 3 with sum(bounds) <= 5 over F_2 and F_3, <= 3 over
+    F_4 and F_5."""
+    for q, max_sum in ((2, 5), (3, 5), (4, 3), (5, 3)):
         for n in (1, 2, 3):
-            for bounds in product(range(5), repeat=n):
+            for bounds in product(range(6), repeat=n):
                 if sum(bounds) <= max_sum:
                     yield q, bounds
 
@@ -119,7 +120,8 @@ def test_criterion_3_lemma2_exact():
         ok = ok and brute == p_count_formula(bounds, q) == p_count_recursive(bounds, q)
         checked += 1
     ok = ok and count_P_bruteforce((1, 1), 2) == 4  # hand anchor: tr A = det A = 0
-    _report(3, ok, f"{checked} bound vectors, zero tolerance")
+    grid = "n <= 3, sum <= 5 (<= 3 over F_4 and F_5)"
+    _report(3, ok, f"{checked} bound vectors with {grid}, zero tolerance")
 
 
 def test_criterion_4_recursion_identities_exact():

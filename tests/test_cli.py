@@ -185,6 +185,20 @@ def test_huge_scans_are_refused_at_once(capsys, argv):
     assert "^" in err and "exceed" in err
 
 
+def test_lemma2_solves_past_the_candidate_count(capsys):
+    # 5^12 candidates, but one system in the 12 coefficients of the last column
+    code, out, _ = run(capsys, "lemma2", "--bounds", "0,0,4", "--q", "5")
+    payload = json.loads(out)
+    assert code == 0 and payload["all_match"]
+    assert payload["bruteforce"] == payload["formula"] == str(5**8)
+
+
+def test_lemma2_refuses_the_choices_of_the_other_columns(capsys):
+    code, out, err = run(capsys, "lemma2", "--bounds", "1,1,1,1", "--q", "5")
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "5^12 items exceed" in err
+
+
 def test_python_dash_m_runs_the_cli():
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))

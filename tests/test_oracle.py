@@ -1,6 +1,7 @@
 """Ground-truth enumeration checks: the oracles against hand values, the
 formulas, and each other."""
 
+import re
 import time
 from collections import Counter
 from functools import lru_cache
@@ -31,6 +32,7 @@ from orbitcount.linalg import iter_affine_space, rank, solve_affine
 from orbitcount.oracle import (
     EnumerationBudget,
     _decode_p_member,
+    _family_entries,
     _free_positions,
     census_by_det_degree,
     count_orbit_bruteforce,
@@ -46,7 +48,8 @@ from orbitcount.oracle import (
     verify_grid,
 )
 from orbitcount.poly import NEG_INF, Poly
-from orbitcount.polymat import PolyMatrix, det, hnf, is_canonical_hnf
+from orbitcount.polymat import PolyMatrix, _minors, det, hnf, is_canonical_hnf
+from test_acceptance import _bound_grid
 from test_polymat import _det_cofactor  # the kernel-free determinant reference
 
 F2 = field_of_order(2)
@@ -717,6 +720,50 @@ def test_p_members_match_per_member_reference(monkeypatch, q, chunk):
         assert len(members) == p_count_formula(bounds, q)
 
 
+def reference_p_scan(fld, bounds):
+    """The full candidate scan the column solve replaced: the determinant of
+    every candidate with constant term I, in batches of 2^16, keeping the
+    indices whose determinant is a nonzero constant."""
+    n, chunk = len(bounds), 1 << 16
+    total = fld.q ** (n * sum(bounds))
+    tbl = tables(fld)
+    found = []
+    for lo in range(0, total, chunk):
+        idx = np.arange(lo, min(lo + chunk, total), dtype=np.intp)
+        d = _minors(tbl, _family_entries(fld, bounds, idx), len(idx))[tuple(range(n))]
+        found.append(idx[(d[1:] == 0).all(axis=0) & (d[0] != 0)])
+    return np.concatenate(found)
+
+
+def assert_solve_matches_scan(fld, bounds):
+    members, pivots = oracle._p_members_cached(fld, bounds, oracle.DEFAULT_MAX_ITEMS)
+    want = reference_p_scan(fld, bounds)
+    assert members.dtype == want.dtype and np.array_equal(members, want)
+    assert pivots.shape == (len(members), len(bounds)) and not members.flags.writeable
+
+
+@pytest.mark.parametrize("chunk", [oracle._LEAF_CHUNK, 7])
+@pytest.mark.parametrize("q", sorted(P_DIFFERENTIAL_BOUNDS))
+def test_column_solve_matches_full_scan(monkeypatch, q, chunk):
+    monkeypatch.setattr(oracle, "_LEAF_CHUNK", chunk)
+    oracle._p_members_cached.cache_clear()
+    for bounds in P_DIFFERENTIAL_BOUNDS[q]:
+        assert_solve_matches_scan(field_of_order(q), bounds)
+    oracle._p_members_cached.cache_clear()
+
+
+def test_column_solve_matches_full_scan_on_the_criterion_grid():
+    """Every bound vector of criteria 3 and 4 whose candidates the full scan
+    walks in well under a second (q^(n sum) <= 3^12: all of the grid but
+    n = 3 over F_3 with sum 5 and over F_5 with sum 3)."""
+    checked = 0
+    for q, bounds in _bound_grid():
+        if q ** (len(bounds) * sum(bounds)) <= 3**12:
+            assert_solve_matches_scan(field_of_order(q), bounds)
+            checked += 1
+    assert checked == 203
+
+
 def reference_leading_layers(m, bounds):
     return [m.coeff_layer(j, kj) for j, kj in enumerate(bounds)]
 
@@ -767,9 +814,44 @@ def test_count_P_asserts_dependent_leading_layers(monkeypatch):
     def identity_layers(fld, bounds, idx):
         return np.tile(np.eye(len(bounds), dtype=np.intp), (len(idx), 1, 1))
 
+    oracle._p_members_cached.cache_clear()
     monkeypatch.setattr(oracle, "_leading_layers", identity_layers)
     with pytest.raises(AssertionError, match="independent leading layers"):
         count_P_bruteforce((1, 1), 2)
+    oracle._p_members_cached.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "bounds, q, shown",
+    [
+        ((1, 1, 1, 1), 5, "5^12 items"),  # the choices of the other columns
+        ((0, 0, 30), 2, "2^60 items"),  # the members of their zero choice
+        ((40,), 3, "3^40 exceed the 64-bit index"),
+    ],
+)
+def test_refused_solve_computes_nothing(monkeypatch, bounds, q, shown):
+    def fail(*args):
+        raise AssertionError("computed before the budget refused the solve")
+
+    oracle._p_members_cached.cache_clear()
+    monkeypatch.setattr(oracle, "_minors", fail)
+    monkeypatch.setattr(oracle, "rref", fail)
+    with pytest.raises(BudgetExceeded, match=re.escape(shown)):
+        count_P_bruteforce(bounds, q)
+
+
+def test_solve_refuses_its_members_before_expanding_them(monkeypatch):
+    # (2, 1) over F_2: the 2^2 choices of the second column and the 2^2
+    # members of its zero choice fit a budget of 5, the 2^3 members do not
+    def fail(*args):
+        raise AssertionError("expanded members past the budget")
+
+    oracle._p_members_cached.cache_clear()
+    monkeypatch.setattr(oracle, "_span_points", fail)
+    with pytest.raises(BudgetExceeded, match="8 members exceed budget 5"):
+        count_P_bruteforce((2, 1), 2, EnumerationBudget(5))
+    monkeypatch.undo()
+    assert count_P_bruteforce((2, 1), 2, EnumerationBudget(8)) == 8
 
 
 def test_p_members_structure():
