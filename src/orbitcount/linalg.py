@@ -2,9 +2,11 @@
 
 Vectors are lists of integer-coded field elements.  One Gauss-Jordan kernel
 (``rref``) reduces a whole batch of systems at once in numpy, through the
-field's tables widened to intp for flat ``x * q + y`` lookups; ``rank``,
-``solve_affine`` and the constant inverse of the conjugation move pass it a
-batch of one, and the orbit-side counters pass it a whole count at once.
+field's tables widened to intp for flat ``x * q + y`` lookups; one codec
+(``consistent``, ``affine_solutions``, ``solution_count``) reads a reduced
+batch back as affine spaces.  ``rank``, ``solve_affine`` and the constant
+inverse of the conjugation move run on a batch of one, the orbit-side
+counters on a whole count at once.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from itertools import product
 
 import numpy as np
 
+from .errors import ShapeMismatch
 from .fields import GF, tables
 
 
@@ -72,25 +75,43 @@ def rank(rows, field: GF) -> int:
     return int(rref([rows], len(rows[0]), field)[1][0]) if rows else 0
 
 
-def affine_solutions(reduced, r: int, pivots, field: GF):
-    """Solve A x = b for every right-hand side b of one system [A | B] from
-    its entry in a ``rref`` batch: the reduced rows, the rank ``r`` and the
-    pivot mask over the columns of A.
+def consistent(reduced, ranks, ncols: int):
+    """Which systems [A | B] of a ``rref`` batch (A has ``ncols`` columns)
+    are solvable for every right-hand side: no row past the rank is nonzero."""
+    past = np.arange(reduced.shape[1]) >= ranks[:, None]
+    return ~(past & reduced[:, :, ncols:].any(axis=2)).any(axis=1)
 
-    Returns ``(particulars, basis)`` as arrays (m, ncols) and (nb, ncols),
-    ``basis`` spanning the nullspace of A, or ``None`` when any of the m
-    systems is inconsistent.
-    """
-    ncols = len(pivots)
-    if reduced[r:, ncols:].any():
-        return None
-    pcols, free = np.flatnonzero(pivots), np.flatnonzero(~pivots)
-    particulars = np.zeros((reduced.shape[1] - ncols, ncols), dtype=np.intp)
-    particulars[:, pcols] = reduced[:r, ncols:].T
-    basis = np.zeros((free.size, ncols), dtype=np.intp)
-    basis[np.arange(free.size), free] = 1
-    basis[:, pcols] = tables(field)[2][reduced[:r][:, free]].T
-    return particulars, basis
+
+def affine_solutions(reduced, ranks, pivots, field: GF):
+    """The affine solution spaces of the systems [A | B] of a ``rref`` batch
+    (reduced rows, ranks, pivot masks on A): ``(particulars, basis, free)``,
+    arrays (L, m, ncols) with a solution for each of the m right-hand sides
+    (where ``consistent``), (L, F, ncols) whose first free[l] rows span the
+    nullspace of A (row f is 1 on the f-th free column), and the nullities."""
+    neg = tables(field)[2]
+    size, nrows, width = reduced.shape
+    ncols = pivots.shape[1]
+    m = min(nrows, ncols)
+    free = ncols - ranks
+    # pivot columns first, then the free ones, each in increasing order
+    order = np.argsort((~pivots).astype(np.intp), axis=1, kind="stable")
+    at = np.arange(size)
+    rows = reduced[:, :m]
+    # rows past the rank are zero, the right-hand sides of a consistent one too
+    particulars = np.zeros((size, ncols, width - ncols), dtype=reduced.dtype)
+    particulars[at[:, None], order[:, :m]] = rows[:, :, ncols:]
+    basis = np.zeros((size, free.max(initial=0), ncols), dtype=reduced.dtype)
+    for k in range(basis.shape[1]):
+        f = order[at, np.minimum(ranks + k, ncols - 1)]
+        # free column f set to 1 moves pivot column order[r] by -reduced[r, f]
+        basis[at[:, None], k, order[:, :m]] = neg[rows[at, :, f]]
+        basis[at, k, f] = 1
+    return particulars.transpose(0, 2, 1), basis, free
+
+
+def solution_count(q: int, free) -> int:
+    """The exact sum of q^f over an array of nullities free."""
+    return sum(c * q**f for f, c in enumerate(np.bincount(free, minlength=1).tolist()))
 
 
 def solve_affine(a_rows, b, field: GF, ncols: int | None = None):
@@ -98,19 +119,18 @@ def solve_affine(a_rows, b, field: GF, ncols: int | None = None):
 
     Returns ``(particular, basis)`` where ``basis`` spans the nullspace of A,
     or ``None`` when the system is inconsistent.  ``ncols`` must be given when
-    the system can be empty (no constraint rows).
+    the system can be empty (no constraint rows).  A b of another length than
+    A, or a row of another length than ncols, raises ShapeMismatch.
     """
     n = ncols if ncols is not None else (len(a_rows[0]) if a_rows else 0)
-    aug = np.zeros((1, len(b), n + 1), dtype=np.intp)
-    for row, r, bv in zip(aug[0], a_rows, b):
-        row[:n] = r
-        row[n] = bv
-    reduced, r, pivots = rref(aug, n, field)
-    sol = affine_solutions(reduced[0], int(r[0]), pivots[0], field)
-    if sol is None:
+    if len(b) != len(a_rows) or any(len(row) != n for row in a_rows):
+        raise ShapeMismatch(f"A x = b needs len(b) = {len(a_rows)} and rows of length {n}")
+    aug = np.array([[*row, v] for row, v in zip(a_rows, b)], dtype=np.intp)
+    reduced, ranks, pivots = rref(aug.reshape(1, len(b), n + 1), n, field)
+    if not consistent(reduced, ranks, n)[0]:
         return None
-    particulars, basis = sol
-    return particulars[0].tolist(), basis.tolist()
+    particulars, basis, _ = affine_solutions(reduced, ranks, pivots, field)
+    return particulars[0, 0].tolist(), basis[0].tolist()
 
 
 def iter_affine_space(particular, basis, field: GF):

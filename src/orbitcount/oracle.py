@@ -9,20 +9,15 @@ whose counts do not depend on the order of the walk.  They finish the last
 columns of many prefixes in one numpy batch: each matrix's canonical form
 is packed into one int64 key, the keys are counted with ``np.unique``, and
 only the distinct ones are decoded, so no Python runs per matrix.  The
-unipotent family of Lemma 2 is solved, not scanned: det V is affine in the
-coefficients of the column with the largest bound, so only the other
-columns are enumerated, and each choice's members are the solutions of one
-affine system.  The ambient scans, the unipotent-family solve and the
-orbit-side member counter compute over F_q[x] in numpy batches through
-``polymat``'s multiply-accumulate kernel (``_mac``) on the field's tables
-(``fields.tables``: the add/mul/neg/inv tables every ``GF`` computes with, as
-arrays of the narrowest unsigned dtype that holds q), for every field and
-every n, and take every determinant and cofactor from the one minor
-expansion that ``det`` also runs, ``polymat._minors``.  Their linear algebra
-(the unipotent-family systems and the leading-layer pivots of its members,
-and the row spaces and last-row systems of ``count_orbit_members``) runs
-whole batches through the one elimination kernel, ``linalg.rref``; the
-budget is checked on exponents, so no refused cost is ever computed.
+unipotent family of Lemma 2 and the orbit-side member counter are solved,
+not scanned, by one line solve (``_line_systems``): det V is affine in one
+line of V, so only the other lines are enumerated, and each choice's
+completions are the solutions of one affine system.  All of these compute
+over F_q[x] in numpy batches on the field's tables (``fields.tables``),
+take every determinant and cofactor from ``polymat._minors``, and reduce
+every batch of systems with ``linalg.rref``, read back by the codec of
+``linalg``; the budget is checked on exponents, so no refused cost is ever
+computed.
 """
 
 from __future__ import annotations
@@ -43,10 +38,10 @@ from .errors import (
     SingularMatrix,
 )
 from .fields import GF, digits, field_of_order, tables
-from .linalg import affine_solutions, rref
-# oracle calls none of these four itself; the traced benchmark run
-# (perfbench/layers.py) patches each of them under this module's name as
-# well, so the names stay importable from here
+from .linalg import affine_solutions, consistent, rref, solution_count
+# oracle calls none of these three itself (nor det); the traced benchmark
+# run (perfbench/layers.py) patches each under this module's name as well,
+# so the names stay importable from here
 from .linalg import iter_affine_space, rank, solve_affine
 from .poly import NEG_INF, Poly
 from .polymat import PolyMatrix, _mac, _minors, det, hnf
@@ -376,20 +371,50 @@ def census_by_det_degree(n: int, q, k: int, budget=None) -> DetDegreeCensus:
     return DetDegreeCensus(n, fld.q, k, buckets, singular)
 
 
+# -- determinants affine in one line -----------------------------------------
+#
+# det V is linear in any one line c of V (a row, or a column): det V is the
+# sum over j of V_cj C_j, C_j being (-1)^(c+j) times the minor of the other
+# lines on the columns other than j.  So when line c is base + sum_b x_b
+# directions[b], with constant base and directions, det V is constant iff
+# the coefficients of degree >= 1 of sum_b x_b directions[b]·C equal those
+# of -base·C: one affine system in the x_b per choice of the other lines.
+
+
+def _line_systems(fld: GF, lines, c: int, base, directions, size: int):
+    """The systems of a batch of size matrices whose line c is base + sum_b
+    x_b directions[b], reduced by one ``rref``: ``(reduced, ranks, pivots,
+    ok)``, ok marking the consistent ones.  lines are the other n - 1 lines,
+    each n coefficient lists as in polymat._mac; base is an array (n, E) of
+    coefficients, and directions an array (nb, n, E)."""
+    add, mul, neg, _ = tbl = tables(fld)
+    n, nb = len(lines) + 1, len(directions)
+    minors = _minors(tbl, lines, size)
+    cofs = [minors[tuple(range(j)) + tuple(range(j + 1, n))] for j in range(n)]
+    cofs = [neg[m] if (c + j) % 2 else m for j, m in enumerate(cofs)]
+    # g[b] holds the coefficients of directions[b]·C, and g[nb] those of
+    # -base·C: a sum of cofactors, each scaled and shifted by one nonzero
+    # coefficient (b, j, e) of the vectors; the first of each b is written
+    vecs = np.concatenate([directions, neg[base][None]])
+    g = np.zeros((nb + 1, base.shape[1] - 1 + max(map(len, cofs)), size), dtype=add.dtype)
+    last = None
+    for b, j, e, a in zip(*(x.tolist() for x in (*np.nonzero(vecs), vecs[vecs != 0]))):
+        term = cofs[j] if a == 1 else mul[a][cofs[j]]
+        at = slice(e, e + len(term))
+        g[b, at] = add[g[b, at], term] if b == last else term
+        last = b
+    reduced, ranks, pivots = rref(g[:, 1:].transpose(2, 1, 0), nb, fld)
+    return reduced, ranks, pivots, consistent(reduced, ranks, nb)
+
+
 # -- the unipotent-at-zero family (constant term I) --------------------------
 #
 # Member idx of the family is the matrix whose free coefficients are the
-# base-q digits of idx in _free_positions order.  det V is linear in any one
-# column, so the members come from a solve in the column c with the largest
-# bound: det V = C_c + sum over i and d = 1..k_c of v_icd x^d C_i, with C_i
-# the cofactors along c, and V(0) = I makes C_c(0) = 1, so det V is constant
-# iff every coefficient of degree 1..sum(bounds) of that sum vanishes, an
-# affine system in the n k_c coefficients v_icd.  The other columns are
-# enumerated in batches; their cofactors come from one _minors call on them
-# as rows (the transpose), every system of a batch is reduced by one rref,
-# and each consistent system's solutions (particular + span) become member
-# indices.  The budget is checked on the systems and on the members, not on
-# the q^(n sum(bounds)) candidates, whose indices need only fit in an int64.
+# base-q digits of idx in _free_positions order.  The members are solved for
+# in the column c with the largest bound (a line solve, see above), and each
+# consistent system's solutions become member indices.  The budget is
+# checked on the systems and on the members, not on the q^(n sum(bounds))
+# candidates, whose indices need only fit in an int64.
 
 
 def _free_positions(n: int, bounds):
@@ -437,35 +462,20 @@ def _span_points(tbl, base, basis, free):
     return points, owner
 
 
-def _solutions(tbl, reduced, ranks, pivots):
-    """The solutions of consistent reduced systems (rows of ``rref``, the
-    right-hand side in the last column), in pieces of about _LEAF_CHUNK:
-    ``(points, owner)`` as in _span_points.  Each space's last directions are
-    spread first, so that no piece holds much more than _LEAF_CHUNK points."""
-    q, neg = len(tbl[0]), tbl[2]
-    size, nrows, width = reduced.shape
-    unk = width - 1
-    m = min(nrows, unk)
-    # pivot columns first, then the free ones, each in increasing order
-    order = np.argsort((~pivots).astype(np.intp), axis=1, kind="stable")
-    rows = reduced[:, :m].astype(tbl[0].dtype)
-    at = np.arange(size)
-    base = np.zeros((size, unk), dtype=rows.dtype)
-    # rows past the rank are zero, the right-hand side included
-    base[at[:, None], order[:, :m]] = rows[:, :, unk]
-    free = unk - ranks
-    basis = np.zeros((size, free.max(initial=0), unk), dtype=rows.dtype)
-    for k in range(basis.shape[1]):
-        f = order[at, np.minimum(ranks + k, unk - 1)]
-        # free column f set to 1 moves pivot column order[r] by -reduced[r, f]
-        basis[at[:, None], k, order[:, :m]] = neg[rows[at, :, f]]
-        basis[at, k, f] = 1
+def _solutions(fld: GF, reduced, ranks, pivots):
+    """The solutions of consistent reduced systems with one right-hand side
+    (``rref`` output), in pieces of about _LEAF_CHUNK: ``(points, owner)`` as
+    in _span_points.  Each space's last directions are spread first, so that
+    no piece holds much more than _LEAF_CHUNK points."""
+    tbl = tables(fld)
+    particulars, basis, free = affine_solutions(reduced, ranks, pivots, fld)
+    base, basis = particulars[:, 0].astype(tbl[0].dtype), basis.astype(tbl[0].dtype)
     g = 0  # directions spread per piece: q^g <= _LEAF_CHUNK
-    while q ** (g + 1) <= _LEAF_CHUNK:
+    while fld.q ** (g + 1) <= _LEAF_CHUNK:
         g += 1
     heads, first = _span_points(tbl, base, basis[:, g:], np.maximum(free - g, 0))
     low = np.minimum(free, g)[first]
-    ends = np.cumsum(q**low)
+    ends = np.cumsum(fld.q**low)
     for piece in np.split(np.arange(len(heads)), np.flatnonzero(np.diff(ends // _LEAF_CHUNK)) + 1):
         points, owner = _span_points(tbl, heads[piece], basis[first[piece], :g], low[piece])
         yield points, first[piece][owner]
@@ -491,35 +501,27 @@ def _p_members_cached(fld: GF, bounds: tuple, max_items: int):
     width = n * total_k
     if width * (q.bit_length() - 1) >= 63 or q**width >= 1 << 63:
         raise BudgetExceeded(f"{what}: member indices up to {q}^{width} exceed the 64-bit index")
-    tbl = tables(fld)
-    neg = tbl[2]
     lo = n * sum(bounds[:c])  # index digits of the columns before c
     unk = n * bounds[c]  # v_icd is unknown (d - 1) n + i, index digit lo + (d - 1) n + i
+    # column c is e_c plus v_icd times x^d e_i: rows c and n + (d - 1) n + i
+    # of an identity, read as coefficient layers (k_c + 1, n)
+    unit = np.eye(n * (bounds[c] + 1), dtype=np.intp).reshape(-1, bounds[c] + 1, n)
+    base, directions = unit[c].T, unit[n:].transpose(0, 2, 1)
     weights = q ** np.arange(lo, lo + unk, dtype=np.int64)
     outer = q ** (n * (total_k - bounds[c]))
     chunk = max(1, _LEAF_CHUNK // max(1, total_k * (unk + 1)))
     found, count = [], 0
     for start in range(0, outer, chunk):
         o = np.arange(start, min(start + chunk, outer), dtype=np.int64)
-        size = len(o)
         # the choice's digits around the zero digits of column c
         idx = o % q**lo + o // q**lo * q ** (lo + unk)
         entries = _family_entries(fld, bounds, idx)
-        minors = _minors(tbl, [[row[j] for row in entries] for j in range(n) if j != c], size)
-        system = np.zeros((size, total_k, unk + 1), dtype=neg.dtype)
-        for i in range(n):
-            cof = minors[tuple(range(i)) + tuple(range(i + 1, n))]
-            cof = neg[cof] if (i + c) % 2 else cof
-            if i == c:
-                system[:, : len(cof) - 1, unk] = neg[cof[1:]].T
-            for d in range(1, bounds[c] + 1):
-                system[:, d - 1 : d - 1 + len(cof), (d - 1) * n + i] = cof.T
-        reduced, ranks, pivots = rref(system, unk, fld)
-        ok = ~((reduced[:, :, unk] != 0) & (np.arange(total_k) >= ranks[:, None])).any(axis=1)
-        count += sum(m * q**e for e, m in enumerate(np.bincount(unk - ranks[ok]).tolist()))
+        lines = [[row[j] for row in entries] for j in range(n) if j != c]
+        reduced, ranks, pivots, ok = _line_systems(fld, lines, c, base, directions, len(o))
+        count += solution_count(q, unk - ranks[ok])
         if count > max_items:
             raise BudgetExceeded(f"{what}: {count} members exceed budget {max_items}")
-        for points, owner in _solutions(tbl, reduced[ok], ranks[ok], pivots[ok]):
+        for points, owner in _solutions(fld, reduced[ok], ranks[ok], pivots[ok]):
             found.append(idx[ok][owner] + points.dot(weights))
     members = np.concatenate(found)
     del found  # before the sort and the mask take their memory
@@ -602,8 +604,10 @@ def count_QR_bruteforce(kind: str, i: int, bounds, q, budget=None) -> int:
 
 def _hnf_rep_rows(fld: GF, n: int, t: int, budget, entry):
     """The rows of every canonical form with determinant degree t, each
-    entry given as ``entry(coefficients)``.  The budget is checked on the
-    call, before the first form."""
+    entry given as ``entry(coefficients)``.  Bad n or t and the budget are
+    checked on the call, before the first form."""
+    if n < 1 or t < 0:
+        raise InvalidParams(f"canonical forms need n >= 1 and t >= 0, got n = {n}, t = {t}")
     _budget(budget).check(
         fld.q,
         (sum((j + 1) * tj for j, tj in enumerate(parts)) for parts in _compositions(t, n)),
@@ -705,14 +709,10 @@ def count_orbit_members(rep: PolyMatrix, k: int, budget=None) -> int:
     by its (invertible) constant term reduces to counting unimodular V with
     V(0) = I and V*H of entry degree <= k.  The rows of V range over affine
     F_q-spaces v_i = p_i + span(B) with one nullspace B for every row, solved
-    as one system with n right-hand sides.  For fixed first n-1 rows,
-    det V = sum_j v_last[j] C_j is affine-linear in the last row, so the last
-    row is counted by linear algebra instead of enumeration: q^(nb - rank)
-    solutions when consistent.  A 1x1 orbit {c·h : c in F_q^*} is counted
-    at once.  The outer choices (the first n-1 rows) are decoded as digit
-    arrays in batches; their n cofactors C_j (one ``polymat._minors`` call
-    on those rows), the last-row systems and the ranks of all those systems
-    (``linalg.rref``) are computed at once through the field tables.
+    as one system with n right-hand sides.  The choices of the first n-1
+    rows are enumerated in batches, and the last row is counted by a line
+    solve (see _line_systems): q^(nb - rank) solutions per consistent
+    system.  A 1x1 orbit {c·h : c in F_q^*} is counted at once.
     Cross-checked against the ambient scan and the per-choice reference in
     the test suite.
     """
@@ -727,7 +727,6 @@ def count_orbit_members(rep: PolyMatrix, k: int, budget=None) -> int:
     if n == 1:
         # the orbit of [h] is {c·h : c in F_q^*}
         return (q - 1) * (H.entries[0][0].degree <= k)
-    add, mul, neg, _ = tbl = tables(fld)
     nunk = n * k  # coefficients v_j[d] at column j * k + d - 1, d = 1..k
 
     # coefficient dp > k of column c of v_i H vanishes: A v_i = b_i
@@ -742,24 +741,22 @@ def count_orbit_members(rep: PolyMatrix, k: int, budget=None) -> int:
             )
     system = np.array(system, dtype=np.intp).reshape(1, -1, nunk + n)
     reduced, ranks, pivots = rref(system, nunk, fld)
-    solutions = affine_solutions(reduced[0], int(ranks[0]), pivots[0], fld)
-    if solutions is None:
+    if not consistent(reduced, ranks, nunk)[0]:
         return 0  # some row of V*H cannot have entry degree <= k
-    particulars, basis = solutions
+    (particulars,), (basis,), _ = affine_solutions(reduced, ranks, pivots, fld)
     nb = len(basis)
     budget.check(q, [nb * (n - 1)], "orbit member enumeration")
 
-    def row_entries(i, coeffs):
-        """Row i of V from its free coefficients (ints or arrays (L,))."""
-        return [[int(i == j)] + coeffs[j * k : (j + 1) * k] for j in range(n)]
-
-    last = row_entries(n - 1, particulars[-1].tolist())
-    # basis directions of the last row have a zero constant layer
-    directions = [[[0] + e[1:] for e in row_entries(n - 1, b)] for b in basis.tolist()]
+    # the last row as coefficient arrays (n, k + 1): e_(n-1) plus its
+    # particular, then its directions, whose constant layer is zero
+    line = np.zeros((nb + 1, n, k + 1), dtype=np.intp)
+    line[:, :, 1:] = np.concatenate([particulars[-1:], basis]).reshape(nb + 1, n, k)
+    line[0, n - 1, 0] = 1
     # a last-row system has at most n k rows (degrees 1..deg det V): keep the
     # batch of them, an array (L, <= n k, nb + 1), to about _LEAF_CHUNK entries
     chunk = max(1, _LEAF_CHUNK // (max(nunk, 1) * (nb + 1)))
     outer = q ** (nb * (n - 1))
+    add, mul = tables(fld)[:2]
     total = 0
     for lo in range(0, outer, chunk):
         idx = np.arange(lo, min(lo + chunk, outer), dtype=np.intp)
@@ -770,27 +767,7 @@ def count_orbit_members(rep: PolyMatrix, k: int, budget=None) -> int:
             v = np.repeat(particulars[i][:, None], size, axis=1)
             for b, xb in zip(basis, x[i * nb : (i + 1) * nb]):
                 v = add[v, mul[b[:, None], xb]]
-            rows.append(row_entries(i, list(v)))
-        # C_j with det V = sum_j v_last[j] C_j, signs folded in: the minors
-        # of the first n - 1 rows on the columns other than j
-        minors = _minors(tbl, rows, size)
-        cofs = []
-        for j in range(n):
-            c = minors[tuple(range(j)) + tuple(range(j + 1, n))]
-            cofs.append(neg[c] if (n - 1 + j) % 2 else c)
-        depth = k + max(len(c) for c in cofs)
-        base = np.zeros((depth, size), dtype=np.intp)
-        g = np.zeros((nb, depth, size), dtype=np.intp)
-        for j, c in enumerate(cofs):
-            _mac(tbl, base, last[j], c)
-            for gb, dirn in zip(g, directions):
-                _mac(tbl, gb, dirn[j], c)
-        # the coefficients of degree >= 1 of base + sum_b x_b g_b vanish
-        last_rows = np.concatenate(
-            [g[:, 1:].transpose(2, 1, 0), neg[base[1:]].T[:, :, None]], axis=2
-        )
-        reduced, ranks, _ = rref(last_rows, nb, fld)
-        inconsistent = (reduced[:, :, nb] != 0) & (np.arange(depth - 1) >= ranks[:, None])
-        free = (nb - ranks)[~inconsistent.any(axis=1)]
-        total += sum(c * q**e for e, c in enumerate(np.bincount(free, minlength=1).tolist()))
+            rows.append([[int(i == j), *v[j * k : (j + 1) * k]] for j in range(n)])
+        _, ranks, _, ok = _line_systems(fld, rows, n - 1, line[0], line[1:], size)
+        total += solution_count(q, (nb - ranks)[ok])
     return gl_count(n, q) * total

@@ -564,6 +564,15 @@ def test_enumerate_hnf_reps_counts():
         assert len(keys) == len(reps)
 
 
+@pytest.mark.parametrize("walk", [enumerate_hnf_reps, iter_hnf_rep_keys])
+@pytest.mark.parametrize("n, t", [(0, 2), (0, 0), (-1, 1), (2, -1), (1, -3)])
+def test_canonical_form_walk_refuses_bad_n_and_t(walk, n, t):
+    # refused before the budget check: no RecursionError for n < 1, and no
+    # silently empty walk for t < 0 (c_nt raises there too)
+    with pytest.raises(InvalidParams, match="n >= 1 and t >= 0"):
+        walk(n, 2, t, EnumerationBudget(1))
+
+
 def reference_enumerate_hnf_reps(n, q, t):
     """The earlier walk over hand-built choice lists with a position counter,
     kept as the order-exact reference for enumerate_hnf_reps; it yields
