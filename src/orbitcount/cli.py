@@ -51,7 +51,10 @@ def emit(report: dict, fmt: str, out: str | None):
 
 
 def _parse_bounds(text: str):
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise InvalidParams(f"--bounds {text!r} is not k_1,...,k_n") from None
 
 
 def _load_matrix(path: str) -> PolyMatrix:

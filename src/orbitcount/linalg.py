@@ -30,43 +30,43 @@ def rref(systems, ncols: int, field: GF):
     rows from ``rank[l]`` on are zero on the first ``ncols`` columns; the
     rank of each system, an array (L,); and a boolean array (L, ncols) that
     marks each system's pivot columns.
+
+    The batch is held column-major, as (C, R, L), so that each column step
+    reads and writes contiguous (R, L) blocks.  Every column steps every
+    system: one with no pivot in the column gets factor 0 and scale 1, which
+    leaves it unchanged, so no live subset is gathered or scattered.
     """
     add, mul, neg, inv = (t.astype(np.intp) for t in tables(field))  # x * q + y needs intp
     q = len(neg)
     add, mul = add.ravel(), mul.ravel()  # table[x * q + y] is one take per lookup
-    a = np.array(systems, dtype=np.intp)
-    size, nrows, _ = a.shape
-    used = np.zeros((size, nrows), dtype=bool)  # rows that hold a pivot
-    pivot_of = np.full((size, nrows), ncols)  # the pivot column of each used row
+    a = np.array(np.asarray(systems).transpose(2, 1, 0), dtype=np.intp, order="C")
+    _, nrows, size = a.shape
+    at = np.arange(size)
+    used = np.zeros((nrows, size), dtype=bool)  # rows that hold a pivot
+    pivot_of = np.full((nrows, size), ncols)  # the pivot column of each used row
     for c in range(ncols):
-        if used.all():
-            break
-        live = (a[:, :, c] != 0) & ~used
-        sel = np.flatnonzero(live.any(axis=1))
-        if not sel.size:
+        live = (a[c] != 0) & ~used
+        has = live.any(axis=0)
+        if not has.any():
             continue
-        whole = sel.size == size
-        block = a if whole else a[sel]
-        p = np.argmax(live[sel], axis=1)
-        at = np.arange(sel.size)
+        p = np.argmax(live, axis=0)
         # the pivot row is zero left of column c, so only columns c.. change
-        row = block[at, p, c:]
-        row = mul.take(inv[row[:, 0]][:, None] * q + row)
-        factor = neg[block[:, :, c]]
-        factor[at, p] = 0
-        step = mul.take(factor[:, :, None] * q + row[:, None, :])
-        step += block[:, :, c:] * q
-        block[:, :, c:] = add.take(step)
-        block[at, p, c:] = row
-        if not whole:
-            a[sel] = block
-        used[sel, p] = True
-        pivot_of[sel, p] = c
+        row = a[c:, p, at]
+        scale = np.where(has, inv[row[0]], 1)
+        row = mul.take(scale * q + row)
+        factor = np.where(has, neg[a[c]], 0)
+        factor[p, at] = 0
+        step = mul.take(factor * q + row[:, None, :])
+        step += a[c:] * q
+        a[c:] = add.take(step)
+        a[c:, p, at] = row
+        used[p[has], at[has]] = True
+        pivot_of[p[has], at[has]] = c
     # pivot rows first, in pivot-column order; the stable sort keeps the rest
-    order = np.argsort(pivot_of, axis=1, kind="stable")
-    pivots = np.zeros((size, ncols + 1), dtype=bool)
-    pivots[np.arange(size)[:, None], pivot_of] = True
-    return np.take_along_axis(a, order[:, :, None], axis=1), used.sum(axis=1), pivots[:, :ncols]
+    order = np.argsort(pivot_of, axis=0, kind="stable")
+    pivots = np.zeros((ncols + 1, size), dtype=bool)
+    pivots[pivot_of, at] = True
+    return a[:, order, at].transpose(2, 1, 0), used.sum(axis=0), pivots[:ncols].T
 
 
 def rank(rows, field: GF) -> int:

@@ -212,14 +212,28 @@ def verify_count_preservation(
 ) -> MoveRecord:
     """Count the degree-bounded orbit members of both matrices exactly, on
     the orbit side, for each k and record whether the counts agree."""
+    return _count_preservation(before, after, k_range, budget, move, {})
+
+
+def _count_preservation(before, after, k_range, budget, move, counts) -> MoveRecord:
+    """verify_count_preservation with a table of the counts made so far.
+
+    A count depends only on the field, the canonical form and k, so counts
+    maps each (field, canonical-form key, k) to its count, and each key is
+    counted once for as long as the caller keeps the table.
+    """
     if det(before).is_zero() or det(after).is_zero():
         raise SingularMatrix("count preservation needs nonsingular matrices")
-    checked = []
-    for k in k_range:
-        cb = oracle.count_orbit_members(before, k, budget)
-        ca = oracle.count_orbit_members(after, k, budget)
-        checked.append((k, cb, ca))
-    return MoveRecord(before, after, move or {}, tuple(checked))
+
+    def count(m, form, k):
+        key = (m.field, form, k)
+        if key not in counts:
+            counts[key] = oracle.count_orbit_members(m, k, budget)
+        return counts[key]
+
+    fb, fa = hnf(before).h.key(), hnf(after).h.key()
+    checked = tuple((k, count(before, fb, k), count(after, fa, k)) for k in k_range)
+    return MoveRecord(before, after, move or {}, checked)
 
 
 # -- fixture battery ---------------------------------------------------------
@@ -262,13 +276,14 @@ def run_move_battery(fixtures, k_extra: int = 2, budget=None):
     if k_extra < 0:
         raise InvalidParams(f"k_extra must be >= 0, got {k_extra}")
     records = []
+    counts = {}  # one table per battery: see _count_preservation
     for m, l0 in fixtures:
         t = int(det(m).degree)
         ks = range(t, t + k_extra + 1)
         after = truncation_move(m, l0)
         records.append(
-            verify_count_preservation(
-                m, after, ks, budget, {"move": "truncation", "l0": l0}
+            _count_preservation(
+                m, after, ks, budget, {"move": "truncation", "l0": l0}, counts
             )
         )
         try:
@@ -276,8 +291,8 @@ def run_move_battery(fixtures, k_extra: int = 2, budget=None):
         except DegreeTooSmall:
             continue
         records.append(
-            verify_count_preservation(
-                m, after2, ks, budget, {"move": "diag_truncate", "l0": l0}
+            _count_preservation(
+                m, after2, ks, budget, {"move": "diag_truncate", "l0": l0}, counts
             )
         )
     return records

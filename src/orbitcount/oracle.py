@@ -527,7 +527,7 @@ def _p_members_cached(fld: GF, bounds: tuple, max_items: int):
     del found  # before the sort and the mask take their memory
     members.sort(kind="stable")  # the default sort loads about 0.25 MB more of numpy
     mask = np.concatenate([
-        rref(_leading_layers(fld, bounds, part)[:, ::-1].transpose(0, 2, 1), n, fld)[2]
+        _layer_pivots(fld, bounds, part)
         for part in np.split(members, range(_LEAF_CHUNK, len(members), _LEAF_CHUNK))
     ])
     members.flags.writeable = mask.flags.writeable = False
@@ -561,6 +561,21 @@ def _leading_layers(fld: GF, bounds, idx):
         if d == bounds[j]:
             out[:, j, i] = idx // q**p % q
     return out
+
+
+def _layer_pivots(fld: GF, bounds, idx):
+    """The pivot masks of the leading layers of the family members idx,
+    taken as the columns n, n-1, ..., 1: one ``rref`` per distinct layer
+    matrix.  A member's layers are its index digits (i, j, k_j), so those
+    digits, packed, key its layer matrix."""
+    q = fld.q
+    top = [p for p, (_, j, d) in enumerate(_free_positions(len(bounds), bounds)) if d == bounds[j]]
+    keys = np.zeros(len(idx), dtype=np.int64)
+    for r, p in enumerate(top):
+        keys += idx // q**p % q * q**r
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    layers = _leading_layers(fld, bounds, idx[first])
+    return rref(layers[:, ::-1].transpose(0, 2, 1), len(bounds), fld)[2][inverse]
 
 
 def count_P_bruteforce(bounds, q, budget=None) -> int:
@@ -752,22 +767,34 @@ def count_orbit_members(rep: PolyMatrix, k: int, budget=None) -> int:
     line = np.zeros((nb + 1, n, k + 1), dtype=np.intp)
     line[:, :, 1:] = np.concatenate([particulars[-1:], basis]).reshape(nb + 1, n, k)
     line[0, n - 1, 0] = 1
+    # row i of a choice is p_i + sum_b x_b B_b, for the base-q^nb digit
+    # j = sum_b x_b q^b of the choice index.  The points of span(B_lo) and of
+    # each p_i + span(B_hi) are expanded once (see _span_points), B_lo being
+    # the first g directions, and row i is the sum of the two points picked
+    # by j mod q^g and j div q^g: about q^(nb/2) points per table, not q^nb
+    tbl = tables(fld)
+    add, dtype = tbl[0], tbl[0].dtype
+    directions, g = basis.astype(dtype), nb // 2
+
+    def span(base, dirs):
+        """The points of each base + span(dirs): an array (q^len(dirs), S, U)."""
+        spans = np.broadcast_to(dirs, (len(base), *dirs.shape))
+        points, _ = _span_points(tbl, base, spans, np.full(len(base), len(dirs)))
+        return points.reshape(q ** len(dirs), len(base), nunk)
+
+    low = span(np.zeros((1, nunk), dtype=dtype), directions[:g])[:, 0]
+    high = span(particulars[:-1].astype(dtype), directions[g:])
     # a last-row system has at most n k rows (degrees 1..deg det V): keep the
     # batch of them, an array (L, <= n k, nb + 1), to about _LEAF_CHUNK entries
     chunk = max(1, _LEAF_CHUNK // (max(nunk, 1) * (nb + 1)))
     outer = q ** (nb * (n - 1))
-    add, mul = tables(fld)[:2]
     total = 0
     for lo in range(0, outer, chunk):
         idx = np.arange(lo, min(lo + chunk, outer), dtype=np.intp)
-        size = len(idx)
-        x = digits(idx, q, nb * (n - 1))
         rows = []
-        for i in range(n - 1):
-            v = np.repeat(particulars[i][:, None], size, axis=1)
-            for b, xb in zip(basis, x[i * nb : (i + 1) * nb]):
-                v = add[v, mul[b[:, None], xb]]
-            rows.append([[int(i == j), *v[j * k : (j + 1) * k]] for j in range(n)])
-        _, ranks, _, ok = _line_systems(fld, rows, n - 1, line[0], line[1:], size)
+        for i, j in enumerate(digits(idx, q**nb, n - 1)):
+            v = add[high[j // q**g, i], low[j % q**g]].T.reshape(n, k, len(idx))
+            rows.append([[int(i == c), *v[c]] for c in range(n)])
+        _, ranks, _, ok = _line_systems(fld, rows, n - 1, line[0], line[1:], len(idx))
         total += solution_count(q, (nb - ranks)[ok])
     return gl_count(n, q) * total

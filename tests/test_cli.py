@@ -124,6 +124,13 @@ def test_zcase_ratio_rejects_nonpositive_T(capsys, T):
     assert_one_line_error(*run(capsys, "zcase", "ratio", "--det", "4", "--T", T))
 
 
+@pytest.mark.parametrize("bounds", [",", "1,,2", "a"])
+def test_lemma2_rejects_malformed_bounds(capsys, bounds):
+    code, out, err = run(capsys, "lemma2", "--bounds", bounds, "--q", "2")
+    assert_one_line_error(code, out, err)
+    assert f"--bounds {bounds!r}" in err
+
+
 def test_verify_rejects_negative_kmax(capsys):
     # kmax = -1 leaves no k to scan, which used to pass with no reports
     assert_one_line_error(*run(capsys, "verify", "--grid", "2,2,-1"))

@@ -1,7 +1,8 @@
 """The one elimination kernel and the codec that reads its batches back as
 affine spaces (behind rank, solve_affine, the constant inverse of the
 conjugation move and the orbit-side line solves), checked against
-brute-force enumeration of every vector over F_2, F_3 and F_4."""
+brute-force enumeration of every vector over F_2, F_3 and F_4, and the
+column-major kernel checked against the row-major one it replaced."""
 
 from itertools import product
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitcount.errors import ShapeMismatch
-from orbitcount.fields import field_of_order
+from orbitcount.fields import field_of_order, field_spec, tables
 from orbitcount.linalg import (
     affine_solutions,
     consistent,
@@ -140,3 +141,83 @@ def test_invert_constant_matches_enumeration(system):
         return
     columns = [apply(fld, a, [row[j] for row in inv]) for j in range(n)]
     assert columns == [[int(i == j) for i in range(n)] for j in range(n)]
+
+
+# -- the column-major kernel against the row-major one it replaced ----------
+
+
+def reference_rref(systems, ncols, field):
+    """The row-major Gauss-Jordan kernel that ``rref`` replaced: it holds the
+    batch as (L, R, C) and steps only the systems with a pivot in the
+    column, gathered and scattered back."""
+    add, mul, neg, inv = (t.astype(np.intp) for t in tables(field))
+    q = len(neg)
+    add, mul = add.ravel(), mul.ravel()
+    a = np.array(systems, dtype=np.intp)
+    size, nrows, _ = a.shape
+    used = np.zeros((size, nrows), dtype=bool)
+    pivot_of = np.full((size, nrows), ncols)
+    for c in range(ncols):
+        if used.all():
+            break
+        live = (a[:, :, c] != 0) & ~used
+        sel = np.flatnonzero(live.any(axis=1))
+        if not sel.size:
+            continue
+        whole = sel.size == size
+        block = a if whole else a[sel]
+        p = np.argmax(live[sel], axis=1)
+        at = np.arange(sel.size)
+        row = block[at, p, c:]
+        row = mul.take(inv[row[:, 0]][:, None] * q + row)
+        factor = neg[block[:, :, c]]
+        factor[at, p] = 0
+        step = mul.take(factor[:, :, None] * q + row[:, None, :])
+        step += block[:, :, c:] * q
+        block[:, :, c:] = add.take(step)
+        block[at, p, c:] = row
+        if not whole:
+            a[sel] = block
+        used[sel, p] = True
+        pivot_of[sel, p] = c
+    order = np.argsort(pivot_of, axis=1, kind="stable")
+    pivots = np.zeros((size, ncols + 1), dtype=bool)
+    pivots[np.arange(size)[:, None], pivot_of] = True
+    return np.take_along_axis(a, order[:, :, None], axis=1), used.sum(axis=1), pivots[:, :ncols]
+
+
+# GF(25) as F_5[x]/(x^2 + 2): -2 is not a square mod 5
+WIDE_FIELDS = [field_of_order(q) for q in (2, 3, 4, 8, 9)] + [field_spec(5, 2, (2, 0, 1))]
+
+
+@st.composite
+def raw_batches(draw):
+    """A field and a batch (L, R, C) with ncols <= C: L, R, C and ncols may
+    be 0, and a batch is random, all zero, or rank-deficient (each row a
+    combination of at most two random rows)."""
+    fld = draw(st.sampled_from(WIDE_FIELDS))
+    size, nrows, width = draw(st.integers(0, 5)), draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    ncols = draw(st.integers(0, width))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, fld.q, (size, nrows, width))
+    kind = draw(st.sampled_from(["random", "zero", "deficient"]))
+    if kind == "zero":
+        a[:] = 0
+    elif kind == "deficient":
+        add, mul = tables(fld)[:2]
+        basis = rng.integers(0, fld.q, (size, 2, width))
+        coef = rng.integers(0, fld.q, (size, nrows, 2))
+        a = add[mul[coef[..., :1], basis[:, None, 0]], mul[coef[..., 1:], basis[:, None, 1]]]
+    return fld, a.astype(np.intp), ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_batches())
+def test_rref_matches_row_major_reference(batch):
+    fld, a, ncols = batch
+    before = a.copy()
+    got = rref(a, ncols, fld)
+    want = reference_rref(a, ncols, fld)
+    assert np.array_equal(a, before)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)

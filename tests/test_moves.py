@@ -10,6 +10,7 @@ from orbitcount.errors import (
 )
 from orbitcount.fields import field_of_order
 from orbitcount.moves import (
+    MoveRecord,
     check_S_conditions,
     conjugate_const,
     diag_truncate_move,
@@ -177,3 +178,56 @@ def test_run_move_battery_small_slice():
     assert records
     for rec in records:
         assert rec.all_equal(), rec.to_json()
+
+
+# -- the battery's count table against counting every pair directly ---------
+
+
+def reference_battery(fixtures, k_extra):
+    """run_move_battery with every (matrix, k) counted directly, per call."""
+    records = []
+    for m, l0 in fixtures:
+        t = int(det(m).degree)
+        ks = range(t, t + k_extra + 1)
+        moved = [(truncation_move(m, l0), "truncation")]
+        try:
+            moved.append((diag_truncate_move(m, l0), "diag_truncate"))
+        except DegreeTooSmall:
+            pass
+        for after, name in moved:
+            counts = tuple(
+                (k, oracle.count_orbit_members(m, k), oracle.count_orbit_members(after, k))
+                for k in ks
+            )
+            records.append(MoveRecord(m, after, {"move": name, "l0": l0}, counts))
+    return records
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_run_move_battery_matches_direct_counts(q):
+    two, three = standard_move_fixtures(field_of_order(q))
+    assert run_move_battery(two + three, k_extra=1) == reference_battery(two + three, 1)
+
+
+def test_run_move_battery_counts_each_orbit_once(monkeypatch):
+    calls = []
+    count = oracle.count_orbit_members
+
+    def counting(rep, k, budget=None):
+        calls.append((rep.field, triangularize(rep).key(), k))
+        return count(rep, k, budget)
+
+    monkeypatch.setattr(oracle, "count_orbit_members", counting)
+    two, three = standard_move_fixtures(field_of_order(3))
+    records = run_move_battery(two + three, k_extra=1)
+    wanted = {
+        (m.field, triangularize(m).key(), k)
+        for rec in records
+        for m in (rec.before, rec.after)
+        for k, _, _ in rec.counts_checked
+    }
+    assert len(calls) == len(set(calls)) == len(wanted)
+    assert set(calls) == wanted
+    # the same battery twice counts everything again: no table outlives a call
+    run_move_battery(two[:3], k_extra=0)
+    assert len(calls) > len(wanted)

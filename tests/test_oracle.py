@@ -28,7 +28,7 @@ from orbitcount.errors import (
     PreconditionViolation,
 )
 from orbitcount.fields import digits, field_of_order, tables
-from orbitcount.linalg import iter_affine_space, rank, solve_affine
+from orbitcount.linalg import iter_affine_space, rank, rref, solve_affine
 from orbitcount.oracle import (
     EnumerationBudget,
     _decode_p_member,
@@ -771,6 +771,33 @@ def test_column_solve_matches_full_scan_on_the_criterion_grid():
             assert_solve_matches_scan(field_of_order(q), bounds)
             checked += 1
     assert checked == 203
+
+
+def reference_layer_pivots(fld, bounds, members):
+    """The leading-layer pivot masks by one ``rref`` per member, the path
+    that reducing each distinct layer matrix once replaced."""
+    layers = oracle._leading_layers(fld, bounds, members)
+    return rref(layers[:, ::-1].transpose(0, 2, 1), len(bounds), fld)[2]
+
+
+def assert_masks_match_per_member_rref(fld, bounds):
+    members, pivots = oracle._p_members_cached(fld, bounds, oracle.DEFAULT_MAX_ITEMS)
+    assert np.array_equal(pivots, reference_layer_pivots(fld, bounds, members))
+
+
+@pytest.mark.parametrize("chunk", [oracle._LEAF_CHUNK, 7])
+@pytest.mark.parametrize("q", sorted(P_DIFFERENTIAL_BOUNDS))
+def test_layer_masks_match_per_member_rref(monkeypatch, q, chunk):
+    monkeypatch.setattr(oracle, "_LEAF_CHUNK", chunk)
+    oracle._p_members_cached.cache_clear()
+    for bounds in P_DIFFERENTIAL_BOUNDS[q]:
+        assert_masks_match_per_member_rref(field_of_order(q), bounds)
+    oracle._p_members_cached.cache_clear()
+
+
+def test_layer_masks_match_per_member_rref_on_the_criterion_grid():
+    for q, bounds in _bound_grid():
+        assert_masks_match_per_member_rref(field_of_order(q), bounds)
 
 
 def reference_leading_layers(m, bounds):
