@@ -48,9 +48,12 @@ class MoveRecord:
         }
 
 
-def _require_upper_triangular(m: PolyMatrix):
+def _require_move(m: PolyMatrix, l0: int):
+    """A move needs a square upper-triangular matrix and 2 <= l0 <= n."""
     if not m.is_square() or not m.is_upper_triangular():
         raise NotTriangular("move requires a square upper-triangular matrix")
+    if not 2 <= l0 <= m.rows:
+        raise BadIndex(f"l0 = {l0} outside [2, {m.rows}]")
 
 
 def triangularize(m: PolyMatrix) -> PolyMatrix:
@@ -65,10 +68,7 @@ def truncation_move(m: PolyMatrix, l0: int) -> PolyMatrix:
     the i-th diagonal entry; afterwards x^(deg(d_i)+1) divides it.  Indices
     are 1-based to match the way the move is usually written.
     """
-    _require_upper_triangular(m)
-    n = m.rows
-    if not 2 <= l0 <= n:
-        raise BadIndex(f"l0 = {l0} outside [2, {n}]")
+    _require_move(m, l0)
     for i in range(l0 - 1):
         if m.entries[i][i].is_zero():
             raise ZeroPivot(f"diagonal entry {i + 1} is zero")
@@ -88,10 +88,7 @@ def diag_truncate_move(m: PolyMatrix, l0: int) -> PolyMatrix:
     Requires deg(m_l0,l0) > deg(d_1) + 1; below that the argument terminates
     instead of moving, so the move refuses.
     """
-    _require_upper_triangular(m)
-    n = m.rows
-    if not 2 <= l0 <= n:
-        raise BadIndex(f"l0 = {l0} outside [2, {n}]")
+    _require_move(m, l0)
     d1 = m.entries[0][0]
     if d1.is_zero():
         raise ZeroPivot("diagonal entry 1 is zero")
@@ -110,10 +107,7 @@ def diag_truncate_move(m: PolyMatrix, l0: int) -> PolyMatrix:
 def reduce_above(m: PolyMatrix, l0: int) -> PolyMatrix:
     """Row-reduce the entries above the (l0, l0) pivot to degree strictly below
     the pivot, staying in the same left orbit."""
-    _require_upper_triangular(m)
-    n = m.rows
-    if not 2 <= l0 <= n:
-        raise BadIndex(f"l0 = {l0} outside [2, {n}]")
+    _require_move(m, l0)
     c = l0 - 1
     pivot = m.entries[c][c]
     if pivot.is_zero():
@@ -280,19 +274,11 @@ def run_move_battery(fixtures, k_extra: int = 2, budget=None):
     for m, l0 in fixtures:
         t = int(det(m).degree)
         ks = range(t, t + k_extra + 1)
-        after = truncation_move(m, l0)
-        records.append(
-            _count_preservation(
-                m, after, ks, budget, {"move": "truncation", "l0": l0}, counts
-            )
-        )
-        try:
-            after2 = diag_truncate_move(m, l0)
-        except DegreeTooSmall:
-            continue
-        records.append(
-            _count_preservation(
-                m, after2, ks, budget, {"move": "diag_truncate", "l0": l0}, counts
-            )
-        )
+        for name, move in (("truncation", truncation_move), ("diag_truncate", diag_truncate_move)):
+            try:
+                after = move(m, l0)
+            except DegreeTooSmall:  # only the diagonal truncation refuses so
+                continue
+            move_info = {"move": name, "l0": l0}
+            records.append(_count_preservation(m, after, ks, budget, move_info, counts))
     return records

@@ -412,9 +412,12 @@ def _line_systems(fld: GF, lines, c: int, base, directions, size: int):
 # Member idx of the family is the matrix whose free coefficients are the
 # base-q digits of idx in _free_positions order.  The members are solved for
 # in the column c with the largest bound (a line solve, see above), and each
-# consistent system's solutions become member indices.  The budget is
-# checked on the systems and on the members, not on the q^(n sum(bounds))
-# candidates, whose indices need only fit in an int64.
+# consistent system's solutions become member indices, streamed in pieces of
+# fewer than 2 _LEAF_CHUNK.  The budget is checked on the systems and on the
+# members, not on the q^(n sum(bounds)) candidates, whose indices need only
+# fit in an int64.  P, Q_i and R_i need one number per member, the run r of
+# independent leading layers (columns n, n-1, ..., 1) before the first
+# dependent one, so only the n + 1 counts of r are cached.
 
 
 def _free_positions(n: int, bounds):
@@ -481,13 +484,11 @@ def _solutions(fld: GF, reduced, ranks, pivots):
         yield points, first[piece][owner]
 
 
-@lru_cache(maxsize=64)
-def _p_members_cached(fld: GF, bounds: tuple, max_items: int):
-    """The members of the family by the column solve (see above):
-    ``(indices, pivots)``, the member indices in index order and, for each
-    member, the pivot mask of one ``rref`` of its leading layers taken as the
-    columns n, n-1, ..., 1 (a prefix of them is independent iff it is all
-    pivots), both read-only arrays."""
+def _p_member_pieces(fld: GF, bounds: tuple, max_items: int):
+    """The member indices of the family by the column solve (see above), in
+    pieces of fewer than 2 _LEAF_CHUNK members, in no fixed order."""
+    if any(b < 0 for b in bounds) or not bounds:
+        raise InvalidParams(f"bad bounds {bounds}")
     n, q = len(bounds), fld.q
     what = "unipotent family solve"
     total_k = sum(bounds)
@@ -510,7 +511,7 @@ def _p_members_cached(fld: GF, bounds: tuple, max_items: int):
     weights = q ** np.arange(lo, lo + unk, dtype=np.int64)
     outer = q ** (n * (total_k - bounds[c]))
     chunk = max(1, _LEAF_CHUNK // max(1, total_k * (unk + 1)))
-    found, count = [], 0
+    count = 0
     for start in range(0, outer, chunk):
         o = np.arange(start, min(start + chunk, outer), dtype=np.int64)
         # the choice's digits around the zero digits of column c
@@ -522,23 +523,23 @@ def _p_members_cached(fld: GF, bounds: tuple, max_items: int):
         if count > max_items:
             raise BudgetExceeded(f"{what}: {count} members exceed budget {max_items}")
         for points, owner in _solutions(fld, reduced[ok], ranks[ok], pivots[ok]):
-            found.append(idx[ok][owner] + points.dot(weights))
-    members = np.concatenate(found)
-    del found  # before the sort and the mask take their memory
-    members.sort(kind="stable")  # the default sort loads about 0.25 MB more of numpy
-    mask = np.concatenate([
-        _layer_pivots(fld, bounds, part)
-        for part in np.split(members, range(_LEAF_CHUNK, len(members), _LEAF_CHUNK))
-    ])
-    members.flags.writeable = mask.flags.writeable = False
-    return members, mask
+            yield idx[ok][owner] + points.dot(weights)
 
 
-def _members(bounds: tuple, fld: GF, budget):
-    """The cached ``(indices, pivots)`` of the family (see _p_members_cached)."""
-    if any(b < 0 for b in bounds) or not bounds:
-        raise InvalidParams(f"bad bounds {bounds}")
-    return _p_members_cached(fld, bounds, _budget(budget).max_items)
+# perfbench clears this cache (workloads.py) and reads its cache_info()
+# (layers.py), so it keeps its name and stays an lru_cache
+@lru_cache(maxsize=64)
+def _p_members_cached(fld: GF, bounds: tuple, max_items: int):
+    """hist[r], r = 0..n: the number of members with a run of r independent
+    leading layers (see above); a prefix of the layers is independent iff it
+    is all pivots of their ``rref``."""
+    hist = np.zeros(len(bounds) + 1, dtype=np.int64)
+    for piece in _p_member_pieces(fld, bounds, max_items):
+        # r is the first non-pivot; a False column appended stands past an all-pivot mask
+        ends = np.zeros((len(piece), 1), dtype=bool)
+        run = np.argmin(np.concatenate([_layer_pivots(fld, bounds, piece), ends], axis=1), axis=1)
+        hist += np.bincount(run, minlength=len(hist))
+    return tuple(hist.tolist())
 
 
 def p_members(bounds, q, budget=None):
@@ -546,7 +547,7 @@ def p_members(bounds, q, budget=None):
     bounds, in index order."""
     fld = _field(q)
     bounds = tuple(bounds)
-    members, _ = _members(bounds, fld, budget)
+    members = np.sort(np.concatenate([*_p_member_pieces(fld, bounds, _budget(budget).max_items)]))
     return tuple(_decode_p_member(fld, bounds, i) for i in members.tolist())
 
 
@@ -587,13 +588,11 @@ def count_P_bruteforce(bounds, q, budget=None) -> int:
     """
     fld = _field(q)
     bounds = tuple(bounds)
-    members, pivots = _members(bounds, fld, budget)
-    if sum(bounds) >= 1:
-        full = pivots.all(axis=1)
-        if full.any():
-            m = _decode_p_member(fld, bounds, int(members[np.argmax(full)]))
-            raise AssertionError(f"independent leading layers in {m!r}")
-    return len(members)
+    hist = _p_members_cached(fld, bounds, _budget(budget).max_items)
+    if sum(bounds) >= 1 and hist[-1]:
+        shown = f"{hist[-1]} members of {bounds} over F_{fld.q}"
+        raise AssertionError(f"independent leading layers in {shown}")
+    return sum(hist)
 
 
 def count_QR_bruteforce(kind: str, i: int, bounds, q, budget=None) -> int:
@@ -606,12 +605,9 @@ def count_QR_bruteforce(kind: str, i: int, bounds, q, budget=None) -> int:
     n = len(bounds)
     if not 1 <= i <= n:
         raise PreconditionViolation(f"index i = {i} outside [1, {n}]")
-    _, pivots = _members(bounds, _field(q), budget)
-    # the layers n, n-1, ..., i are the first n - i + 1 columns of the mask
-    dependent = ~pivots[:, : n - i + 1].all(axis=1)
-    if kind == "Q":
-        dependent &= pivots[:, : n - i].all(axis=1)  # independent from column i+1 on
-    return int(np.count_nonzero(dependent))
+    hist = _p_members_cached(_field(q), bounds, _budget(budget).max_items)
+    # the layers n, n-1, ..., i are the first n - i + 1 (see _p_members_cached)
+    return hist[n - i] if kind == "Q" else sum(hist[: n - i + 1])
 
 
 # -- canonical form enumeration ----------------------------------------------

@@ -111,6 +111,53 @@ def test_removed_options_exit_2(capsys, argv):
     assert "unrecognized arguments" in err
 
 
+@pytest.fixture
+def digit_limit():
+    """The interpreter's limit on printed digits, set to its default 4300
+    for the test and restored after it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter prints integers of any length")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+def test_formula_prints_counts_up_to_the_digit_limit(capsys, digit_limit):
+    # n = 2, q = 2, t = 0: every count is 6 * 4^k, so k is the last one that
+    # prints and k + 1 the first that does not
+    k = max(k for k in range(8000) if 6 * 4**k < 10**digit_limit)
+    code, out, _ = run(capsys, "formula", "--n", "2", "--q", "2", "--t", "0", "--k", str(k))
+    assert code == 0
+    assert json.loads(out)["total_count"] == str(6 * 4**k)
+    assert len(json.loads(out)["total_count"]) == digit_limit
+    code, out, err = run(capsys, "formula", "--n", "2", "--q", "2", "--t", "0", "--k", str(k + 1))
+    assert code == 3 and out == ""
+    shown = f"the total count has {digit_limit + 1} digits, over the limit {digit_limit}"
+    assert err == f"error: formula: {shown}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, digits",
+    [
+        (["--n", "2", "--q", "2", "--t", "0", "--k", "10000"], 6022),
+        (["--n", "3", "--q", "509", "--t", "2", "--k", "300"], 4902),
+        (["--n", "2", "--q", "2", "--t", "0", "--k", str(10**12)], 602059991329),
+        (["--n", "2", "--q", "2", "--t", str(10**12), "--k", str(10**12)], None),
+        (["--n", str(10**9), "--q", "2", "--t", "0", "--k", "0"], None),
+    ],
+)
+def test_formula_refuses_a_count_too_long_to_print_at_once(capsys, digit_limit, argv, digits):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "formula", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("error: formula: the total count has ") and len(err.splitlines()) == 1
+    assert f"over the limit {digit_limit}" in err
+    if digits is not None:
+        assert f" {digits} digits" in err
+
+
 def test_formula_rejects_non_prime_power_q(capsys):
     assert_one_line_error(*run(capsys, "formula", "--n", "2", "--q", "6", "--t", "0", "--k", "1"))
 
@@ -392,6 +439,13 @@ def test_zcase_constant(capsys):
     code, out, _ = run(capsys, "zcase", "constant", "--det", "1")
     assert code == 0
     assert json.loads(out)["constant"] == pytest.approx(6.0)
+
+
+@pytest.mark.parametrize("det", ["0", "-3"])
+def test_zcase_constant_names_det(capsys, det):
+    code, out, err = run(capsys, "zcase", "constant", "--det", det)
+    assert_one_line_error(code, out, err)
+    assert f"--det must be >= 1, got {det}" in err
 
 
 def test_zcase_ratio(capsys):

@@ -744,11 +744,16 @@ def reference_p_scan(fld, bounds):
     return np.concatenate(found)
 
 
+def solved_pieces(fld, bounds):
+    return list(oracle._p_member_pieces(fld, bounds, oracle.DEFAULT_MAX_ITEMS))
+
+
 def assert_solve_matches_scan(fld, bounds):
-    members, pivots = oracle._p_members_cached(fld, bounds, oracle.DEFAULT_MAX_ITEMS)
+    members = np.sort(np.concatenate(solved_pieces(fld, bounds)))
     want = reference_p_scan(fld, bounds)
     assert members.dtype == want.dtype and np.array_equal(members, want)
-    assert pivots.shape == (len(members), len(bounds)) and not members.flags.writeable
+    hist = oracle._p_members_cached(fld, bounds, oracle.DEFAULT_MAX_ITEMS)
+    assert len(hist) == len(bounds) + 1 and sum(hist) == len(members)
 
 
 @pytest.mark.parametrize("chunk", [oracle._LEAF_CHUNK, 7])
@@ -781,8 +786,15 @@ def reference_layer_pivots(fld, bounds, members):
 
 
 def assert_masks_match_per_member_rref(fld, bounds):
-    members, pivots = oracle._p_members_cached(fld, bounds, oracle.DEFAULT_MAX_ITEMS)
-    assert np.array_equal(pivots, reference_layer_pivots(fld, bounds, members))
+    """Each piece's masks match the per-member rref, and the cached counts
+    are the run lengths of leading pivots of all of them."""
+    n, runs = len(bounds), []
+    for piece in solved_pieces(fld, bounds):
+        want = reference_layer_pivots(fld, bounds, piece)
+        assert np.array_equal(oracle._layer_pivots(fld, bounds, piece), want)
+        runs += [next((r for r, p in enumerate(row) if not p), n) for row in want.tolist()]
+    hist = oracle._p_members_cached(fld, bounds, oracle.DEFAULT_MAX_ITEMS)
+    assert hist == tuple(runs.count(r) for r in range(n + 1))
 
 
 @pytest.mark.parametrize("chunk", [oracle._LEAF_CHUNK, 7])
@@ -819,8 +831,17 @@ def reference_qr(kind, i, bounds, members, fld):
     return count
 
 
-@pytest.mark.parametrize("q", sorted(P_DIFFERENTIAL_BOUNDS))
-def test_P_QR_counts_match_per_member_rank(q):
+@pytest.mark.parametrize(
+    "q, chunk",
+    [  # ids: [q] with the default chunk, [q-7] with chunks of 7
+        pytest.param(q, chunk, id=str(q) if chunk == oracle._LEAF_CHUNK else f"{q}-{chunk}")
+        for chunk in (oracle._LEAF_CHUNK, 7)
+        for q in sorted(P_DIFFERENTIAL_BOUNDS)
+    ],
+)
+def test_P_QR_counts_match_per_member_rank(monkeypatch, q, chunk):
+    """With 7-member chunks the counts are summed over many pieces."""
+    monkeypatch.setattr(oracle, "_LEAF_CHUNK", chunk)
     fld = field_of_order(q)
     for bounds in P_DIFFERENTIAL_BOUNDS[q]:
         oracle._p_members_cached.cache_clear()
@@ -852,9 +873,51 @@ def test_count_P_asserts_dependent_leading_layers(monkeypatch):
 
     oracle._p_members_cached.cache_clear()
     monkeypatch.setattr(oracle, "_leading_layers", identity_layers)
-    with pytest.raises(AssertionError, match="independent leading layers"):
+    shown = "independent leading layers in 4 members of (1, 1) over F_2"
+    with pytest.raises(AssertionError, match=re.escape(shown)):
         count_P_bruteforce((1, 1), 2)
     oracle._p_members_cached.cache_clear()
+
+
+def reference_counts(fld, bounds):
+    """P, then Q_i and R_i for i = 1..n, from the full scan and one rref mask
+    per member, each count read off the masks directly."""
+    n, members = len(bounds), reference_p_scan(fld, bounds)
+    pivots = reference_layer_pivots(fld, bounds, members)
+    out = [len(members)]
+    for kind in "QR":
+        for i in range(1, n + 1):
+            dependent = ~pivots[:, : n - i + 1].all(axis=1)
+            if kind == "Q":
+                dependent &= pivots[:, : n - i].all(axis=1)
+            out.append(int(np.count_nonzero(dependent)))
+    return out
+
+
+@pytest.mark.parametrize("chunk", [oracle._LEAF_CHUNK, 7])
+def test_layer_pivots_sees_bounded_pieces(monkeypatch, chunk):
+    """Every piece the counts reduce holds fewer than 2 _LEAF_CHUNK members,
+    and the counts do not depend on how the members are cut."""
+    cases = [(q, b) for q, bs in sorted(P_DIFFERENTIAL_BOUNDS.items()) for b in bs]
+    cases.append((3, (0, 0, 0, 3)))  # 3^9 members: many pieces of 7
+    sizes = []
+    real = oracle._layer_pivots
+
+    def layer_pivots(fld, bounds, idx):
+        sizes.append(len(idx))
+        return real(fld, bounds, idx)
+
+    monkeypatch.setattr(oracle, "_LEAF_CHUNK", chunk)
+    monkeypatch.setattr(oracle, "_layer_pivots", layer_pivots)
+    oracle._p_members_cached.cache_clear()
+    for q, b in cases:
+        got = [count_P_bruteforce(b, q)]
+        got += [count_QR_bruteforce(kind, i, b, q) for kind in "QR" for i in range(1, len(b) + 1)]
+        assert got == reference_counts(field_of_order(q), b)
+    oracle._p_members_cached.cache_clear()
+    assert sizes and max(sizes) < 2 * chunk
+    if chunk == 7:
+        assert len(sizes) > len(cases)  # some family came in more than one piece
 
 
 @pytest.mark.parametrize(
