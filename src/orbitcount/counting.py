@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 from .errors import BoundTooSmall, InvalidParams, PreconditionViolation
 from .fields import factorize
@@ -90,11 +91,9 @@ def c_nt(n: int, q: int, t: int) -> int:
     _check_nq(n, q)
     if t < 0:
         raise InvalidParams(f"t must be >= 0, got {t}")
-    num = den = 1
-    for j in range(1, t + 1):
-        num *= q ** (n - 1 + j) - 1
-        den *= q**j - 1
-    return q**t * (num // den)
+    s = min(t, n - 1)  # [n + t - 1 choose t]_q = [n + t - 1 choose n - 1]_q
+    num = prod(q ** (n + t - 1 - s + j) - 1 for j in range(1, s + 1))
+    return q**t * (num // prod(q**j - 1 for j in range(1, s + 1)))
 
 
 def total_count_formula(n: int, q: int, t: int, k: int) -> int:

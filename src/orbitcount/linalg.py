@@ -87,7 +87,7 @@ def affine_solutions(reduced, ranks, pivots, field: GF):
     (reduced rows, ranks, pivot masks on A): ``(particulars, basis, free)``,
     arrays (L, m, ncols) with a solution for each of the m right-hand sides
     (where ``consistent``), (L, F, ncols) whose first free[l] rows span the
-    nullspace of A (row f is 1 on the f-th free column), and the nullities."""
+    nullspace of A (row f is 1 on the f-th last free column), and nullities."""
     neg = tables(field)[2]
     size, nrows, width = reduced.shape
     ncols = pivots.shape[1]
@@ -102,7 +102,7 @@ def affine_solutions(reduced, ranks, pivots, field: GF):
     particulars[at[:, None], order[:, :m]] = rows[:, :, ncols:]
     basis = np.zeros((size, free.max(initial=0), ncols), dtype=reduced.dtype)
     for k in range(basis.shape[1]):
-        f = order[at, np.minimum(ranks + k, ncols - 1)]
+        f = order[:, ncols - 1 - k]  # the k-th last free column; past free, unread rows
         # free column f set to 1 moves pivot column order[r] by -reduced[r, f]
         basis[at[:, None], k, order[:, :m]] = neg[rows[at, :, f]]
         basis[at, k, f] = 1

@@ -12,12 +12,12 @@ only the distinct ones are decoded, so no Python runs per matrix.  The
 unipotent family of Lemma 2 and the orbit-side member counter are solved,
 not scanned, by one line solve (``_line_systems``): det V is affine in one
 line of V, so only the other lines are enumerated, and each choice's
-completions are the solutions of one affine system.  All of these compute
-over F_q[x] in numpy batches on the field's tables (``fields.tables``),
-take every determinant and cofactor from ``polymat._minors``, and reduce
-every batch of systems with ``linalg.rref``, read back by the codec of
-``linalg``; the budget is checked on exponents, so no refused cost is ever
-computed.
+completions are the solutions of one affine system, which the family counts
+per system without expanding them.  All of these compute over F_q[x] in
+numpy batches on the field's tables (``fields.tables``), take every
+determinant and cofactor from ``polymat._minors``, and reduce every batch
+of systems with ``linalg.rref``, read back by the codec of ``linalg``; the
+budget is checked on exponents, so no refused cost is ever computed.
 """
 
 from __future__ import annotations
@@ -411,13 +411,14 @@ def _line_systems(fld: GF, lines, c: int, base, directions, size: int):
 #
 # Member idx of the family is the matrix whose free coefficients are the
 # base-q digits of idx in _free_positions order.  The members are solved for
-# in the column c with the largest bound (a line solve, see above), and each
-# consistent system's solutions become member indices, streamed in pieces of
-# fewer than 2 _LEAF_CHUNK.  The budget is checked on the systems and on the
-# members, not on the q^(n sum(bounds)) candidates, whose indices need only
-# fit in an int64.  P, Q_i and R_i need one number per member, the run r of
-# independent leading layers (columns n, n-1, ..., 1) before the first
-# dependent one, so only the n + 1 counts of r are cached.
+# in the column c with the largest bound (a line solve, see above), one
+# system per choice of the other columns; the budget is checked on the
+# systems and members, not on the q^(n sum(bounds)) candidates, whose
+# indices need only fit in an int64.  Members are counted by their run of
+# independent leading layers (columns n, n-1, ..., 1).  Column c's layer,
+# its last n unknowns, has `top` free columns, whose basis rows come first,
+# so the solutions project onto it as the particular's last n entries plus
+# their span (the other rows are 0 there): q^(free - top) members a point.
 
 
 def _free_positions(n: int, bounds):
@@ -465,14 +466,12 @@ def _span_points(tbl, base, basis, free):
     return points, owner
 
 
-def _solutions(fld: GF, reduced, ranks, pivots):
-    """The solutions of consistent reduced systems with one right-hand side
-    (``rref`` output), in pieces of about _LEAF_CHUNK: ``(points, owner)`` as
-    in _span_points.  Each space's last directions are spread first, so that
-    no piece holds much more than _LEAF_CHUNK points."""
+def _solutions(fld: GF, base, basis, free):
+    """The points of the affine spaces of _span_points, in pieces of about
+    _LEAF_CHUNK: ``(points, owner)``.  Each space's last directions are
+    spread first, so that no piece holds much more than _LEAF_CHUNK points."""
     tbl = tables(fld)
-    particulars, basis, free = affine_solutions(reduced, ranks, pivots, fld)
-    base, basis = particulars[:, 0].astype(tbl[0].dtype), basis.astype(tbl[0].dtype)
+    base, basis = base.astype(tbl[0].dtype), basis.astype(tbl[0].dtype)
     g = 0  # directions spread per piece: q^g <= _LEAF_CHUNK
     while fld.q ** (g + 1) <= _LEAF_CHUNK:
         g += 1
@@ -484,9 +483,9 @@ def _solutions(fld: GF, reduced, ranks, pivots):
         yield points, first[piece][owner]
 
 
-def _p_member_pieces(fld: GF, bounds: tuple, max_items: int):
-    """The member indices of the family by the column solve (see above), in
-    pieces of fewer than 2 _LEAF_CHUNK members, in no fixed order."""
+def _p_systems(fld: GF, bounds: tuple, max_items: int):
+    """The consistent systems of the column solve (see above), in batches
+    ``(idx, reduced, ranks, pivots)``, idx their choices (column c's digits 0)."""
     if any(b < 0 for b in bounds) or not bounds:
         raise InvalidParams(f"bad bounds {bounds}")
     n, q = len(bounds), fld.q
@@ -508,7 +507,6 @@ def _p_member_pieces(fld: GF, bounds: tuple, max_items: int):
     # of an identity, read as coefficient layers (k_c + 1, n)
     unit = np.eye(n * (bounds[c] + 1), dtype=np.intp).reshape(-1, bounds[c] + 1, n)
     base, directions = unit[c].T, unit[n:].transpose(0, 2, 1)
-    weights = q ** np.arange(lo, lo + unk, dtype=np.int64)
     outer = q ** (n * (total_k - bounds[c]))
     chunk = max(1, _LEAF_CHUNK // max(1, total_k * (unk + 1)))
     count = 0
@@ -522,8 +520,18 @@ def _p_member_pieces(fld: GF, bounds: tuple, max_items: int):
         count += solution_count(q, unk - ranks[ok])
         if count > max_items:
             raise BudgetExceeded(f"{what}: {count} members exceed budget {max_items}")
-        for points, owner in _solutions(fld, reduced[ok], ranks[ok], pivots[ok]):
-            yield idx[ok][owner] + points.dot(weights)
+        yield idx[ok], reduced[ok], ranks[ok], pivots[ok]
+
+
+def _p_member_pieces(fld: GF, bounds: tuple, max_items: int):
+    """The member indices of the family by the column solve (see above), in
+    pieces of fewer than 2 _LEAF_CHUNK members, in no fixed order."""
+    for idx, reduced, ranks, pivots in _p_systems(fld, bounds, max_items):
+        c = bounds.index(max(bounds))  # its unknowns: the index digits from n sum(bounds[:c]) on
+        weights = fld.q ** (len(bounds) * sum(bounds[:c]) + np.arange(pivots.shape[1]))
+        particulars, basis, free = affine_solutions(reduced, ranks, pivots, fld)
+        for points, owner in _solutions(fld, particulars[:, 0], basis, free):
+            yield idx[owner] + points.dot(weights)
 
 
 # perfbench clears this cache (workloads.py) and reads its cache_info()
@@ -531,15 +539,23 @@ def _p_member_pieces(fld: GF, bounds: tuple, max_items: int):
 @lru_cache(maxsize=64)
 def _p_members_cached(fld: GF, bounds: tuple, max_items: int):
     """hist[r], r = 0..n: the number of members with a run of r independent
-    leading layers (see above); a prefix of the layers is independent iff it
-    is all pivots of their ``rref``."""
-    hist = np.zeros(len(bounds) + 1, dtype=np.int64)
-    for piece in _p_member_pieces(fld, bounds, max_items):
-        # r is the first non-pivot; a False column appended stands past an all-pivot mask
-        ends = np.zeros((len(piece), 1), dtype=bool)
-        run = np.argmin(np.concatenate([_layer_pivots(fld, bounds, piece), ends], axis=1), axis=1)
-        hist += np.bincount(run, minlength=len(hist))
-    return tuple(hist.tolist())
+    leading layers (see above), the run being the all-pivot prefix of the
+    ``rref`` of each projected point's layers."""
+    n, hist = len(bounds), [0] * (len(bounds) + 1)
+    for idx, reduced, ranks, pivots in _p_systems(fld, bounds, max_items):
+        c = bounds.index(max(bounds))
+        particulars, basis, free = affine_solutions(reduced, ranks, pivots, fld)
+        top = (~pivots[:, -n:]).sum(axis=1)  # free columns in the leading layer
+        layers = _leading_layers(fld, bounds, idx)
+        for points, owner in _solutions(fld, particulars[:, 0, -n:], basis[:, :n, -n:], top):
+            piece = layers[owner]
+            if bounds[c]:  # when k_c = 0, row c is e_c and there is nothing to project
+                piece[:, c] = points
+            masks = rref(piece[:, ::-1].transpose(0, 2, 1), n, fld)[2]
+            run = np.logical_and.accumulate(masks, axis=1).sum(axis=1)
+            fiber = (free - top)[owner]  # members per point: q^fiber
+            hist = [h + solution_count(fld.q, fiber[run == r]) for r, h in enumerate(hist)]
+    return tuple(hist)
 
 
 def p_members(bounds, q, budget=None):
@@ -562,21 +578,6 @@ def _leading_layers(fld: GF, bounds, idx):
         if d == bounds[j]:
             out[:, j, i] = idx // q**p % q
     return out
-
-
-def _layer_pivots(fld: GF, bounds, idx):
-    """The pivot masks of the leading layers of the family members idx,
-    taken as the columns n, n-1, ..., 1: one ``rref`` per distinct layer
-    matrix.  A member's layers are its index digits (i, j, k_j), so those
-    digits, packed, key its layer matrix."""
-    q = fld.q
-    top = [p for p, (_, j, d) in enumerate(_free_positions(len(bounds), bounds)) if d == bounds[j]]
-    keys = np.zeros(len(idx), dtype=np.int64)
-    for r, p in enumerate(top):
-        keys += idx // q**p % q * q**r
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    layers = _leading_layers(fld, bounds, idx[first])
-    return rref(layers[:, ::-1].transpose(0, 2, 1), len(bounds), fld)[2][inverse]
 
 
 def count_P_bruteforce(bounds, q, budget=None) -> int:

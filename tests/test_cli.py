@@ -158,6 +158,18 @@ def test_formula_refuses_a_count_too_long_to_print_at_once(capsys, digit_limit, 
         assert f" {digits} digits" in err
 
 
+def test_formula_prints_a_long_count_at_a_large_t(capsys, digit_limit):
+    # n = 1, t = 4000: 1205 digits, under the limit, and c_nt multiplies out
+    # min(t, n - 1) = 0 factors, not t
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "formula", "--n", "1", "--q", "2", "--t", "4000", "--k", "4000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["total_count"] == payload["class_count"] == str(2**4000)
+    assert payload["orbit_count"] == "1"
+
+
 def test_formula_rejects_non_prime_power_q(capsys):
     assert_one_line_error(*run(capsys, "formula", "--n", "2", "--q", "6", "--t", "0", "--k", "1"))
 

@@ -65,6 +65,11 @@ def test_c_nt_values():
     assert c_nt(3, 2, 1) == 14
 
 
+def test_c_nt_multiplies_out_min_t_n_minus_1_factors():
+    # n = 1 has one canonical form per degree, q^t: no Gaussian factor at all
+    assert c_nt(1, 2, 14000) == 2**14000
+
+
 def test_c_nt_is_a_sum_over_compositions():
     # spell out t = 2, n = 2: (2,0) -> q^2, (1,1) -> q^3, (0,2) -> q^4
     q = 3

@@ -109,6 +109,9 @@ def test_batched_codec_matches_enumeration(batch):
         assert free[l] == n - rank(a, fld)
         if not ok[l]:
             continue
+        # row f is 1 on the f-th last free column and 0 on the other free ones
+        last_first = np.flatnonzero(~pivots[l])[::-1]
+        assert np.array_equal(basis[l, : free[l]][:, last_first], np.eye(free[l]))
         span = basis[l, : free[l]].tolist()
         for particular, want in zip(particulars[l].tolist(), wants):
             assert {tuple(v) for v in iter_affine_space(particular, span, fld)} == want

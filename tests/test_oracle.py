@@ -729,10 +729,12 @@ def test_p_members_match_per_member_reference(monkeypatch, q, chunk):
         assert len(members) == p_count_formula(bounds, q)
 
 
+@lru_cache(maxsize=None)
 def reference_p_scan(fld, bounds):
     """The full candidate scan the column solve replaced: the determinant of
     every candidate with constant term I, in batches of 2^16, keeping the
-    indices whose determinant is a nonzero constant."""
+    indices whose determinant is a nonzero constant.  Cached, read-only: the
+    solve and the counts are both checked against one scan."""
     n, chunk = len(bounds), 1 << 16
     total = fld.q ** (n * sum(bounds))
     tbl = tables(fld)
@@ -741,7 +743,9 @@ def reference_p_scan(fld, bounds):
         idx = np.arange(lo, min(lo + chunk, total), dtype=np.intp)
         d = _minors(tbl, _family_entries(fld, bounds, idx), len(idx))[tuple(range(n))]
         found.append(idx[(d[1:] == 0).all(axis=0) & (d[0] != 0)])
-    return np.concatenate(found)
+    members = np.concatenate(found)
+    members.flags.writeable = False
+    return members
 
 
 def solved_pieces(fld, bounds):
@@ -785,31 +789,34 @@ def reference_layer_pivots(fld, bounds, members):
     return rref(layers[:, ::-1].transpose(0, 2, 1), len(bounds), fld)[2]
 
 
-def assert_masks_match_per_member_rref(fld, bounds):
-    """Each piece's masks match the per-member rref, and the cached counts
-    are the run lengths of leading pivots of all of them."""
-    n, runs = len(bounds), []
-    for piece in solved_pieces(fld, bounds):
-        want = reference_layer_pivots(fld, bounds, piece)
-        assert np.array_equal(oracle._layer_pivots(fld, bounds, piece), want)
-        runs += [next((r for r, p in enumerate(row) if not p), n) for row in want.tolist()]
-    hist = oracle._p_members_cached(fld, bounds, oracle.DEFAULT_MAX_ITEMS)
-    assert hist == tuple(runs.count(r) for r in range(n + 1))
+def family_counts(fld, bounds):
+    """P, then Q_i and R_i for i = 1..n, as the cached counts give them."""
+    qr = [(kind, i) for kind in "QR" for i in range(1, len(bounds) + 1)]
+    return [count_P_bruteforce(bounds, fld)] + [count_QR_bruteforce(*k, bounds, fld) for k in qr]
 
 
 @pytest.mark.parametrize("chunk", [oracle._LEAF_CHUNK, 7])
 @pytest.mark.parametrize("q", sorted(P_DIFFERENTIAL_BOUNDS))
 def test_layer_masks_match_per_member_rref(monkeypatch, q, chunk):
+    """The counts per projected point of each system equal those of one rref
+    mask per member of the full scan."""
     monkeypatch.setattr(oracle, "_LEAF_CHUNK", chunk)
     oracle._p_members_cached.cache_clear()
     for bounds in P_DIFFERENTIAL_BOUNDS[q]:
-        assert_masks_match_per_member_rref(field_of_order(q), bounds)
+        fld = field_of_order(q)
+        assert family_counts(fld, bounds) == reference_counts(fld, bounds)
     oracle._p_members_cached.cache_clear()
 
 
 def test_layer_masks_match_per_member_rref_on_the_criterion_grid():
+    """The members are the full scan's where the criterion-grid test of the
+    column solve walks it, and the solved members, which that test checks
+    against the scan, on the rest of the grid (where k_c >= 2 too)."""
     for q, bounds in _bound_grid():
-        assert_masks_match_per_member_rref(field_of_order(q), bounds)
+        fld = field_of_order(q)
+        scanned = q ** (len(bounds) * sum(bounds)) <= 3**12
+        members = None if scanned else np.concatenate(solved_pieces(fld, bounds))
+        assert family_counts(fld, bounds) == reference_counts(fld, bounds, members)
 
 
 def reference_leading_layers(m, bounds):
@@ -867,22 +874,28 @@ def test_leading_layers_match_decoded_candidates(q):
 
 
 def test_count_P_asserts_dependent_leading_layers(monkeypatch):
-    # independent leading layers would contradict a constant determinant
+    # independent leading layers would contradict a constant determinant.
+    # Row c = 0 of the layers is the solved column's projected point, so with
+    # e_1 injected as the other layer, the members I + xA of (1, 1) whose
+    # layers are independent are those with A_00 != 0: over F_3, tr A =
+    # det A = 0 leaves A_00 = a, A_11 = -a and A_01 A_10 = -a^2, 2 for each a
     def identity_layers(fld, bounds, idx):
         return np.tile(np.eye(len(bounds), dtype=np.intp), (len(idx), 1, 1))
 
     oracle._p_members_cached.cache_clear()
     monkeypatch.setattr(oracle, "_leading_layers", identity_layers)
-    shown = "independent leading layers in 4 members of (1, 1) over F_2"
+    shown = "independent leading layers in 4 members of (1, 1) over F_3"
     with pytest.raises(AssertionError, match=re.escape(shown)):
-        count_P_bruteforce((1, 1), 2)
+        count_P_bruteforce((1, 1), 3)
     oracle._p_members_cached.cache_clear()
 
 
-def reference_counts(fld, bounds):
-    """P, then Q_i and R_i for i = 1..n, from the full scan and one rref mask
-    per member, each count read off the masks directly."""
-    n, members = len(bounds), reference_p_scan(fld, bounds)
+def reference_counts(fld, bounds, members=None):
+    """P, then Q_i and R_i for i = 1..n, from one rref mask per member, each
+    count read off the masks directly; the members are the full scan's
+    unless given."""
+    n = len(bounds)
+    members = reference_p_scan(fld, bounds) if members is None else members
     pivots = reference_layer_pivots(fld, bounds, members)
     out = [len(members)]
     for kind in "QR":
@@ -896,28 +909,29 @@ def reference_counts(fld, bounds):
 
 @pytest.mark.parametrize("chunk", [oracle._LEAF_CHUNK, 7])
 def test_layer_pivots_sees_bounded_pieces(monkeypatch, chunk):
-    """Every piece the counts reduce holds fewer than 2 _LEAF_CHUNK members,
-    and the counts do not depend on how the members are cut."""
+    """Every batch that reaches rref, of systems or of projected points,
+    holds fewer than 2 _LEAF_CHUNK, and the counts do not depend on how the
+    points are cut."""
     cases = [(q, b) for q, bs in sorted(P_DIFFERENTIAL_BOUNDS.items()) for b in bs]
-    cases.append((3, (0, 0, 0, 3)))  # 3^9 members: many pieces of 7
-    sizes = []
-    real = oracle._layer_pivots
+    cases.append((3, (0, 0, 0, 3)))  # one system, whose leading layers come in many pieces of 7
+    sizes, pieces = [], []
+    real = oracle.rref
 
-    def layer_pivots(fld, bounds, idx):
-        sizes.append(len(idx))
-        return real(fld, bounds, idx)
+    def rref(systems, ncols, fld):
+        sizes.append(len(systems))
+        if systems.shape[2] == ncols:  # no right-hand side: a piece of leading layers
+            pieces.append(len(systems))
+        return real(systems, ncols, fld)
 
     monkeypatch.setattr(oracle, "_LEAF_CHUNK", chunk)
-    monkeypatch.setattr(oracle, "_layer_pivots", layer_pivots)
+    monkeypatch.setattr(oracle, "rref", rref)
     oracle._p_members_cached.cache_clear()
     for q, b in cases:
-        got = [count_P_bruteforce(b, q)]
-        got += [count_QR_bruteforce(kind, i, b, q) for kind in "QR" for i in range(1, len(b) + 1)]
-        assert got == reference_counts(field_of_order(q), b)
+        assert family_counts(field_of_order(q), b) == reference_counts(field_of_order(q), b)
     oracle._p_members_cached.cache_clear()
     assert sizes and max(sizes) < 2 * chunk
     if chunk == 7:
-        assert len(sizes) > len(cases)  # some family came in more than one piece
+        assert len(pieces) > len(cases)  # some family came in more than one piece
 
 
 @pytest.mark.parametrize(
