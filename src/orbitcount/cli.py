@@ -67,21 +67,27 @@ def _load_matrix(path: str) -> PolyMatrix:
 # Each returns (report, ok); main emits the report and maps ok to the exit code.
 
 
-def _total_count_digits(n: int, q: int, t: int, k: int) -> int:
+def _total_count_digits(n: int, q: int, t: int, k: int, limit: int) -> int:
     """The digits of total_count_formula(n, q, t, k), the longest count, from
     logarithms: it is q^(n^2 + n(n-1)k + t) (1 - q^-n) prod_{0<j<n} (1 - q^-(t+j)),
     and 1 - q^-e is 1.0 in floats from e = 64 on.  Summed in fixed point, so no
-    float overflows; a power of ten (10 at n = 1, q = 11) reads one digit short."""
+    float overflows.  The sum can land on the wrong side of a power of ten
+    (the count 10 at n = 1, q = 11 sums to just under 1), so an estimate of
+    at most limit + 2 digits is settled by the count itself, as integers."""
     low = sum(math.log10(1 - q ** -min(e, 64)) for e in [n, *range(t + 1, t + min(n, 64))])
     one = 10**17
-    return ((n * n + n * (n - 1) * k + t) * round(math.log10(q) * one) + round(low * one)) // one + 1
+    d = ((n * n + n * (n - 1) * k + t) * round(math.log10(q) * one) + round(low * one)) // one + 1
+    if d > limit + 2:
+        return d
+    count = counting.total_count_formula(n, q, t, k)
+    return d - 1 + (count >= 10 ** (d - 1)) + (count >= 10**d)
 
 
 def cmd_formula(args):
     n, q, t, k = args.n, args.q, args.t, args.k
     counting._check_nq(n, q)  # a bad n or q (or t, below) exits 2, before any size check
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 (or no such call): no limit
-    if limit and 0 <= t <= k and (digits := _total_count_digits(n, q, t, k)) > limit:
+    if limit and 0 <= t <= k and (digits := _total_count_digits(n, q, t, k, limit)) > limit:
         raise BudgetExceeded(f"formula: the total count has {digits} digits, over the limit {limit}")
     return {
         "params": {"n": args.n, "q": args.q, "t": args.t, "k": args.k},

@@ -5,10 +5,13 @@ budget.  ``iter_matrices`` walks the matrix index space in index order:
 row-major over entries with little-endian coefficient digits (entry (0,0)
 coefficient 0 is the least significant digit).  The ambient censuses visit
 the same matrices grouped by their first n - 1 columns and return buckets,
-whose counts do not depend on the order of the walk.  They finish the last
-columns of many prefixes in one numpy batch: each matrix's canonical form
-is packed into one int64 key, the keys are counted with ``np.unique``, and
-only the distinct ones are decoded, so no Python runs per matrix.  The
+whose counts do not depend on the order of the walk.  The orbit census
+finishes the last columns of many prefixes in one numpy batch: each
+matrix's canonical form is packed into one int64 key, the keys are counted
+with ``np.unique``, and only the distinct ones are decoded, so no Python
+runs per matrix.  The determinant census completes no matrix: it counts
+each prefix's completions by degree from one echelon of its cofactor span,
+so it reduces q^(n(n-1)(k+1)) small systems, not q^(n^2(k+1)) leaves.  The
 unipotent family of Lemma 2 and the orbit-side member counter are solved,
 not scanned, by one line solve (``_line_systems``): det V is affine in one
 line of V, so only the other lines are enumerated, and each choice's
@@ -120,8 +123,9 @@ def iter_matrices(q, n: int, k: int):
 # -- ambient scans -----------------------------------------------------------
 #
 # The scans visit every n x n matrix M = [M1 | c] of entry degree <= k,
-# grouped by its first n - 1 columns M1 (the prefix).  hnf reduces each
-# prefix once, to u @ M1 = [H1; 0] with H1 canonical.  For each last column
+# grouped by its first n - 1 columns M1 (the prefix).  The orbit scans
+# (orbit_census, count_orbit_bruteforce) reduce each prefix once, by hnf,
+# to u @ M1 = [H1; 0] with H1 canonical.  For each last column
 # c let y = u @ c and w = y_n.  Row n of u @ M vanishes on the prefix
 # columns, so reducing the last column leaves H1 alone: M is singular iff
 # w = 0 (or the prefix is rank-deficient), and otherwise its canonical form
@@ -141,6 +145,17 @@ def iter_matrices(q, n: int, k: int):
 # np.unique counts the keys of a batch, the census adds the counts up per
 # (H1, d, digits), and each distinct form is decoded into its structural key
 # once, at the end.
+#
+# The determinant census needs no canonical form, and counts per prefix.
+# det [M1 | c] = sum_i c_i C_i, C_i the cofactors of M1 along column n, so
+# as c runs over its q^N values (N = n(k+1)) det M takes each value of W =
+# span{x^d C_i : i < n, d <= k} exactly q^(N - r) times, r = dim W.  One
+# rref of the N spanning polynomials, coefficients from degree nk down, gives
+# each pivot row its own leading degree; with pivot degrees p_1 < ... < p_r,
+# W holds (q - 1) q^(j - 1) values of degree p_j, and the zero value is
+# q^(N - r) singular completions.  A rank-deficient prefix has C = 0, so r =
+# 0.  A batch of prefixes is decoded from its indices, takes its cofactors
+# from one _minors call and is reduced by one rref.
 
 _LEAF_CHUNK = 1 << 16  # unipotent-family members, or system entries, per numpy batch
 # leaves per census batch (the smaller of the two counts): the finish holds a
@@ -152,12 +167,12 @@ _CENSUS_LEAVES = 1 << 12
 def _prefixes(fld: GF, n: int, width: int):
     """Every choice of the first n - 1 columns, reduced once.
 
-    Yields ``(h1, t1, u)``: the rows of H1 as coefficient-tuple keys, deg det
-    H1, and the rows of the witness u as polynomials; or ``None`` for a
-    rank-deficient prefix, all of whose completions are singular.
+    Yields ``(h1, u)``: the rows of H1 as coefficient-tuple keys and the rows
+    of the witness u as polynomials; or ``None`` for a rank-deficient prefix,
+    all of whose completions are singular.
     """
     if n == 1:
-        yield (), 0, ((Poly.one(fld),),)
+        yield (), ((Poly.one(fld),),)
         return
     for idx in range(fld.q ** (n * (n - 1) * width)):
         try:
@@ -165,7 +180,7 @@ def _prefixes(fld: GF, n: int, width: int):
         except SingularMatrix:
             yield None
             continue
-        yield form.h.key()[: n - 1], form.det_degree, form.u.entries
+        yield form.h.key()[: n - 1], form.u.entries
 
 
 def _images(tbl, u, owner, batch):
@@ -250,34 +265,30 @@ def _orbits(q: int, n: int, buckets):
     return {_form_key(q, n, form): count for form, count in buckets.items()}, singular
 
 
-def _leaf_degrees(fld: GF, group, u, owner, batch):
-    """The determinant degrees of the leaves of a batch, counted: ``(degree,
-    count)`` pairs, degree None for the singular ones."""
-    d = _degrees(_images(tables(fld), u[-1:], owner, batch)[0])
-    t1 = np.array([p[1] for p in group])[owner]
-    counts = np.bincount(np.where(d >= 0, t1 + d + 1, 0)).tolist()  # slot 0: singular
-    return [(s - 1 if s else None, c) for s, c in enumerate(counts) if c]
-
-
-def _census(fld: GF, n: int, k: int, budget, what: str, finish, h1=None):
-    """One walk over every n x n matrix of entry degree <= k, adding up the
-    ``(bucket, count)`` pairs that ``finish(fld, group, u, owner, batch)``
-    returns for each batch of at most _CENSUS_LEAVES leaves (see _images);
-    bucket None counts the singular ones.  With h1 given, only prefixes with
-    that H1 are completed.  When the q^(n(k+1)) last columns fit in a batch
-    they are decoded once, and a batch holds the completions of as many
-    consecutive prefixes as fit; otherwise each batch holds part of one
-    prefix's completions."""
+def _check_scan(fld: GF, n: int, k: int, budget, what: str):
+    """Refuse a scan of every n x n matrix of entry degree <= k for bad n or
+    k, or over the budget: q^(n^2 (k+1)) items."""
     if n < 1 or k < 0:
         raise InvalidParams(f"{what} needs n >= 1 and k >= 0, got n = {n}, k = {k}")
     _budget(budget).check(fld.q, [n * n * (k + 1)], what)
+
+
+def _census(fld: GF, n: int, k: int, budget, what: str, h1=None):
+    """One walk over every n x n matrix of entry degree <= k, adding up the
+    ``(form, count)`` pairs that _leaf_keys returns for each batch of at most
+    _CENSUS_LEAVES leaves; form None counts the singular ones.  With h1
+    given, only prefixes with that H1 are completed.  When the q^(n(k+1))
+    last columns fit in a batch they are decoded once, and a batch holds the
+    completions of as many consecutive prefixes as fit; otherwise each batch
+    holds part of one prefix's completions."""
+    _check_scan(fld, n, k, budget, what)
     q, width = fld.q, k + 1
     total = q ** (n * width)
     chunk = min(_LEAF_CHUNK, _CENSUS_LEAVES)
     per = max(1, chunk // total)  # prefixes per batch
     # a packed key is below per * q^(n d), and d = deg w <= n k since deg det
     # M <= n k; the budget check has seen q^(n^2 (k+1)), so the power is cheap
-    if finish is _leaf_keys and per * q ** (n * n * k) >= 1 << 63:
+    if per * q ** (n * n * k) >= 1 << 63:
         raise BudgetExceeded(
             f"{what}: packed leaf keys of {per} * {q}^{n * n * k} exceed the 64-bit key"
         )
@@ -291,10 +302,10 @@ def _census(fld: GF, n: int, k: int, budget, what: str, finish, h1=None):
     buckets = {}
 
     def flush(group):
-        du = max(len(e.coeffs) for p in group for row in p[2] for e in row)
+        du = max(len(e.coeffs) for p in group for row in p[1] for e in row)
         u = np.zeros((n, n, du, len(group)), dtype=dtype)
         for i, p in enumerate(group):
-            for r, row in enumerate(p[2]):
+            for r, row in enumerate(p[1]):
                 for c, e in enumerate(row):
                     u[r, c, : len(e.coeffs), i] = e.coeffs
         if shared is not None:
@@ -304,8 +315,8 @@ def _census(fld: GF, n: int, k: int, budget, what: str, finish, h1=None):
                 (np.zeros(b.shape[2], dtype=np.intp), b) for b in map(decode, range(0, total, chunk))
             )
         for owner, batch in batches:
-            for bucket, count in finish(fld, group, u, owner, batch):
-                buckets[bucket] = buckets.get(bucket, 0) + count
+            for form, count in _leaf_keys(fld, group, u, owner, batch):
+                buckets[form] = buckets.get(form, 0) + count
 
     group = []
     for prefix in _prefixes(fld, n, width):
@@ -332,7 +343,7 @@ def count_orbit_bruteforce(rep: PolyMatrix, k: int, budget=None) -> int:
     n = rep.rows
     target = hnf(rep).h.key()
     h1 = tuple(row[: n - 1] for row in target[: n - 1])
-    buckets = _census(rep.field, n, k, budget, "orbit scan", _leaf_keys, h1)
+    buckets = _census(rep.field, n, k, budget, "orbit scan", h1)
     return _orbits(rep.field.q, n, buckets)[0].get(target, 0)
 
 
@@ -343,7 +354,7 @@ def orbit_census(q, n: int, k: int, budget=None):
     structural key to the number of degree-<=k matrices in that orbit.
     """
     fld = _field(q)
-    return _orbits(fld.q, n, _census(fld, n, k, budget, "orbit census", _leaf_keys))
+    return _orbits(fld.q, n, _census(fld, n, k, budget, "orbit census"))
 
 
 @dataclass(frozen=True)
@@ -363,12 +374,48 @@ class DetDegreeCensus:
         return {"n": self.n, "q": self.q, "k": self.k, "buckets": out}
 
 
+def _det_degree_counts(fld: GF, n: int, k: int, idx) -> dict:
+    """The determinant degrees of every completion of the prefixes idx (an
+    index array, digits as in _decode_matrix), counted: ``{degree: count}``,
+    degree None for the singular ones (see above)."""
+    q, width = fld.q, k + 1
+    size, top = n * width, n * k  # spanning polynomials x^d C_i, and their top degree
+    entries = np.array(digits(idx, q, n * (n - 1) * width)).reshape(n, n - 1, width, len(idx))
+    minors = _minors(tables(fld), entries.transpose(1, 0, 2, 3), len(idx))  # column by column
+    # row i width + d of each system holds x^d C_i, from degree top down (C_i
+    # up to its sign, which leaves the span alone): an array (top + 1, size, L)
+    g = np.zeros((top + 1, size, len(idx)), dtype=np.intp)
+    for i in range(n):
+        cof = minors[tuple(range(i)) + tuple(range(i + 1, n))][::-1]
+        for d in range(width):
+            g[k - d : top + 1 - d, i * width + d] = cof
+    _, ranks, pivots = rref(g.transpose(2, 1, 0), top + 1, fld)
+    lead = pivots[:, ::-1]  # (L, top + 1): the leading degrees of W, lowest first
+    fiber = size - ranks  # each value of W is the determinant of q^fiber completions
+    # the j-th lowest leading degree is that of (q - 1) q^(j - 1) values of W,
+    # so of (q - 1) q^(fiber + j - 1) completions
+    below = np.cumsum(lead, axis=1) - 1 + fiber[:, None]
+    counts = {None: solution_count(q, fiber)}
+    for t in np.flatnonzero(lead.any(axis=0)).tolist():
+        counts[t] = (q - 1) * solution_count(q, below[lead[:, t], t])
+    return counts
+
+
 def census_by_det_degree(n: int, q, k: int, budget=None) -> DetDegreeCensus:
-    """Bucket counts by determinant degree over all degree-<=k matrices."""
+    """Bucket counts by determinant degree over all degree-<=k matrices,
+    counted per prefix, in batches of about _LEAF_CHUNK system entries."""
     fld = _field(q)
-    buckets = _census(fld, n, k, budget, "determinant census", _leaf_degrees)
-    singular = buckets.pop(None, 0)
-    return DetDegreeCensus(n, fld.q, k, buckets, singular)
+    _check_scan(fld, n, k, budget, "determinant census")
+    q, width = fld.q, k + 1
+    chunk = max(1, _LEAF_CHUNK // (n * width * (n * k + 1)))
+    prefixes = q ** (n * (n - 1) * width)
+    buckets = {}
+    for lo in range(0, prefixes, chunk):
+        idx = np.arange(lo, min(lo + chunk, prefixes), dtype=np.int64)
+        for t, count in _det_degree_counts(fld, n, k, idx).items():
+            buckets[t] = buckets.get(t, 0) + count
+    singular = buckets.pop(None)
+    return DetDegreeCensus(n, q, k, buckets, singular)
 
 
 # -- determinants affine in one line -----------------------------------------

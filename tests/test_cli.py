@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -168,6 +169,22 @@ def test_formula_prints_a_long_count_at_a_large_t(capsys, digit_limit):
     payload = json.loads(out)
     assert payload["total_count"] == payload["class_count"] == str(2**4000)
     assert payload["orbit_count"] == "1"
+
+
+def test_total_count_digits_at_a_power_of_ten():
+    # the count 10, whose logarithms sum to just under 1
+    assert counting.total_count_formula(1, 11, 0, 0) == 10
+    assert cli._total_count_digits(1, 11, 0, 0, 4300) == 2
+
+
+def test_total_count_digits_match_the_printed_count():
+    """Exact under the limit; past it the logarithms are off by at most one
+    digit (next to a power of ten)."""
+    for n, q, t, k in product((1, 2, 3), (2, 3, 4, 5, 7, 9, 11, 13, 101), range(5), range(5)):
+        if t <= k:
+            digits = len(str(counting.total_count_formula(n, q, t, k)))
+            assert cli._total_count_digits(n, q, t, k, 4300) == digits
+            assert abs(cli._total_count_digits(n, q, t, k, 0) - digits) <= 1
 
 
 def test_formula_rejects_non_prime_power_q(capsys):

@@ -26,6 +26,7 @@ from orbitcount.errors import (
     InvalidParams,
     NotSquare,
     PreconditionViolation,
+    SingularMatrix,
 )
 from orbitcount.fields import digits, field_of_order, tables
 from orbitcount.linalg import iter_affine_space, rank, rref, solve_affine
@@ -178,13 +179,18 @@ def test_det_census_matches_per_matrix_reference(n, q, k):
 
 @pytest.mark.parametrize("n,q,k", [(1, 2, 5), (1, 3, 3), (2, 2, 1), (2, 3, 1)])
 def test_scans_match_reference_across_leaf_batches(monkeypatch, n, q, k):
-    """Last columns split over many batches give the same buckets."""
+    """Last columns, and prefix systems, split over many batches give the
+    same buckets (n = 1 has one prefix, so one system)."""
     monkeypatch.setattr(oracle, "_LEAF_CHUNK", 7)
     fld = field_of_order(q)
     orbits, degrees, singular = reference_census(fld, n, k)
     assert orbit_census(fld, n, k) == (orbits, singular)
+    batches = []
+    monkeypatch.setattr(oracle, "rref", lambda a, *rest: batches.append(len(a)) or rref(a, *rest))
     census = census_by_det_degree(n, fld, k)
     assert census.buckets == degrees and census.singular == singular
+    assert sum(batches) == q ** (n * (n - 1) * (k + 1))  # every prefix, once
+    assert len(batches) > 1 or n == 1
     for key in sorted(orbits)[:5]:
         assert count_orbit_bruteforce(matrix_of_key(fld, key), k) == orbits[key]
 
@@ -196,6 +202,88 @@ def test_n1_scan_over_many_leaf_batches():
     assert census.buckets == {t: 2**t for t in range(k + 1)} and census.singular == 1
 
 
+# -- the per-prefix degree count against polymat.det ------------------------
+
+# every (q, n, k) with n = 1..3 and k = 0..2 over F_2 .. F_9 whose q^(n(k+1))
+# completions of one prefix are few enough for polymat.det one by one (at
+# most 4,096); the others reach 9^9 completions
+PREFIX_POINTS = [
+    (q, n, k)
+    for q in (2, 3, 4, 5, 8, 9)
+    for n in (1, 2, 3)
+    for k in range(3)
+    if q ** (n * (k + 1)) <= 4096
+]
+
+
+def seeded_prefixes(fld, n, k, seed):
+    """Prefixes by kind, each its n rows of n - 1 coefficient lists: zero,
+    rank-deficient (n = 3: a nonzero first column and a nonzero multiple of
+    it), full-rank, and for k >= 1 full-rank with entries divisible by 1 + x,
+    whose determinant values lead and trail at different degrees.  Full-rank
+    ones are drawn until hnf takes them.  For n = 2 the zero column is the
+    only rank-deficient prefix, and n = 1 has the empty one only."""
+    rng = np.random.default_rng(seed)
+    width = k + 1
+    if n == 1:
+        return {"empty": [[]]}
+
+    def full_rank(times_1_plus_x):
+        while True:
+            low = rng.integers(fld.q, size=(n, n - 1, width - times_1_plus_x)).tolist()
+            if times_1_plus_x:  # e (1 + x)
+                low = [[[fld.add(a, b) for a, b in zip([*e, 0], [0, *e])] for e in r] for r in low]
+            try:
+                hnf(PolyMatrix([[Poly(fld, e) for e in row] for row in low]))
+                return low
+            except SingularMatrix:
+                continue
+
+    kinds = {"zero": [[[0] * width] * (n - 1) for _ in range(n)], "full-rank": full_rank(0)}
+    if k:
+        kinds["common factor"] = full_rank(1)
+    if n == 3:
+        col = [row[0] for row in kinds["full-rank"]]
+        a = int(rng.integers(1, fld.q))
+        kinds["rank-deficient"] = [[c, [fld.mul(a, v) for v in c]] for c in col]
+    return kinds
+
+
+def prefix_index(q, prefix):
+    """The index of a prefix, its digits as in oracle._decode_matrix."""
+    coeffs = [v for row in prefix for e in row for v in e]
+    return sum(v * q**p for p, v in enumerate(coeffs))
+
+
+def reference_det_degrees(fld, n, k, prefix):
+    """polymat.det on every completion [prefix | c]: {degree: count},
+    degree None for the singular ones."""
+    width = k + 1
+    counts = Counter()
+    for c in range(fld.q ** (n * width)):
+        last = digits(c, fld.q, n * width)
+        rows = [[*row, last[i * width : (i + 1) * width]] for i, row in enumerate(prefix)]
+        d = det(PolyMatrix([[Poly(fld, e) for e in row] for row in rows]))
+        counts[None if d.is_zero() else d.degree] += 1
+    return counts
+
+
+@pytest.mark.parametrize("q,n,k", PREFIX_POINTS)
+def test_prefix_degree_counts_match_det_of_every_completion(q, n, k):
+    """Each seeded prefix's counts against polymat.det over its q^(n(k+1))
+    completions, and the prefixes of one batch against their sum."""
+    fld = field_of_order(q)
+    kinds = seeded_prefixes(fld, n, k, seed=1000 * q + 10 * n + k)
+    total = Counter()
+    for name, prefix in kinds.items():
+        want = reference_det_degrees(fld, n, k, prefix)
+        got = oracle._det_degree_counts(fld, n, k, np.array([prefix_index(q, prefix)]))
+        assert got == want, name
+        total += want
+    idx = np.array([prefix_index(q, p) for p in kinds.values()])
+    assert oracle._det_degree_counts(fld, n, k, idx) == total
+
+
 # -- the batched leaf finish against the per-prefix reference ---------------
 
 
@@ -204,7 +292,7 @@ def reference_leaf_keys(fld, prefix, batch):
     the field tables for one prefix, then a Poly divmod for each entry of
     every nonsingular leaf.  Returns ``(key, count)`` pairs, key None for the
     singular ones."""
-    h1, _, u = prefix
+    h1, u = prefix
     tbl = tables(fld)
     _, mul, _, inv = tbl
     depth = batch.shape[1] - 1 + max(len(e.coeffs) for r in u for e in r)
@@ -303,18 +391,21 @@ class Walked(Exception):
 def test_packed_keys_fit_in_int64_at_the_edge(monkeypatch, n, q, k, fits):
     """Under a budget that admits the scan, a census whose packed keys could
     reach 2^63 is refused, and one below it starts its walk; neither builds
-    an array first (the walk is replaced by one that stops at once)."""
+    an array first (the walk is replaced by one that stops at once).  The
+    degree census packs no key, so it always starts: its first step, the
+    cofactors of its first batch of prefixes, stops it."""
 
     def walk(*args):
         raise Walked
 
     monkeypatch.setattr(oracle, "_prefixes", walk)
+    monkeypatch.setattr(oracle, "_minors", walk)
     huge = EnumerationBudget(1 << 400)
     rep = PolyMatrix.identity(field_of_order(q), n)
     for scan in (lambda: orbit_census(q, n, k, huge), lambda: count_orbit_bruteforce(rep, k, huge)):
         with pytest.raises(Walked if fits else BudgetExceeded):
             scan()
-    with pytest.raises(Walked):  # the degree census packs no key
+    with pytest.raises(Walked):
         census_by_det_degree(n, q, k, huge)
 
 
