@@ -9,6 +9,11 @@ UnsupportedDimension.
 All matrix arithmetic is exact; norm thresholds compare the squared Frobenius
 norm against T^2, and the square roots that bound a row of the ball are
 floored exactly.
+
+The norm ball is walked in numpy blocks, one per group of consecutive row
+values (``_ball_blocks``), and the ratio census classifies each block in one
+pass.  ``count_det_norm`` walks no matrix: it counts the ball along the
+quadric route, two sums of two squares, and the walk is its cross-check.
 """
 
 from __future__ import annotations
@@ -119,49 +124,118 @@ def _runs(n):
     return run, np.arange(run.size) - (np.cumsum(n) - n)[run]
 
 
-def _ball_blocks(det_value: int, T: int, budget=None):
-    """Every 2x2 integer matrix with determinant det_value and squared
-    Frobenius norm <= T^2, as int64 arrays (a, b, c, d): one block per row
-    value a, ascending, each block in (b, c, d) order.
+# Rows of the ball walk are grouped until a group holds about this many
+# candidate points: enough that a group's numpy calls pay off, few enough that
+# a classified group (about a dozen int64 arrays of its size) stays near 2 MB.
+# The lines are solved for slabs of rows with an eighth as many (a, b) pairs.
+_GROUP_POINTS = 1 << 14
 
-    For a != 0, b*c = -det (mod |a|) is solved per b: it has a solution iff
-    g = gcd(b, |a|) divides det, and then c runs through one residue class
-    mod |a|/g, so only those c are visited; d = (det + b*c)/a is exact and
-    a norm filter keeps the points of the ball.  For a = 0 the (b, c) with
-    b*c = -det come from one grid mask and d runs free within the ball.  A
-    det with 2|det| > T^2 has no matrix in the ball and yields nothing.
-    """
+
+def _ball_is_nonempty(det_value: int, T: int, budget) -> bool:
+    """The refusals of every norm-ball count, made before any array is built:
+    T < 1 raises InvalidParams and the (2T + 1)^3 scan is checked against
+    the budget.  False when 2|det| > T^2, which leaves the ball without a
+    matrix, since |ad - bc| <= (a^2 + b^2 + c^2 + d^2) / 2."""
     if T < 1:
         raise InvalidParams(f"T must be >= 1, got {T}")
     _budget(budget).check(2 * T + 1, [3], "norm-ball scan")
-    if 2 * abs(det_value) > T * T:  # |ad - bc| <= (a^2 + b^2 + c^2 + d^2) / 2
-        return
-    D = det_value
+    return 2 * abs(det_value) <= T * T
+
+
+def _ball_lines(D: int, T: int):
+    """The candidate lines of the ball walk in walk order: a ascending, then
+    b, then c.  One table of int64 arrays (a, b, c, d, dc, dd, n) is yielded
+    per slab of consecutive rows (the row a = 0 is a slab of its own); the
+    candidates of a line are (a, b, c + k*dc, d + k*dd) for 0 <= k < n, all
+    with determinant D.  Lines without a candidate are dropped."""
     gcds, invs = _bezout_table(T)
-    for a in range(-T, T + 1):
-        room = T * T - a * a
-        r = math.isqrt(room)
-        if a == 0:
-            b, c = np.ogrid[-r : r + 1, -r : r + 1]
-            i, j = np.nonzero((b * b + c * c <= room) & (b * c == -D))
-            b, c = i - r, j - r
-            dmax = _isqrt(room - b * b - c * c)
-            run, k = _runs(2 * dmax + 1)
-            yield np.zeros_like(k), b[run], c[run], k - dmax[run]
+    rows = np.arange(-T, T + 1)
+    bmax = _isqrt(T * T - rows * rows)
+    pairs = 2 * bmax + 1
+    slab = (np.cumsum(pairs) - pairs) // max(_GROUP_POINTS >> 3, 1)
+    cuts = sorted({*np.flatnonzero(np.diff(slab, prepend=-1)).tolist(), T, T + 1, 2 * T + 1})
+    for lo, hi in zip(cuts, cuts[1:]):
+        if lo == T:
+            yield _row0_lines(D, T)
+        else:
+            run, k = _runs(pairs[lo:hi])
+            yield _slab_lines(D, T, rows[lo:hi][run], k - bmax[lo:hi][run], gcds, invs)
+
+
+def _slab_lines(D: int, T: int, a, b, gcds, invs):
+    """The lines of the pairs (a, b), a != 0, solved at once: b*c = -D
+    (mod |a|) has a solution iff g = gcd(b, |a|) divides D, and then c runs
+    through one residue class mod |a|/g; d = (D + b*c)/a is exact and moves
+    by sign(a)*b/g per step of c.  The candidates are the points of that
+    line with |c|, |d| <= isqrt(T^2 - a^2 - b^2), the square around the
+    ball's disk, found by floor division alone."""
+    m = np.abs(a)
+    g, u = gcds[m, b % m], invs[m, b % m]
+    step = m // g
+    c0 = (-(D // g) % step) * (u % step) % step  # b*c = -D (mod m) iff c = c0 (mod step)
+    cmax = _isqrt(T * T - a * a - b * b)
+    c = (c0 + cmax) % step - cmax  # the least such c >= -cmax
+    d, dd = (D + b * c) // a, b // g * np.sign(a)
+    # k runs over the c with |c| <= cmax, cut to the k with |d| <= cmax too
+    nc = (cmax - c) // step + 1
+    sd, e = np.sign(dd), np.maximum(np.abs(dd), 1)
+    first = np.maximum(-((cmax + sd * d) // e), 0)
+    n = np.where(sd == 0, nc, np.minimum((cmax - sd * d) // e + 1, nc)) - first
+    live = (D % g == 0) & (n > 0)
+    return tuple(v[live] for v in (a, b, c + first * step, d + first * dd, step, dd, n))
+
+
+def _row0_lines(D: int, T: int):
+    """The lines of the row a = 0: the (b, c) with b*c = -D come from one
+    grid mask, and d runs free within the ball."""
+    b, c = np.ogrid[-T : T + 1, -T : T + 1]
+    i, j = np.nonzero((b * b + c * c <= T * T) & (b * c == -D))
+    b, c = i - T, j - T
+    dmax = _isqrt(T * T - b * b - c * c)
+    z = np.zeros_like(b)
+    return z, b, c, -dmax, z, z + 1, 2 * dmax + 1
+
+
+def _line_points(T: int, a, b, c, d, dc, dd, n):
+    """The points of the ball on a table of candidate lines, in line order."""
+    run, k = _runs(n)
+    a, b = a[run], b[run]
+    c, d = c[run] + k * dc[run], d[run] + k * dd[run]
+    keep = a * a + b * b + c * c + d * d <= T * T
+    return a[keep], b[keep], c[keep], d[keep]
+
+
+def _ball_blocks(det_value: int, T: int, budget=None):
+    """Every 2x2 integer matrix with determinant det_value and squared
+    Frobenius norm <= T^2, as int64 arrays (a, b, c, d): one block per group
+    of consecutive row values a, the points in order of a ascending, then
+    (b, c, d).
+
+    The candidate lines of ``_ball_lines`` are cut at row boundaries, by
+    windows of ``_GROUP_POINTS`` candidates: a group holds fewer than
+    ``_GROUP_POINTS`` candidates besides its last row, and a larger row is a
+    group of its own.  The last group of a slab stays open and its lines
+    are carried into the next slab; each closed group is expanded and
+    norm-filtered in one pass.  A det with 2|det| > T^2 has no matrix in the
+    ball and yields nothing.
+    """
+    if not _ball_is_nonempty(det_value, T, budget):
+        return
+    held = None  # the lines of the open group
+    for lines in _ball_lines(det_value, T):
+        if held is not None:
+            lines = [np.concatenate(v) for v in zip(held, lines)]
+        a, n = lines[0], lines[-1]
+        if not a.size:
             continue
-        m = abs(a)
-        b = np.arange(-r, r + 1)
-        b = b[D % gcds[m, b % m] == 0]
-        g, u = gcds[m, b % m], invs[m, b % m]
-        step = m // g
-        c0 = (-(D // g) % step) * (u % step) % step  # b*c = -det (mod m) iff c = c0 (mod step)
-        cmax = _isqrt(room - b * b)
-        cmin = (c0 + cmax) % step - cmax  # the least such c >= -cmax
-        run, k = _runs(np.maximum((cmax - cmin) // step + 1, 0))
-        b, c = b[run], cmin[run] + k * step[run]
-        d = (D + b * c) // a
-        keep = b * b + c * c + d * d <= room
-        yield np.full(np.count_nonzero(keep), a), b[keep], c[keep], d[keep]
+        starts = np.flatnonzero(np.diff(a, prepend=a[0] - 1))
+        before = (np.cumsum(n) - n)[starts]  # candidates ahead of each row
+        cuts = starts[np.diff(before // _GROUP_POINTS, prepend=-1) > 0].tolist()
+        for lo, hi in zip(cuts, cuts[1:]):
+            yield _line_points(T, *(v[lo:hi] for v in lines))
+        held = [v[cuts[-1] :] for v in lines]
+    if held is not None:
+        yield _line_points(T, *held)
 
 
 def enumerate_det_norm(n: int, det_value: int, T: int, budget=None):
@@ -176,8 +250,8 @@ def enumerate_det_norm(n: int, det_value: int, T: int, budget=None):
     if n != 2:
         raise UnsupportedDimension("only 2x2 enumeration is supported")
     for block in _ball_blocks(det_value, T, budget):
-        for a, b, c, d in zip(*(v.tolist() for v in block)):
-            yield ((a, b), (c, d))
+        a, b, c, d = (v.tolist() for v in block)
+        yield from zip(zip(a, b), zip(c, d))
 
 
 @dataclass(frozen=True)
@@ -200,35 +274,38 @@ class RatioReport:
 
 
 def _block_classes(a, b, c, d, det_value: int, bezout):
-    """The closed forms of ``snf_int`` and ``hnf_int`` on one nonempty block
-    of the ball walk (a is constant, det_value > 0): arrays (g, g1, corner),
-    g the content of the four entries, so the Smith form is
-    diag(g, det/g), and the Hermite form [[g1, corner], [0, det/g1]] with
-    g1 = gcd(a, c) and corner = (x*b + y*d) mod det/g1 for the Bezout pair
-    x*a + y*c = g1 read off ``bezout = _bezout_table(T)``."""
-    g = np.gcd(np.gcd(a, b), np.gcd(c, d))
-    a0 = int(a[0])
-    if a0:
-        gcds, invs = bezout
-        m = abs(a0)
-        g1, y = gcds[m, c % m], invs[m, c % m]
-        x = (g1 - y * c) // a0  # y*c = g1 (mod a), so exact
-    else:
-        g1, x, y = np.abs(c), 0, np.sign(c)
-    return g, g1, (x * b + y * d) % (det_value // g1)
+    """The closed forms of ``hnf_int`` and ``snf_int`` on one nonempty block
+    of the ball walk (det_value > 0; the rows a may differ from point to
+    point): arrays (g, g1, corner).  The Hermite form is
+    [[g1, corner], [0, det/g1]] with g1 = gcd(a, c) and
+    corner = (x*b + y*d) mod det/g1 for a Bezout pair x*a + y*c = g1: for
+    a != 0 it is read off ``bezout = _bezout_table(T)`` at [|a|, c mod |a|],
+    for a = 0 it is (x, y) = (0, sign c).  The Smith form is diag(g, det/g)
+    with g the content of the four entries, which a left unimodular factor
+    keeps, so g = gcd(g1, corner, det/g1)."""
+    gcds, invs = bezout
+    zero = a == 0
+    m = np.maximum(np.abs(a), 1)  # a = 0 reads a dummy entry, replaced below
+    r = c % m
+    g1 = np.where(zero, np.abs(c), gcds[m, r])
+    y = np.where(zero, np.sign(c), invs[m, r])
+    x = (g1 - y * c) // np.where(zero, 1, a)  # y*c = g1 (mod a), so exact; 0 if a = 0
+    corner = (x * b + y * d) % (det_value // g1)
+    return np.gcd(np.gcd(g1, corner), det_value // g1), g1, corner
 
 
 def orbit_ratio_experiment(det_value: int, T: int, ladder=None, budget=None) -> RatioReport:
     """Census of the determinant surface inside nested norm balls, bucketed by
     two-sided (Smith) class and by left (Hermite) class.
 
-    Each block of the ball walk is classified in numpy (``_block_classes``)
-    and each point gets its rung, the least ladder value L with norm <= L^2.
-    One packed key (class, rung) per point is counted with ``np.unique``, and
-    a count at a rung also counts at every larger rung.  g and g1 divide a
-    nonzero entry, so both are <= max(ladder) = T', and the keys stay below
-    T'^4 / 2, inside int64 for every T' < 65000; the walk's (T' + 1) x T'
-    Bezout table outgrows memory long before that.
+    Each block of the ball walk, one group of rows, is classified in one
+    numpy pass (``_block_classes``) and each point gets its rung, the least
+    ladder value L with norm <= L^2.  One packed key (class, rung) per point
+    is counted with one ``np.unique`` per form and block, and a count at a
+    rung also counts at every larger rung.  g and g1 divide a nonzero entry,
+    so both are <= max(ladder) = T', and the keys stay below T'^4 / 2,
+    inside int64 for every T' < 65000; the walk's (T' + 1) x T' Bezout
+    table outgrows memory long before that.
     """
     if det_value <= 0:
         raise NonPositiveDeterminant("the experiment needs det > 0")
@@ -271,9 +348,34 @@ def orbit_ratio_experiment(det_value: int, T: int, ladder=None, budget=None) -> 
 
 
 def count_det_norm(det_value: int, T: int, budget=None) -> int:
-    """N(T) for the whole determinant surface: the sizes of the ball walk's
-    blocks, added up."""
-    return sum(a.size for a, _, _, _ in _ball_blocks(det_value, T, budget))
+    """N(T) for the whole determinant surface, along the quadric route; no
+    matrix is walked.
+
+    With u = a + d, v = a - d, s = b + c and w = b - c, ad - bc = D is
+    u^2 + w^2 - (v^2 + s^2) = 4D with u = v and s = w (mod 2), and the
+    squared norm is (u^2 + v^2 + s^2 + w^2)/2.  A row swap negates the
+    determinant and keeps the norm, so N_D = N_|D|, and N_|D|(T) is the sum
+    over parities (alpha, beta) and 0 <= Q <= T^2 - 2|D| of
+    R(Q + 4|D|) R(Q), R(n) counting x^2 + y^2 = n with x = alpha and
+    y = beta (mod 2): O(T^2) numpy work.  It refuses what the ball walk
+    refuses (``_ball_is_nonempty``), and the walk is its cross-check.
+    """
+    if not _ball_is_nonempty(det_value, T, budget):
+        return 0
+    D, T2 = abs(det_value), T * T
+    top = T2 + 2 * D  # the largest u^2 + w^2 in the ball
+    r = math.isqrt(top)
+    side = np.arange(-r, r + 1)
+    Q = np.arange(T2 - 2 * D + 1)
+    total = 0
+    for alpha in (0, 1):
+        x = side[side % 2 == alpha]
+        for beta in (0, 1):
+            y = side[side % 2 == beta]
+            norms = ((x * x)[:, None] + y * y).ravel()
+            R = np.bincount(norms[norms <= top], minlength=top + 1)
+            total += int(R[Q + 4 * D] @ R[Q])
+    return total
 
 
 def hnf_classes_for_det(det_value: int, budget=None):

@@ -255,7 +255,9 @@ def test_criterion_9_zcase_asymptotics_empirical():
     ok = devs[200] <= 0.05  # tolerance 1/6 +- 0.05
     ok = ok and devs[200] <= devs[50]  # trend toward the limit
     # exact, zero tolerance: a det-4 matrix with content 2 is twice a det-1
-    # matrix of half the norm, so diag(2, 2) at rung L is the det-1 ball at L/2
+    # matrix of half the norm, so diag(2, 2) at rung L is the det-1 ball at
+    # L/2; the census walks the ball and count_det_norm takes the quadric
+    # route, so two independent routes meet here
     ok = ok and all(report.class_counts[L][o_big] == count_det_norm(1, L // 2) for L in (50, 200))
     density = count_det_norm(1, 200) / 200**2
     ok = ok and abs(density - 6.0) / 6.0 <= 0.15  # 15% tolerance
@@ -263,5 +265,5 @@ def test_criterion_9_zcase_asymptotics_empirical():
         9,
         ok,
         f"ratio dev {devs[200]:.4f} @T=200 (<=0.05), density {density:.3f} (6.0 +-15%), "
-        "diag(2,2) = det-1 ball at L/2 exact",
+        "diag(2,2) walk = det-1 quadric count at L/2 exact",
     )

@@ -12,6 +12,7 @@ from orbitcount.errors import (
     SingularMatrix,
     UnsupportedDimension,
 )
+from orbitcount.fields import factorize
 from orbitcount.integer_orbits import (
     RatioReport,
     _ball_blocks,
@@ -310,6 +311,25 @@ def test_enumerate_det_norm_matches_reference_in_order():
     assert points == 417748
 
 
+def test_enumeration_matches_reference_across_row_groups(monkeypatch):
+    """Groups of one row (every row holds at least one candidate) and of 7
+    candidates (rows near the rim join up) keep the walk's order; some
+    group of the 7-candidate walk holds more than one row."""
+    multi_row = 0
+    for det_value in [*range(-12, 13), 36, 100]:
+        for T in (1, 2, 3, 5, 8, 13, 21, 30):
+            want = list(reference_enumerate_det_norm(det_value, T))
+            for size in (1, 7):
+                monkeypatch.setattr(integer_orbits, "_GROUP_POINTS", size)
+                assert list(enumerate_det_norm(2, det_value, T)) == want, (size, det_value, T)
+                rows = [np.unique(a).size for a, *_ in _ball_blocks(det_value, T)]
+                assert size == 7 or max(rows, default=0) <= 1, (det_value, T)
+                multi_row += size == 7 and max(rows, default=0) > 1
+    assert multi_row
+    monkeypatch.undo()
+    assert sum(1 for _ in _ball_blocks(4, 200)) > 1
+
+
 def test_enumerate_det_norm_frozen_counts():
     # values pinned from the exhaustive grid scan above
     assert count_det_norm(1, 2) == 20
@@ -442,8 +462,10 @@ def test_bezout_table_is_gcd_and_inverse():
     assert ((invs[1:] * r - gcds[1:]) % m == 0).all()
 
 
-@pytest.mark.parametrize("det_value, T, ladder", [(4, 60, [15, 30]), (12, 40, None),
-                                                  (6, 41, None), (1, 30, None)])
+RATIO_CASES = [(4, 60, [15, 30]), (12, 40, None), (6, 41, None), (1, 30, None)]
+
+
+@pytest.mark.parametrize("det_value, T, ladder", RATIO_CASES)
 def test_ratio_experiment_matches_per_matrix_reference(det_value, T, ladder):
     got = orbit_ratio_experiment(det_value, T, ladder)
     want = reference_orbit_ratio_experiment(det_value, T, ladder)
@@ -452,25 +474,42 @@ def test_ratio_experiment_matches_per_matrix_reference(det_value, T, ladder):
     assert all(type(v) is int for d in got.class_counts.values() for v in d.values())
 
 
-def quadric_count(det_value, T):
-    """N_D(T) along the quadric route: with u = a + d, v = a - d, s = b + c,
-    w = b - c, ad - bc = D is u^2 + w^2 - (v^2 + s^2) = 4D with u = v and
-    s = w (mod 2), and the norm is (u^2 + v^2 + s^2 + w^2)/2.  So N_D(T) is
-    the sum over parities (alpha, beta) and 0 <= Q <= T^2 - 2D of
-    R(Q + 4D) R(Q), R counting x^2 + y^2 = n with x = alpha, y = beta
-    (mod 2)."""
-    assert det_value >= 1  # Q + 4D >= 0, so no index wraps
-    top = T * T + 2 * det_value  # the largest u^2 + w^2 in the ball
-    side = np.arange(-math.isqrt(top), math.isqrt(top) + 1)
-    total = 0
-    for alpha in (0, 1):
-        for beta in (0, 1):
-            x, y = side[side % 2 == alpha], side[side % 2 == beta]
-            norms = (x[:, None] ** 2 + y[None, :] ** 2).ravel()
-            R = np.bincount(norms[norms <= top], minlength=top + 1)
-            Q = np.arange(T * T - 2 * det_value + 1)
-            total += int((R[Q + 4 * det_value] * R[Q]).sum())
-    return total
+def test_ratio_experiment_matches_reference_across_row_groups(monkeypatch):
+    for det_value, T, ladder in RATIO_CASES:
+        want = reference_orbit_ratio_experiment(det_value, T, ladder)
+        for size in (1, 7):
+            monkeypatch.setattr(integer_orbits, "_GROUP_POINTS", size)
+            assert orbit_ratio_experiment(det_value, T, ladder) == want, (size, det_value, T)
+
+
+def mobius(h):
+    exps = factorize(h).values() if h > 1 else ()
+    return 0 if any(e > 1 for e in exps) else (-1) ** len(exps)
+
+
+def test_smith_classes_are_content_times_primitive_counts():
+    """A det-D matrix with content g is g times a primitive matrix, so by
+    Moebius inversion over the content the Smith class diag(g, D/g) at T
+    holds sum over h^2 | D/g^2 of mu(h) N_{D/(gh)^2}(T/(gh)), exactly; every
+    gh divides T = 72 here, so T/(gh) is the exact norm bound."""
+    T, classes = 72, 0
+    for D in (4, 8, 9, 12, 16, 18, 36):
+        report = orbit_ratio_experiment(D, T, ladder=(T,))
+        for ((g, _), _), count in report.class_counts[T].items():
+            want = 0
+            for h in range(1, math.isqrt(D // (g * g)) + 1):
+                if (D // (g * g)) % (h * h) == 0:
+                    assert T % (g * h) == 0
+                    want += mobius(h) * count_det_norm(D // (g * h) ** 2, T // (g * h))
+            assert count == want, (D, g)
+            classes += 1
+    assert classes == 17
+
+
+def walk_count(det_value, T):
+    """N_D(T) as the sizes of the ball walk's blocks: the reference for the
+    quadric route of ``count_det_norm``."""
+    return sum(a.size for a, *_ in _ball_blocks(det_value, T))
 
 
 @pytest.mark.parametrize("det_value, T, expect", [
@@ -479,9 +518,15 @@ def quadric_count(det_value, T):
 ])
 def test_quadric_route_matches_the_ball_walk(det_value, T, expect):
     n = count_det_norm(det_value, T)
-    assert quadric_count(det_value, T) == n
+    assert walk_count(det_value, T) == n
     if expect is not None:
         assert n == expect
+
+
+def test_quadric_route_matches_the_ball_walk_on_every_small_ball():
+    mismatches = [(D, T) for D in range(-13, 14) for T in range(1, 26)
+                  if count_det_norm(D, T) != walk_count(D, T)]
+    assert mismatches == []
 
 
 class _NoNumpy:
