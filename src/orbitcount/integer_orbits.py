@@ -142,13 +142,14 @@ def _ball_is_nonempty(det_value: int, T: int, budget) -> bool:
     return 2 * abs(det_value) <= T * T
 
 
-def _ball_lines(D: int, T: int):
+def _ball_lines(D: int, T: int, bezout):
     """The candidate lines of the ball walk in walk order: a ascending, then
     b, then c.  One table of int64 arrays (a, b, c, d, dc, dd, n) is yielded
     per slab of consecutive rows (the row a = 0 is a slab of its own); the
     candidates of a line are (a, b, c + k*dc, d + k*dd) for 0 <= k < n, all
-    with determinant D.  Lines without a candidate are dropped."""
-    gcds, invs = _bezout_table(T)
+    with determinant D.  Lines without a candidate are dropped; bezout is
+    ``_bezout_table(T)``."""
+    gcds, invs = bezout
     rows = np.arange(-T, T + 1)
     bmax = _isqrt(T * T - rows * rows)
     pairs = 2 * bmax + 1
@@ -219,10 +220,15 @@ def _ball_blocks(det_value: int, T: int, budget=None):
     norm-filtered in one pass.  A det with 2|det| > T^2 has no matrix in the
     ball and yields nothing.
     """
-    if not _ball_is_nonempty(det_value, T, budget):
-        return
+    if _ball_is_nonempty(det_value, T, budget):
+        yield from _walk_blocks(det_value, T, _bezout_table(T))
+
+
+def _walk_blocks(D: int, T: int, bezout):
+    """The blocks of ``_ball_blocks`` once its refusals have passed, the
+    lines solved with bezout = ``_bezout_table(T)``."""
     held = None  # the lines of the open group
-    for lines in _ball_lines(det_value, T):
+    for lines in _ball_lines(D, T, bezout):
         if held is not None:
             lines = [np.concatenate(v) for v in zip(held, lines)]
         a, n = lines[0], lines[-1]
@@ -314,12 +320,13 @@ def orbit_ratio_experiment(det_value: int, T: int, ladder=None, budget=None) -> 
         raise InvalidParams(f"ladder rungs must be >= 1, got {ladder[0]}")
     D, top, rungs = det_value, ladder[-1], len(ladder)
     smith, left = {}, {}
-    bezout = None
-    for a, b, c, d in _ball_blocks(D, top, budget):
+    blocks = ()
+    if _ball_is_nonempty(D, top, budget):  # the walk's refusals come before any array
+        bezout = _bezout_table(top)  # one table for the walk and the classes
+        squares, blocks = np.array([L * L for L in ladder]), _walk_blocks(D, top, bezout)
+    for a, b, c, d in blocks:
         if not a.size:
             continue
-        if bezout is None:  # built once the walk's own checks have passed
-            bezout, squares = _bezout_table(top), np.array([L * L for L in ladder])
         g, g1, corner = _block_classes(a, b, c, d, D, bezout)
         rung = np.searchsorted(squares, a * a + b * b + c * c + d * d)
         for tally, key in ((smith, g), (left, g1 * (D + 1) + corner)):

@@ -1,10 +1,15 @@
 """Small dense linear algebra over a finite field.
 
 Vectors are lists of integer-coded field elements.  One Gauss-Jordan kernel
-(``rref``) reduces a whole batch of systems at once in numpy, through the
-field's tables widened to intp for flat ``x * q + y`` lookups; one codec
-(``consistent``, ``affine_solutions``, ``solution_count``) reads a reduced
-batch back as affine spaces.  ``rank``, ``solve_affine`` and the constant
+(``rref``) reduces a whole batch of systems at once in numpy; the field
+chooses its two arithmetic steps, scaling the pivot row and subtracting a
+multiple of it from the other rows.  A prime field F_p does both in plain
+integer arithmetic, in the narrowest dtype that holds p^2 - 1 (uint8 up to
+p = 13, int16 up to 181, int32 beyond), reduced once per step as
+x - p (x // p); an extension field looks both up in its add and mul tables,
+widened to intp for flat ``x * q + y`` lookups.  One codec (``consistent``,
+``affine_solutions``, ``solution_count``) reads a reduced batch back as
+affine spaces.  ``rank``, ``solve_affine`` and the constant
 inverse of the conjugation move run on a batch of one, the orbit-side
 counters on a whole count at once.
 """
@@ -19,54 +24,97 @@ from .errors import ShapeMismatch
 from .fields import GF, tables
 
 
+def _table_steps(field: GF):
+    """The two steps of ``rref`` through the field's tables: ``(dtype,
+    scale, eliminate)``, scale(s, row) returning s row and eliminate(rest,
+    e, row) setting rest to rest - e row in place, elementwise.  ``rref``
+    takes them for extension fields; for prime fields they are the
+    reference that the integer steps are tested against."""
+    add, mul, neg, _ = (t.astype(np.intp) for t in tables(field))  # x * q + y needs intp
+    add, mul, q = add.ravel(), mul.ravel(), field.q
+
+    def eliminate(rest, e, row):
+        x = mul.take(neg[e] * q + row)
+        x += rest * q
+        rest[...] = add.take(x)
+
+    return np.intp, lambda s, row: mul.take(s * q + row), eliminate
+
+
+def _integer_steps(p: int):
+    """The two steps of ``rref`` over F_p in integer arithmetic (see
+    ``_table_steps``): rest - e row is rest + (p - e) row, at most
+    (p - 1) + p (p - 1) = p^2 - 1, held in the narrowest dtype that holds it.
+    Each step is reduced once, by floor division: numpy divides integers by
+    a scalar far faster than it takes ``%``."""
+    dtype = next(t for t in (np.uint8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= p * p - 1)
+
+    def scale(s, row):
+        x = s * row
+        x -= p * (x // p)
+        return x
+
+    def eliminate(rest, e, row):
+        rest += (p - e) * row
+        rest -= p * (rest // p)
+
+    return dtype, scale, eliminate
+
+
+def _steps(field: GF):
+    """The two steps of ``rref`` over field: integer arithmetic for a prime
+    field, table lookups for an extension field."""
+    return _integer_steps(field.p) if field.e == 1 else _table_steps(field)
+
+
 def rref(systems, ncols: int, field: GF):
     """Reduced row echelon form of a batch of systems by Gauss-Jordan
     elimination on the first ``ncols`` columns (later columns, such as
     augmented right-hand sides, are carried along).
 
     ``systems`` is an integer array (L, R, C) of field elements; it is left
-    unchanged.  Returns ``(reduced, rank, pivots)``: the reduced batch, where
-    row i of system l has its leading 1 in the i-th pivot column of l and
-    rows from ``rank[l]`` on are zero on the first ``ncols`` columns; the
-    rank of each system, an array (L,); and a boolean array (L, ncols) that
-    marks each system's pivot columns.
+    unchanged.  Returns ``(reduced, rank, pivots)``: the reduced batch, an
+    intp array, where row i of system l has its leading 1 in the i-th pivot
+    column of l and rows from ``rank[l]`` on are zero on the first ``ncols``
+    columns; the rank of each system, an array (L,); and a boolean array
+    (L, ncols) that marks each system's pivot columns.
 
     The batch is held column-major, as (C, R, L), so that each column step
-    reads and writes contiguous (R, L) blocks.  Every column steps every
-    system: one with no pivot in the column gets factor 0 and scale 1, which
-    leaves it unchanged, so no live subset is gathered or scattered.
+    reads and writes contiguous (R, L) blocks, in the dtype of the field's
+    steps (see ``_steps``).  Every column steps every system: one with no
+    pivot in the column gets factor 0 and scale 1, which leaves it
+    unchanged, so no live subset is gathered or scattered.
     """
-    add, mul, neg, inv = (t.astype(np.intp) for t in tables(field))  # x * q + y needs intp
-    q = len(neg)
-    add, mul = add.ravel(), mul.ravel()  # table[x * q + y] is one take per lookup
-    a = np.array(np.asarray(systems).transpose(2, 1, 0), dtype=np.intp, order="C")
+    dtype, scale_row, eliminate = _steps(field)
+    inv = tables(field)[3].astype(dtype)
+    a = np.array(np.asarray(systems).transpose(2, 1, 0), dtype=dtype, order="C")
     _, nrows, size = a.shape
     at = np.arange(size)
-    used = np.zeros((nrows, size), dtype=bool)  # rows that hold a pivot
-    pivot_of = np.full((nrows, size), ncols)  # the pivot column of each used row
+    free = np.ones((nrows, size), dtype=bool)  # rows that hold no pivot
+    pivot_of = np.full((nrows, size), ncols)  # the pivot column of each row that holds one
     for c in range(ncols):
-        live = (a[c] != 0) & ~used
+        live = a[c] != 0
+        live &= free
         has = live.any(axis=0)
         if not has.any():
             continue
         p = np.argmax(live, axis=0)
         # the pivot row is zero left of column c, so only columns c.. change
         row = a[c:, p, at]
-        scale = np.where(has, inv[row[0]], 1)
-        row = mul.take(scale * q + row)
-        factor = np.where(has, neg[a[c]], 0)
+        row = scale_row(np.where(has, inv[row[0]], 1), row)
+        factor = a[c] * has  # 0 where the system has no pivot here
         factor[p, at] = 0
-        step = mul.take(factor * q + row[:, None, :])
-        step += a[c:] * q
-        a[c:] = add.take(step)
+        eliminate(a[c:], factor, row[:, None, :])
         a[c:, p, at] = row
-        used[p[has], at[has]] = True
-        pivot_of[p[has], at[has]] = c
+        got = p[has], at[has]  # (row, system) of each new pivot
+        free[got] = False
+        pivot_of[got] = c
     # pivot rows first, in pivot-column order; the stable sort keeps the rest
     order = np.argsort(pivot_of, axis=0, kind="stable")
     pivots = np.zeros((ncols + 1, size), dtype=bool)
     pivots[pivot_of, at] = True
-    return a[:, order, at].transpose(2, 1, 0), used.sum(axis=0), pivots[:ncols].T
+    reduced = a[:, order, at].transpose(2, 1, 0).astype(np.intp)
+    return reduced, nrows - free.sum(axis=0), pivots[:ncols].T
 
 
 def rank(rows, field: GF) -> int:

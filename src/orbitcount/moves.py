@@ -17,7 +17,6 @@ from .errors import (
     NotConstant,
     NotTriangular,
     SingularConjugator,
-    SingularMatrix,
     ZeroPivot,
 )
 from .linalg import rref
@@ -214,10 +213,9 @@ def _count_preservation(before, after, k_range, budget, move, counts) -> MoveRec
 
     A count depends only on the field, the canonical form and k, so counts
     maps each (field, canonical-form key, k) to its count, and each key is
-    counted once for as long as the caller keeps the table.
+    counted once for as long as the caller keeps the table.  A singular
+    matrix has no canonical form: ``hnf`` raises SingularMatrix.
     """
-    if det(before).is_zero() or det(after).is_zero():
-        raise SingularMatrix("count preservation needs nonsingular matrices")
 
     def count(m, form, k):
         key = (m.field, form, k)

@@ -428,6 +428,13 @@ def census_by_det_degree(n: int, q, k: int, budget=None) -> DetDegreeCensus:
 # of -base·C: one affine system in the x_b per choice of the other lines.
 
 
+def _check_cofactors(budget: EnumerationBudget, n: int, what: str):
+    """Refuse the line solves of n x n matrices when their cofactor
+    expansion, the n 2^(n-1) products of ``polymat._minors`` per batch, is
+    over the budget: checked on exponents, before any minor is built."""
+    budget.check(2, [n - 1] * n, f"{what} (cofactor products)")
+
+
 def _line_systems(fld: GF, lines, c: int, base, directions, size: int):
     """The systems of a batch of size matrices whose line c is base + sum_b
     x_b directions[b], reduced by one ``rref``: ``(reduced, ranks, pivots,
@@ -450,7 +457,10 @@ def _line_systems(fld: GF, lines, c: int, base, directions, size: int):
         at = slice(e, e + len(term))
         g[b, at] = add[g[b, at], term] if b == last else term
         last = b
-    reduced, ranks, pivots = rref(g[:, 1:].transpose(2, 1, 0), nb, fld)
+    # a degree that no system of the batch reaches holds no pivot and no
+    # inconsistency: its row is dropped before the elimination
+    g = g[:, 1:]
+    reduced, ranks, pivots = rref(g[:, g.any(axis=(0, 2))].transpose(2, 1, 0), nb, fld)
     return reduced, ranks, pivots, consistent(reduced, ranks, nb)
 
 
@@ -545,6 +555,7 @@ def _p_systems(fld: GF, bounds: tuple, max_items: int):
     # entries of column c are free
     budget.check(q, [n * (total_k - bounds[c])], f"{what} (systems)")
     budget.check(q, [(n - 1) * bounds[c]], f"{what} (members)")
+    _check_cofactors(budget, n, what)
     width = n * total_k
     if width * (q.bit_length() - 1) >= 63 or q**width >= 1 << 63:
         raise BudgetExceeded(f"{what}: member indices up to {q}^{width} exceed the 64-bit index")
@@ -805,6 +816,7 @@ def count_orbit_members(rep: PolyMatrix, k: int, budget=None) -> int:
     (particulars,), (basis,), _ = affine_solutions(reduced, ranks, pivots, fld)
     nb = len(basis)
     budget.check(q, [nb * (n - 1)], "orbit member enumeration")
+    _check_cofactors(budget, n, "orbit member enumeration")
 
     # the last row as coefficient arrays (n, k + 1): e_(n-1) plus its
     # particular, then its directions, whose constant layer is zero

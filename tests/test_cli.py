@@ -257,6 +257,8 @@ def test_budget_refusal_exit_3(capsys):
         ["brute", "--n", "2", "--q", "3", "--k", "30000000"],  # 3^120000004
         ["lemma2", "--bounds", "200,200,200", "--q", "9"],  # the recursion would overflow
         ["lemma2", "--bounds", "30000000,1", "--q", "3"],  # the formula would build 3^30000001
+        # one system, but its cofactor expansion would take 30 2^29 products
+        ["lemma2", "--bounds", ",".join(["0"] * 30), "--q", "2"],
     ],
 )
 def test_huge_scans_are_refused_at_once(capsys, argv):

@@ -1,8 +1,9 @@
 """The one elimination kernel and the codec that reads its batches back as
 affine spaces (behind rank, solve_affine, the constant inverse of the
 conjugation move and the orbit-side line solves), checked against
-brute-force enumeration of every vector over F_2, F_3 and F_4, and the
-column-major kernel checked against the row-major one it replaced."""
+brute-force enumeration of every vector over F_2, F_3 and F_4, the
+column-major kernel checked against the row-major one it replaced, and its
+integer steps for prime fields against its table steps."""
 
 from itertools import product
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbitcount import linalg
 from orbitcount.errors import ShapeMismatch
 from orbitcount.fields import field_of_order, field_spec, tables
 from orbitcount.linalg import (
@@ -224,3 +226,42 @@ def test_rref_matches_row_major_reference(batch):
     assert np.array_equal(a, before)
     for g, w in zip(got, want):
         assert g.shape == w.shape and np.array_equal(g, w)
+
+
+# each side of every dtype switch of the integer steps: uint8 up to p = 13,
+# int16 up to 181, int32 beyond
+STEP_PRIMES = (2, 3, 13, 17, 181, 191, 509)
+
+
+def table_rref(systems, ncols, field, monkeypatch):
+    """``rref`` with the add and mul tables doing its two steps, as for an
+    extension field: the reference of the integer steps of prime fields."""
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_steps", linalg._table_steps)
+        return rref(systems, ncols, field)
+
+
+@pytest.mark.parametrize("p", STEP_PRIMES)
+def test_integer_steps_match_table_steps(p, monkeypatch):
+    """Random, all-zero and rank-deficient batches, one system or many, with
+    no eliminated column or with carried right-hand-side columns: reduced
+    batches, ranks and pivots equal element for element."""
+    fld = field_of_order(p)
+    rng = np.random.default_rng(p)
+    cases = []
+    for size, nrows, width, ncols in [(1, 4, 6, 4), (1, 3, 3, 0), (40, 6, 9, 6), (64, 5, 5, 5),
+                                      (25, 7, 4, 3), (3, 0, 4, 2), (1, 1, 1, 1)]:
+        a = rng.integers(0, p, (size, nrows, width))
+        cases.append((a, ncols))
+        cases.append((np.zeros_like(a), ncols))
+        # every row a combination of two rows: ranks <= 2, most columns free
+        basis = rng.integers(0, p, (size, 2, width))
+        coef = rng.integers(0, p, (size, nrows, 2))
+        cases.append((np.einsum("lrk,lkc->lrc", coef, basis) % p, ncols))
+    # the largest entries, where rest + f row is largest
+    cases.append((np.full((8, 4, 6), p - 1), 3))
+    for a, ncols in cases:
+        got = rref(a, ncols, fld)
+        want = table_rref(a, ncols, fld, monkeypatch)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)

@@ -7,6 +7,7 @@ from orbitcount.errors import (
     NotConstant,
     NotTriangular,
     SingularConjugator,
+    SingularMatrix,
 )
 from orbitcount.fields import field_of_order
 from orbitcount.moves import (
@@ -147,6 +148,15 @@ def test_verify_count_preservation_ambient_method_agrees():
     rec = verify_count_preservation(m, out, [2])
     ambient = (oracle.count_orbit_bruteforce(m, 2), oracle.count_orbit_bruteforce(out, 2))
     assert rec.counts_checked == ((2,) + ambient,)
+
+
+@pytest.mark.parametrize("side", ["before", "after"])
+def test_verify_count_preservation_refuses_a_singular_matrix(side):
+    m = upper(p2(0, 1), p2(1), p2(0, 1))
+    singular = upper(p2(0, 1), p2(1), p2())
+    pair = (singular, m) if side == "before" else (m, singular)
+    with pytest.raises(SingularMatrix):
+        verify_count_preservation(*pair, [2])
 
 
 def test_move_record_json():

@@ -510,6 +510,18 @@ def test_members_counter_refuses_a_huge_outer_space_at_once():
         count_orbit_members(PolyMatrix.identity(field_of_order(9), 3), 3000)
 
 
+def test_members_counter_refuses_its_cofactor_expansion_first(monkeypatch):
+    # the 2x2 identity at k = 0: one outer choice, but 2 2^1 cofactor products
+    def fail(*args):
+        raise AssertionError("expanded the cofactors past the budget")
+
+    monkeypatch.setattr(oracle, "_minors", fail)
+    with pytest.raises(BudgetExceeded, match="cofactor products"):
+        count_orbit_members(PolyMatrix.identity(F2, 2), 0, EnumerationBudget(3))
+    monkeypatch.undo()
+    assert count_orbit_members(PolyMatrix.identity(F2, 2), 0, EnumerationBudget(4)) == 6
+
+
 # -- the batched member counter against the per-choice reference ------------
 
 
@@ -1031,6 +1043,7 @@ def test_layer_pivots_sees_bounded_pieces(monkeypatch, chunk):
         ((1, 1, 1, 1), 5, "5^12 items"),  # the choices of the other columns
         ((0, 0, 30), 2, "2^60 items"),  # the members of their zero choice
         ((40,), 3, "3^40 exceed the 64-bit index"),
+        ((0,) * 30, 2, "(cofactor products): 2^29 items"),  # one system, 30 2^29 products
     ],
 )
 def test_refused_solve_computes_nothing(monkeypatch, bounds, q, shown):
