@@ -60,8 +60,8 @@ def digits(v, base: int, width: int):
     each digit is an array of its shape, and the input is left unchanged."""
     out = []
     for _ in range(width):
-        out.append(v % base)
-        v = v // base
+        v, d = divmod(v, base)
+        out.append(d)
     return out
 
 

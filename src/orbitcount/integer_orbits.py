@@ -423,8 +423,11 @@ def drs_constant(n: int, k: int, zeta_values: dict | None = None) -> float:
     lead = math.pi ** (n * n / 2) / (
         math.gamma((n * n - n + 2) / 2) * math.gamma(n / 2) * zeta_prod
     )
-    divisor_part = 1.0
+    # the divisor part over k^(n-1) as one exact ratio: each factor alone
+    # overflows a float once k does
+    num = den = 1
     for p, a in factorize(k).items():
         for i in range(1, n):
-            divisor_part *= (p ** (a + i) - 1) / (p**i - 1)
-    return lead * k ** (1 - n) * divisor_part
+            num *= p ** (a + i) - 1
+            den *= p**i - 1
+    return lead * (num / (den * k ** (n - 1)))

@@ -20,7 +20,10 @@ per system without expanding them.  All of these compute over F_q[x] in
 numpy batches on the field's tables (``fields.tables``), take every
 determinant and cofactor from ``polymat._minors``, and reduce every batch
 of systems with ``linalg.rref``, read back by the codec of ``linalg``; the
-budget is checked on exponents, so no refused cost is ever computed.
+budget is checked on exponents, so no refused cost is ever computed.  Every
+batch walk takes its batches from one of two codecs: ``fields.digits`` over
+a range of indices (census leaves and prefixes, the family's choices) or
+``_solutions`` over an affine space (family members, member-counter choices).
 """
 
 from __future__ import annotations
@@ -135,9 +138,10 @@ def iter_matrices(q, n: int, k: int):
 #
 # A leaf is one (prefix, last column) pair.  Consecutive full-rank prefixes
 # are gathered until their completions fill a batch of _CENSUS_LEAVES
-# leaves, and the shared block of last columns is tiled once per prefix, so
-# y is computed for the whole batch at once.  The leaves are then grouped by
-# d = deg w; h is monic, so each quotient digit of y' mod h is the top
+# leaves (or one prefix), and leaf l of the group, last column l mod
+# q^(n(k+1)) of prefix l div q^(n(k+1)), is decoded per batch from its
+# digits, so y is computed for the whole batch at once.  The leaves are then
+# grouped by d = deg w; h is monic, so each quotient digit of y' mod h is the top
 # remainder coefficient, and the long division is a _mac with negated terms.
 # Each leaf's form packs into one int64: an id of H1 within the batch, then
 # the low coefficients of h and the residues as base-q digits
@@ -277,10 +281,9 @@ def _census(fld: GF, n: int, k: int, budget, what: str, h1=None):
     """One walk over every n x n matrix of entry degree <= k, adding up the
     ``(form, count)`` pairs that _leaf_keys returns for each batch of at most
     _CENSUS_LEAVES leaves; form None counts the singular ones.  With h1
-    given, only prefixes with that H1 are completed.  When the q^(n(k+1))
-    last columns fit in a batch they are decoded once, and a batch holds the
-    completions of as many consecutive prefixes as fit; otherwise each batch
-    holds part of one prefix's completions."""
+    given, only prefixes with that H1 are completed.  A group holds as many
+    consecutive prefixes as their completions fit in a batch, and at least
+    one; its leaves are walked by index, in batches decoded by ``digits``."""
     _check_scan(fld, n, k, budget, what)
     q, width = fld.q, k + 1
     total = q ** (n * width)
@@ -293,12 +296,6 @@ def _census(fld: GF, n: int, k: int, budget, what: str, h1=None):
             f"{what}: packed leaf keys of {per} * {q}^{n * n * k} exceed the 64-bit key"
         )
     dtype = tables(fld)[0].dtype
-
-    def decode(lo):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.intp)
-        return np.array(digits(idx, q, n * width), dtype=dtype).reshape(n, width, len(idx))
-
-    shared = decode(0) if total <= chunk else None
     buckets = {}
 
     def flush(group):
@@ -308,14 +305,12 @@ def _census(fld: GF, n: int, k: int, budget, what: str, h1=None):
             for r, row in enumerate(p[1]):
                 for c, e in enumerate(row):
                     u[r, c, : len(e.coeffs), i] = e.coeffs
-        if shared is not None:
-            batches = [(np.repeat(np.arange(len(group)), total), np.tile(shared, len(group)))]
-        else:  # one prefix, its last columns in chunks
-            batches = (
-                (np.zeros(b.shape[2], dtype=np.intp), b) for b in map(decode, range(0, total, chunk))
-            )
-        for owner, batch in batches:
-            for form, count in _leaf_keys(fld, group, u, owner, batch):
+        leaves = len(group) * total
+        for lo in range(0, leaves, chunk):
+            idx = np.arange(lo, min(lo + chunk, leaves), dtype=np.intp)
+            # the low n (k + 1) digits of l are those of l mod total
+            batch = np.array(digits(idx, q, n * width), dtype=dtype).reshape(n, width, -1)
+            for form, count in _leaf_keys(fld, group, u, idx // total, batch):
                 buckets[form] = buckets.get(form, 0) + count
 
     group = []
@@ -780,9 +775,10 @@ def count_orbit_members(rep: PolyMatrix, k: int, budget=None) -> int:
     V(0) = I and V*H of entry degree <= k.  The rows of V range over affine
     F_q-spaces v_i = p_i + span(B) with one nullspace B for every row, solved
     as one system with n right-hand sides.  The choices of the first n-1
-    rows are enumerated in batches, and the last row is counted by a line
-    solve (see _line_systems): q^(nb - rank) solutions per consistent
-    system.  A 1x1 orbit {c·h : c in F_q^*} is counted at once.
+    rows, the points of one affine space, are walked by ``_solutions``, and
+    the last row is counted by a line solve (see _line_systems): q^(nb - rank)
+    solutions per consistent system.  A 1x1 orbit {c·h : c in F_q^*} is
+    counted at once.
     Cross-checked against the ambient scan and the per-choice reference in
     the test suite.
     """
@@ -823,34 +819,21 @@ def count_orbit_members(rep: PolyMatrix, k: int, budget=None) -> int:
     line = np.zeros((nb + 1, n, k + 1), dtype=np.intp)
     line[:, :, 1:] = np.concatenate([particulars[-1:], basis]).reshape(nb + 1, n, k)
     line[0, n - 1, 0] = 1
-    # row i of a choice is p_i + sum_b x_b B_b, for the base-q^nb digit
-    # j = sum_b x_b q^b of the choice index.  The points of span(B_lo) and of
-    # each p_i + span(B_hi) are expanded once (see _span_points), B_lo being
-    # the first g directions, and row i is the sum of the two points picked
-    # by j mod q^g and j div q^g: about q^(nb/2) points per table, not q^nb
-    tbl = tables(fld)
-    add, dtype = tbl[0], tbl[0].dtype
-    directions, g = basis.astype(dtype), nb // 2
-
-    def span(base, dirs):
-        """The points of each base + span(dirs): an array (q^len(dirs), S, U)."""
-        spans = np.broadcast_to(dirs, (len(base), *dirs.shape))
-        points, _ = _span_points(tbl, base, spans, np.full(len(base), len(dirs)))
-        return points.reshape(q ** len(dirs), len(base), nunk)
-
-    low = span(np.zeros((1, nunk), dtype=dtype), directions[:g])[:, 0]
-    high = span(particulars[:-1].astype(dtype), directions[g:])
-    # a last-row system has at most n k rows (degrees 1..deg det V): keep the
-    # batch of them, an array (L, <= n k, nb + 1), to about _LEAF_CHUNK entries
+    # the choices of rows 0..n-2 are the points of one affine space: base
+    # p_0..p_(n-2) side by side, basis B once per row, block-diagonal.  A
+    # last-row system has at most n k rows (degrees 1..deg det V): a batch of
+    # them, an array (L, <= n k, nb + 1), holds about _LEAF_CHUNK entries
+    base = particulars[:-1].reshape(1, -1)
+    spans = np.zeros((n - 1, nb, n - 1, nunk), dtype=np.intp)
+    spans[range(n - 1), :, range(n - 1)] = basis
+    spans = spans.reshape(1, (n - 1) * nb, (n - 1) * nunk)
     chunk = max(1, _LEAF_CHUNK // (max(nunk, 1) * (nb + 1)))
-    outer = q ** (nb * (n - 1))
     total = 0
-    for lo in range(0, outer, chunk):
-        idx = np.arange(lo, min(lo + chunk, outer), dtype=np.intp)
-        rows = []
-        for i, j in enumerate(digits(idx, q**nb, n - 1)):
-            v = add[high[j // q**g, i], low[j % q**g]].T.reshape(n, k, len(idx))
-            rows.append([[int(i == c), *v[c]] for c in range(n)])
-        _, ranks, _, ok = _line_systems(fld, rows, n - 1, line[0], line[1:], len(idx))
-        total += solution_count(q, (nb - ranks)[ok])
+    for points, _ in _solutions(fld, base, spans, np.array([(n - 1) * nb])):
+        for lo in range(0, len(points), chunk):
+            choices = points[lo : lo + chunk]
+            v = choices.T.reshape(n - 1, n, k, len(choices))
+            rows = [[[int(i == c), *v[i, c]] for c in range(n)] for i in range(n - 1)]
+            _, ranks, _, ok = _line_systems(fld, rows, n - 1, line[0], line[1:], len(choices))
+            total += solution_count(q, (nb - ranks)[ok])
     return gl_count(n, q) * total

@@ -472,6 +472,13 @@ def test_zcase_constant(capsys):
     assert json.loads(out)["constant"] == pytest.approx(6.0)
 
 
+@pytest.mark.parametrize("det, want", [(10**400, 15.0), (2**1100, 12.0)], ids=["10^400", "2^1100"])
+def test_zcase_constant_of_a_det_past_the_float_range(capsys, det, want):
+    code, out, _ = run(capsys, "zcase", "constant", "--det", str(det))
+    assert code == 0
+    assert json.loads(out)["constant"] == pytest.approx(want)
+
+
 @pytest.mark.parametrize("det", ["0", "-3"])
 def test_zcase_constant_names_det(capsys, det):
     code, out, err = run(capsys, "zcase", "constant", "--det", det)

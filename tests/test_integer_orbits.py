@@ -398,6 +398,10 @@ def test_drs_constant_n2_closed_form():
     for k in (1, 2, 3, 4, 6, 12):
         sigma = sum(d for d in range(1, k + 1) if k % d == 0)
         assert drs_constant(2, k) == pytest.approx(6.0 * sigma / k)
+    # past the float range k and sigma(k) stay exact: 6 sigma(k) / k is 15 at
+    # 10^400 and 12 at 2^1100 up to rounding
+    for k, sigma in ((10**400, (2**401 - 1) * (5**401 - 1) // 4), (2**1100, 2**1101 - 1)):
+        assert drs_constant(2, k) == pytest.approx(6 * sigma / k)
 
 
 def test_drs_constant_needs_zeta_beyond_2():

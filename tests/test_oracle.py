@@ -344,7 +344,9 @@ def test_batched_finish_matches_reference_finish(monkeypatch, n, q, k, batching)
     scan per H1 checks every restriction the walk makes.  Batches of 7
     leaves cost about 0.3 ms each, so under them the orbit scan runs for the
     H1 with the fewest prefixes only, and at 3,2,1 (37,450 such batches per
-    census) the censuses are left to the other two batchings.
+    census) the censuses are left to the other two batchings.  Every scan's
+    batches hold at most min(_LEAF_CHUNK, _CENSUS_LEAVES) leaves, and add up
+    to q^(n(k+1)) leaves per full-rank prefix it completes.
     """
     if batching == "7-leaf":
         monkeypatch.setattr(oracle, "_LEAF_CHUNK", 7)
@@ -352,25 +354,40 @@ def test_batched_finish_matches_reference_finish(monkeypatch, n, q, k, batching)
         monkeypatch.setattr(oracle, "_CENSUS_LEAVES", q ** (n * (k + 1)))
     fld = field_of_order(q)
     orbits, singular = reference_prefix_census(q, n, k)
+    prefixes = list(oracle._prefixes(fld, n, k + 1))
+    share = Counter(p[0] for p in prefixes if p is not None)
+    batches = []
+    leaf_keys = oracle._leaf_keys
+
+    def recorded(fld, group, u, owner, batch):
+        batches.append(len(owner))
+        return leaf_keys(fld, group, u, owner, batch)
+
+    def assert_batches(completed):
+        assert max(batches) <= min(oracle._LEAF_CHUNK, oracle._CENSUS_LEAVES)
+        assert sum(batches) == completed * q ** (n * (k + 1))
+        batches.clear()
+
+    monkeypatch.setattr(oracle, "_leaf_keys", recorded)
     if batching != "7-leaf" or n < 3:
         assert orbit_census(fld, n, k) == (orbits, singular)
+        assert_batches(sum(share.values()))
         degrees = {}
         for key, count in orbits.items():
             t = oracle._key_t(key)
             degrees[t] = degrees.get(t, 0) + count
         census = census_by_det_degree(n, fld, k)
         assert census.buckets == degrees and census.singular == singular
-    # each orbit scan reduces every prefix again: reduce them once here
-    prefixes = list(oracle._prefixes(fld, n, k + 1))
+    # each orbit scan would reduce every prefix again: reuse the list above
     monkeypatch.setattr(oracle, "_prefixes", lambda *args: iter(prefixes))
     rep_of = {}
     for key in sorted(orbits):
         rep_of.setdefault(tuple(row[: n - 1] for row in key[: n - 1]), key)
     if batching == "7-leaf":
-        share = Counter(p[0] for p in prefixes if p is not None)
         rep_of = {h1: rep_of[h1] for h1 in [min(rep_of, key=share.__getitem__)]}
-    for key in rep_of.values():
+    for h1, key in rep_of.items():
         assert count_orbit_bruteforce(matrix_of_key(fld, key), k) == orbits[key]
+        assert_batches(share[h1])
 
 
 class Walked(Exception):
@@ -504,8 +521,12 @@ def test_members_counter_rejects_negative_k():
             count_orbit_members(diag2(p2(1), p2(0, 1)), k)
 
 
-def test_members_counter_refuses_a_huge_outer_space_at_once():
+def test_members_counter_refuses_a_huge_outer_space_at_once(monkeypatch):
     # 9^18000 outer choices: refused from the exponent, never built or printed
+    def fail(*args):
+        raise AssertionError("expanded the outer choices past the budget")
+
+    monkeypatch.setattr(oracle, "_span_points", fail)
     with pytest.raises(BudgetExceeded, match=r"9\^18000 items"):
         count_orbit_members(PolyMatrix.identity(field_of_order(9), 3), 3000)
 
