@@ -466,11 +466,13 @@ def _line_systems(fld: GF, lines, c: int, base, directions, size: int):
 # in the column c with the largest bound (a line solve, see above), one
 # system per choice of the other columns; the budget is checked on the
 # systems and members, not on the q^(n sum(bounds)) candidates, whose
-# indices need only fit in an int64.  Members are counted by their run of
-# independent leading layers (columns n, n-1, ..., 1).  Column c's layer,
-# its last n unknowns, has `top` free columns, whose basis rows come first,
-# so the solutions project onto it as the particular's last n entries plus
-# their span (the other rows are 0 there): q^(free - top) members a point.
+# indices need only fit in an int64.  _p_systems yields each batch once:
+# its solutions and its leading layers, read off its digits.  Members are
+# counted by their run of independent leading layers (columns n, n-1, ...,
+# 1).  Column c's layer, its last n unknowns, has `top` free columns, whose
+# basis rows come first, so the solutions project onto it as the
+# particular's last n entries plus their span (the other rows are 0 there):
+# q^(free - top) members a point.
 
 
 def _free_positions(n: int, bounds):
@@ -536,8 +538,11 @@ def _solutions(fld: GF, base, basis, free):
 
 
 def _p_systems(fld: GF, bounds: tuple, max_items: int):
-    """The consistent systems of the column solve (see above), in batches
-    ``(idx, reduced, ranks, pivots)``, idx their choices (column c's digits 0)."""
+    """The column solve (see above), its budget checked on the call: ``(c,
+    batches)``, c the solved column, batches yielding ``(idx, base, basis,
+    free, top, layers)`` per batch of consistent choices idx (column c's
+    digits 0): their solutions base + span(basis[:free]), the free columns
+    top of column c's layer, and their leading layers, an array (L, n, n)."""
     if any(b < 0 for b in bounds) or not bounds:
         raise InvalidParams(f"bad bounds {bounds}")
     n, q = len(bounds), fld.q
@@ -562,28 +567,39 @@ def _p_systems(fld: GF, bounds: tuple, max_items: int):
     base, directions = unit[c].T, unit[n:].transpose(0, 2, 1)
     outer = q ** (n * (total_k - bounds[c]))
     chunk = max(1, _LEAF_CHUNK // max(1, total_k * (unk + 1)))
-    count = 0
-    for start in range(0, outer, chunk):
-        o = np.arange(start, min(start + chunk, outer), dtype=np.int64)
-        # the choice's digits around the zero digits of column c
-        idx = o % q**lo + o // q**lo * q ** (lo + unk)
-        entries = _family_entries(fld, bounds, idx)
-        lines = [[row[j] for row in entries] for j in range(n) if j != c]
-        reduced, ranks, pivots, ok = _line_systems(fld, lines, c, base, directions, len(o))
-        count += solution_count(q, unk - ranks[ok])
-        if count > max_items:
-            raise BudgetExceeded(f"{what}: {count} members exceed budget {max_items}")
-        yield idx[ok], reduced[ok], ranks[ok], pivots[ok]
+
+    def batches():
+        count = 0
+        for start in range(0, outer, chunk):
+            o = np.arange(start, min(start + chunk, outer), dtype=np.int64)
+            # the choice's digits around the zero digits of column c
+            idx = o % q**lo + o // q**lo * q ** (lo + unk)
+            entries = _family_entries(fld, bounds, idx)
+            lines = [[row[j] for row in entries] for j in range(n) if j != c]
+            reduced, ranks, pivots, ok = _line_systems(fld, lines, c, base, directions, len(o))
+            count += solution_count(q, unk - ranks[ok])
+            if count > max_items:
+                raise BudgetExceeded(f"{what}: {count} members exceed budget {max_items}")
+            particulars, basis, free = affine_solutions(reduced[ok], ranks[ok], pivots[ok], fld)
+            # row j of the layers: the last coefficient of each entry of
+            # column j, v_ijk_j, or delta_ij when k_j = 0
+            layers = np.zeros((len(o), n, n), dtype=np.intp)
+            for i, j in product(range(n), repeat=2):
+                layers[:, j, i] = entries[i][j][-1]
+            top = (~pivots[ok, -n:]).sum(axis=1)
+            yield idx[ok], particulars[:, 0], basis, free, top, layers[ok]
+
+    return c, batches()
 
 
 def _p_member_pieces(fld: GF, bounds: tuple, max_items: int):
     """The member indices of the family by the column solve (see above), in
     pieces of fewer than 2 _LEAF_CHUNK members, in no fixed order."""
-    for idx, reduced, ranks, pivots in _p_systems(fld, bounds, max_items):
-        c = bounds.index(max(bounds))  # its unknowns: the index digits from n sum(bounds[:c]) on
-        weights = fld.q ** (len(bounds) * sum(bounds[:c]) + np.arange(pivots.shape[1]))
-        particulars, basis, free = affine_solutions(reduced, ranks, pivots, fld)
-        for points, owner in _solutions(fld, particulars[:, 0], basis, free):
+    c, batches = _p_systems(fld, bounds, max_items)
+    # column c's unknowns are the index digits from n sum(bounds[:c]) on
+    weights = fld.q ** (len(bounds) * sum(bounds[:c]) + np.arange(len(bounds) * bounds[c]))
+    for idx, base, basis, free, _, _ in batches:
+        for points, owner in _solutions(fld, base, basis, free):
             yield idx[owner] + points.dot(weights)
 
 
@@ -595,12 +611,9 @@ def _p_members_cached(fld: GF, bounds: tuple, max_items: int):
     leading layers (see above), the run being the all-pivot prefix of the
     ``rref`` of each projected point's layers."""
     n, hist = len(bounds), [0] * (len(bounds) + 1)
-    for idx, reduced, ranks, pivots in _p_systems(fld, bounds, max_items):
-        c = bounds.index(max(bounds))
-        particulars, basis, free = affine_solutions(reduced, ranks, pivots, fld)
-        top = (~pivots[:, -n:]).sum(axis=1)  # free columns in the leading layer
-        layers = _leading_layers(fld, bounds, idx)
-        for points, owner in _solutions(fld, particulars[:, 0, -n:], basis[:, :n, -n:], top):
+    c, batches = _p_systems(fld, bounds, max_items)
+    for _, base, basis, free, top, layers in batches:
+        for points, owner in _solutions(fld, base[:, -n:], basis[:, :n, -n:], top):
             piece = layers[owner]
             if bounds[c]:  # when k_c = 0, row c is e_c and there is nothing to project
                 piece[:, c] = points
@@ -618,19 +631,6 @@ def p_members(bounds, q, budget=None):
     bounds = tuple(bounds)
     members = np.sort(np.concatenate([*_p_member_pieces(fld, bounds, _budget(budget).max_items)]))
     return tuple(_decode_p_member(fld, bounds, i) for i in members.tolist())
-
-
-def _leading_layers(fld: GF, bounds, idx):
-    """The leading layers of the family members idx, straight from their
-    digits: an array (L, n, n) whose row j is the vector of degree-k_j
-    coefficients of column j (e_j when k_j = 0)."""
-    n, q = len(bounds), fld.q
-    out = np.zeros((len(idx), n, n), dtype=np.intp)
-    out[:, range(n), range(n)] = [int(not kj) for kj in bounds]  # e_j when k_j = 0
-    for p, (i, j, d) in enumerate(_free_positions(n, bounds)):
-        if d == bounds[j]:
-            out[:, j, i] = idx // q**p % q
-    return out
 
 
 def count_P_bruteforce(bounds, q, budget=None) -> int:
@@ -740,24 +740,22 @@ def verify_grid(grid, budget=None):
         for k in range(kmax + 1):
             params = {"n": n, "q": q, "k": k}
             buckets, _ = orbit_census(q, n, k, budget)
-            total_by_t = {}
-            for key, cnt in buckets.items():
-                t = _key_t(key)
-                total_by_t[t] = total_by_t.get(t, 0) + cnt
-            # every orbit with t <= k must hit the closed form exactly
+            by_t = {}  # the census grouped by t
             for key, cnt in sorted(buckets.items()):
                 t = _key_t(key)
+                by_t.setdefault(t, {})[key] = cnt
+                # every orbit with t <= k must hit the closed form exactly
                 if t <= k:
                     check(params, t, "orbit", counting.orbit_count_formula(n, q, t, k), cnt)
             for t in range(k + 1):
                 want = counting.total_count_formula(n, q, t, k)
-                check(params, t, "total", want, total_by_t.get(t, 0))
+                check(params, t, "total", want, sum(by_t.get(t, {}).values()))
             # the canonical forms observed must be enumerated ones, and for
             # t <= k the scan holds every one of them; the oracle value counts
             # each missing or stray form on top of the enumerated ones
-            for t in sorted(set(total_by_t) | set(range(k + 1))):
+            for t in sorted(set(by_t) | set(range(k + 1))):
                 want = set(iter_hnf_rep_keys(n, q, t))
-                got = {key for key in buckets if _key_t(key) == t}
+                got = by_t.get(t, {}).keys()
                 wrong = got ^ want if t <= k else got - want
                 check(params, t, "rep-inventory", len(want), len(want) + len(wrong))
     return reports, all(r.match for r in reports)

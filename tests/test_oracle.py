@@ -819,6 +819,28 @@ def test_count_P_matches_formula_on_grid():
                     assert count_P_bruteforce(bounds, q) == p_count_formula(bounds, q)
 
 
+def test_orbit_side_of_diag_x_shifts_is_gl_times_the_family():
+    """V diag(x^(k - k_j)) has degree <= k exactly when column j of V has
+    degree <= k_j, so with k = max k_j the orbit-side member counter gives
+    #GL_n(F_q) times the Lemma 2 family: every bound vector with n <= 3 and
+    entries <= 2, sum <= 4 over F_2 and <= 3 over F_3 and F_4.  Many of these
+    orbits have t = nk - sum k_j > k, where the closed form says nothing."""
+    checked = beyond = 0
+    for q, max_sum in ((2, 4), (3, 3), (4, 3)):
+        fld = field_of_order(q)
+        for n in (1, 2, 3):
+            for bounds in product(range(3), repeat=n):
+                if sum(bounds) > max_sum:
+                    continue
+                k = max(bounds)
+                rep = PolyMatrix.diagonal([Poly(fld, (0,) * (k - kj) + (1,)) for kj in bounds])
+                want = gl_count(n, q) * count_P_bruteforce(bounds, q)
+                assert count_orbit_members(rep, k) == want, (q, bounds)
+                checked += 1
+                beyond += n * k - sum(bounds) > k
+    assert checked == 91 and beyond > 0
+
+
 def reference_p_members(bounds, q):
     """The per-member walk: decode every candidate with constant term I in
     index order and keep those whose determinant is a nonzero constant."""
@@ -908,8 +930,10 @@ def test_column_solve_matches_full_scan_on_the_criterion_grid():
 
 def reference_layer_pivots(fld, bounds, members):
     """The leading-layer pivot masks by one ``rref`` per member, the path
-    that reducing each distinct layer matrix once replaced."""
-    layers = oracle._leading_layers(fld, bounds, members)
+    that reducing each distinct layer matrix once replaced; row j of a
+    member's layers holds the last coefficient of each entry of column j."""
+    entries = _family_entries(fld, bounds, members)
+    layers = np.array([[np.broadcast_to(e[-1], members.shape) for e in row] for row in entries]).T
     return rref(layers[:, ::-1].transpose(0, 2, 1), len(bounds), fld)[2]
 
 
@@ -987,14 +1011,21 @@ def test_P_QR_counts_match_per_member_rank(monkeypatch, q, chunk):
 
 
 @pytest.mark.parametrize("q", sorted(P_DIFFERENTIAL_BOUNDS))
-def test_leading_layers_match_decoded_candidates(q):
+def test_p_systems_layers_match_decoded_choices(monkeypatch, q):
+    """The leading layers that the column solve hands out with each batch
+    are those of its decoded choices, with the default chunk and with 7;
+    (2, 2) adds a column other than the solved one whose top digit is not
+    its first (q^4 choices, so only over the smaller fields)."""
     fld = field_of_order(q)
-    for bounds in P_DIFFERENTIAL_BOUNDS[q]:
-        idx = np.arange(q ** (len(bounds) * sum(bounds)), dtype=np.intp)
-        layers = oracle._leading_layers(fld, bounds, idx).tolist()
-        for i in idx.tolist():
-            m = _decode_p_member(fld, bounds, i)
-            assert layers[i] == reference_leading_layers(m, bounds)
+    extra = [(2, 2)] if q < 8 else []
+    for chunk in (oracle._LEAF_CHUNK, 7):
+        monkeypatch.setattr(oracle, "_LEAF_CHUNK", chunk)
+        for bounds in P_DIFFERENTIAL_BOUNDS[q] + extra:
+            _, batches = oracle._p_systems(fld, bounds, oracle.DEFAULT_MAX_ITEMS)
+            for idx, *_, layers in batches:
+                assert len(layers) == len(idx)
+                for i, got in zip(idx.tolist(), layers.tolist()):
+                    assert got == reference_leading_layers(_decode_p_member(fld, bounds, i), bounds)
 
 
 def test_count_P_asserts_dependent_leading_layers(monkeypatch):
@@ -1003,11 +1034,15 @@ def test_count_P_asserts_dependent_leading_layers(monkeypatch):
     # e_1 injected as the other layer, the members I + xA of (1, 1) whose
     # layers are independent are those with A_00 != 0: over F_3, tr A =
     # det A = 0 leaves A_00 = a, A_11 = -a and A_01 A_10 = -a^2, 2 for each a
-    def identity_layers(fld, bounds, idx):
-        return np.tile(np.eye(len(bounds), dtype=np.intp), (len(idx), 1, 1))
+    real = oracle._p_systems
+
+    def identity_layers(*args):
+        c, batches = real(*args)
+        eye = np.eye(2, dtype=np.intp)
+        return c, ((*batch[:-1], np.tile(eye, (len(batch[0]), 1, 1))) for batch in batches)
 
     oracle._p_members_cached.cache_clear()
-    monkeypatch.setattr(oracle, "_leading_layers", identity_layers)
+    monkeypatch.setattr(oracle, "_p_systems", identity_layers)
     shown = "independent leading layers in 4 members of (1, 1) over F_3"
     with pytest.raises(AssertionError, match=re.escape(shown)):
         count_P_bruteforce((1, 1), 3)
