@@ -22,8 +22,10 @@ determinant and cofactor from ``polymat._minors``, and reduce every batch
 of systems with ``linalg.rref``, read back by the codec of ``linalg``; the
 budget is checked on exponents, so no refused cost is ever computed.  Every
 batch walk takes its batches from one of two codecs: ``fields.digits`` over
-a range of indices (census leaves and prefixes, the family's choices) or
-``_solutions`` over an affine space (family members, member-counter choices).
+a range of indices (census leaves, the family's choices, and the prefixes,
+each entry read from a table of its q^(k+1) values decoded by ``digits``)
+or ``_solutions`` over an affine space (family members, member-counter
+choices).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .linalg import affine_solutions, consistent, rref, solution_count
 # so the names stay importable from here
 from .linalg import iter_affine_space, rank, solve_affine
 from .poly import NEG_INF, Poly
-from .polymat import PolyMatrix, _mac, _minors, det, hnf
+from .polymat import PolyMatrix, _hermite, _mac, _minors, det, hnf
 
 DEFAULT_MAX_ITEMS = 10**8
 
@@ -127,8 +129,9 @@ def iter_matrices(q, n: int, k: int):
 #
 # The scans visit every n x n matrix M = [M1 | c] of entry degree <= k,
 # grouped by its first n - 1 columns M1 (the prefix).  The orbit scans
-# (orbit_census, count_orbit_bruteforce) reduce each prefix once, by hnf,
-# to u @ M1 = [H1; 0] with H1 canonical.  For each last column
+# (orbit_census, count_orbit_bruteforce) reduce each prefix once, by hnf's
+# kernel polymat._hermite on its coefficient lists, to u @ M1 = [H1; 0]
+# with H1 canonical.  For each last column
 # c let y = u @ c and w = y_n.  Row n of u @ M vanishes on the prefix
 # columns, so reducing the last column leaves H1 alone: M is singular iff
 # w = 0 (or the prefix is rank-deficient), and otherwise its canonical form
@@ -169,22 +172,26 @@ _CENSUS_LEAVES = 1 << 12
 
 
 def _prefixes(fld: GF, n: int, width: int):
-    """Every choice of the first n - 1 columns, reduced once.
+    """Every choice of the first n - 1 columns, in index order (digits as in
+    _decode_matrix), reduced once by ``polymat._hermite``.
 
     Yields ``(h1, u)``: the rows of H1 as coefficient-tuple keys and the rows
-    of the witness u as polynomials; or ``None`` for a rank-deficient prefix,
-    all of whose completions are singular.
+    of the witness u as coefficient lists; or ``None`` for a rank-deficient
+    prefix, all of whose completions are singular.
     """
-    if n == 1:
-        yield (), ((Poly.one(fld),),)
-        return
-    for idx in range(fld.q ** (n * (n - 1) * width)):
+    # every entry's coefficients, in index order; product varies its last
+    # factor fastest, so a prefix's entries are its tuple reversed (n = 1:
+    # one empty prefix, whose u is the identity)
+    polys = [_trim(digits(idx, fld.q, width)) for idx in range(fld.q**width)]
+    cols = n - 1
+    for entries in product(polys, repeat=n * cols):
+        entries = entries[::-1]
         try:
-            form = hnf(_decode_matrix(fld, n, n - 1, width, idx))
+            h, u, _, _ = _hermite(fld, [entries[i * cols : (i + 1) * cols] for i in range(n)])
         except SingularMatrix:
             yield None
             continue
-        yield form.h.key()[: n - 1], form.u.entries
+        yield tuple(tuple(map(tuple, row)) for row in h[:cols]), u
 
 
 def _images(tbl, u, owner, batch):
@@ -299,12 +306,12 @@ def _census(fld: GF, n: int, k: int, budget, what: str, h1=None):
     buckets = {}
 
     def flush(group):
-        du = max(len(e.coeffs) for p in group for row in p[1] for e in row)
+        du = max(len(e) for p in group for row in p[1] for e in row)
         u = np.zeros((n, n, du, len(group)), dtype=dtype)
         for i, p in enumerate(group):
             for r, row in enumerate(p[1]):
                 for c, e in enumerate(row):
-                    u[r, c, : len(e.coeffs), i] = e.coeffs
+                    u[r, c, : len(e), i] = e
         leaves = len(group) * total
         for lo in range(0, leaves, chunk):
             idx = np.arange(lo, min(lo + chunk, leaves), dtype=np.intp)

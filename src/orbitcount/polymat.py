@@ -233,12 +233,88 @@ class HermiteForm:
     unit: int  # det(u), a nonzero field element
 
 
-def hnf(m: PolyMatrix) -> HermiteForm:
-    """Canonical upper-triangular form under left unimodular multiplication.
+def _hermite(field: GF, rows):
+    """The Hermite reduction of ``hnf`` on rows of little-endian coefficient
+    lists, each normalised (no trailing zero; [] is 0), through the field's
+    tables: ``(h, u, t, unit)``, the rows of h and of the witness u as
+    coefficient lists, t = deg det H1 and unit = det u.
 
-    Euclidean elimination clears each column below the diagonal, the pivot is
-    made monic, and above-diagonal entries are reduced by division with
-    remainder.  The witness u satisfies u @ m = h with det(u) = unit in
+    The list rows is reduced in place: its rows are swapped and replaced,
+    but no row or coefficient list passed in is written to (tuples will do),
+    so callers may share them.
+    Euclidean elimination clears each column below the diagonal, the pivot
+    being the first row of least degree (each swap negates the unit); the
+    pivot row is made monic, and then the entries above the diagonal are
+    reduced by division with remainder, column by column from the left.  A
+    column without a pivot raises SingularMatrix.
+    """
+    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
+    h, n, ncols = rows, len(rows), len(rows[0])
+    u = [[[1] if i == j else [] for j in range(n)] for i in range(n)]
+    unit = 1
+
+    def quotient(a, b):
+        # a div b, long division from the top coefficient down
+        db = len(b) - 1
+        rem, quot, ilb = list(a), [0] * (len(a) - db), inv[b[-1]]
+        for i in range(len(a) - 1, db - 1, -1):
+            if rem[i]:
+                quot[i - db] = qc = mul[rem[i]][ilb]
+                row = mul[neg[qc]]
+                for j, bc in enumerate(b, i - db):
+                    rem[j] = add[rem[j]][row[bc]]
+        return quot
+
+    def submul(a, qt, b):
+        # a - qt·b, normalised
+        out = list(a) + [0] * (len(qt) + len(b) - 1 - len(a))
+        for i, c in enumerate(qt):
+            if c:
+                row = mul[neg[c]]
+                for j, bc in enumerate(b, i):
+                    out[j] = add[out[j]][row[bc]]
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    def row_sub(i, c, qt):
+        # row_i -= qt * row_c
+        h[i] = [submul(a, qt, b) for a, b in zip(h[i], h[c])]
+        u[i] = [submul(a, qt, b) for a, b in zip(u[i], u[c])]
+
+    for c in range(ncols):
+        while True:
+            live = [i for i in range(c, n) if h[i][c]]
+            if not live:
+                raise SingularMatrix(f"column {c} has no pivot")
+            piv = min(live, key=lambda i: len(h[i][c]))
+            if piv != c:
+                h[c], h[piv] = h[piv], h[c]
+                u[c], u[piv] = u[piv], u[c]
+                unit = neg[unit]
+            below = [i for i in range(c + 1, n) if h[i][c]]
+            if not below:
+                break
+            for i in below:
+                row_sub(i, c, quotient(h[i][c], h[c][c]))
+        # monic pivot
+        lc = h[c][c][-1]
+        if lc != 1:
+            row = mul[inv[lc]]
+            h[c] = [[row[v] for v in e] for e in h[c]]
+            u[c] = [[row[v] for v in e] for e in u[c]]
+            unit = row[unit]
+    # reduce above-diagonal entries, left to right
+    for c in range(1, ncols):
+        for i in range(c):
+            if len(h[i][c]) >= len(h[c][c]):
+                row_sub(i, c, quotient(h[i][c], h[c][c]))
+    return h, u, sum(len(h[i][i]) - 1 for i in range(ncols)), unit
+
+
+def hnf(m: PolyMatrix) -> HermiteForm:
+    """Canonical upper-triangular form under left unimodular multiplication,
+    by ``_hermite``.  The witness u satisfies u @ m = h with det(u) = unit in
     F_q^*, tracked through the row operations.
 
     An n x c matrix with c < n (full column rank) is reduced the same way:
@@ -248,49 +324,9 @@ def hnf(m: PolyMatrix) -> HermiteForm:
     if m.cols > m.rows:
         raise NotSquare(f"{m.rows}x{m.cols}")
     field = m.field
-    n, ncols = m.rows, m.cols
-    h = [list(row) for row in m.entries]
-    u = [list(row) for row in PolyMatrix.identity(field, n).entries]
-    unit = 1
-
-    def row_sub(i, j, q):
-        # row_i -= q * row_j
-        h[i] = [a - q * b for a, b in zip(h[i], h[j])]
-        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
-
-    for c in range(ncols):
-        while True:
-            live = [i for i in range(c, n) if not h[i][c].is_zero()]
-            if not live:
-                raise SingularMatrix(f"column {c} has no pivot")
-            piv = min(live, key=lambda i: h[i][c].degree)
-            if piv != c:
-                h[c], h[piv] = h[piv], h[c]
-                u[c], u[piv] = u[piv], u[c]
-                unit = field.neg(unit)
-            below = [i for i in range(c + 1, n) if not h[i][c].is_zero()]
-            if not below:
-                break
-            for i in below:
-                q, _ = divmod(h[i][c], h[c][c])
-                row_sub(i, c, q)
-        # monic pivot
-        lc = h[c][c].lc
-        if lc != 1:
-            inv = field.inv(lc)
-            h[c] = [e.scale(inv) for e in h[c]]
-            u[c] = [e.scale(inv) for e in u[c]]
-            unit = field.mul(unit, inv)
-    # reduce above-diagonal entries, left to right
-    for c in range(1, ncols):
-        for i in range(c):
-            if h[i][c].degree >= h[c][c].degree:
-                q, _ = divmod(h[i][c], h[c][c])
-                row_sub(i, c, q)
-    hm = PolyMatrix(h)
-    um = PolyMatrix(u)
-    t = sum(hm.entries[i][i].degree for i in range(ncols))
-    return HermiteForm(hm, um, t, unit)
+    h, u, t, unit = _hermite(field, [[e.coeffs for e in row] for row in m.entries])
+    h, u = ([[Poly(field, e) for e in row] for row in rows] for rows in (h, u))
+    return HermiteForm(PolyMatrix(h), PolyMatrix(u), t, unit)
 
 
 def same_orbit(a: PolyMatrix, b: PolyMatrix) -> bool:

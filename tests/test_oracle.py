@@ -52,6 +52,7 @@ from orbitcount.poly import NEG_INF, Poly
 from orbitcount.polymat import PolyMatrix, _minors, det, hnf, is_canonical_hnf
 from test_acceptance import _bound_grid
 from test_polymat import _det_cofactor  # the kernel-free determinant reference
+from test_polymat import reference_hnf  # the Poly-object Hermite reduction
 
 F2 = field_of_order(2)
 
@@ -284,6 +285,28 @@ def test_prefix_degree_counts_match_det_of_every_completion(q, n, k):
     assert oracle._det_degree_counts(fld, n, k, idx) == total
 
 
+# -- the prefix reductions against the Poly-object reference ----------------
+
+
+@pytest.mark.parametrize("n,q,k", [(2, 2, 1), (2, 3, 1), (2, 4, 1), (2, 9, 0), (3, 2, 0), (3, 2, 1)])
+def test_prefixes_match_reference_hnf_of_each_decoded_prefix(n, q, k):
+    """Every prefix that _prefixes yields, in index order, against
+    reference_hnf of _decode_matrix at the same index: the rows of H1 and
+    of u, and None exactly where the reference raises SingularMatrix."""
+    fld = field_of_order(q)
+    singular = 0
+    for idx, prefix in enumerate(oracle._prefixes(fld, n, k + 1)):
+        try:
+            form = reference_hnf(oracle._decode_matrix(fld, n, n - 1, k + 1, idx))
+        except SingularMatrix:
+            assert prefix is None, idx
+            singular += 1
+            continue
+        want = form.h.key()[: n - 1], [[list(e.coeffs) for e in row] for row in form.u.entries]
+        assert prefix == want, idx
+    assert idx == q ** (n * (n - 1) * (k + 1)) - 1 and singular
+
+
 # -- the batched leaf finish against the per-prefix reference ---------------
 
 
@@ -295,11 +318,11 @@ def reference_leaf_keys(fld, prefix, batch):
     h1, u = prefix
     tbl = tables(fld)
     _, mul, _, inv = tbl
-    depth = batch.shape[1] - 1 + max(len(e.coeffs) for r in u for e in r)
+    depth = batch.shape[1] - 1 + max(len(e) for r in u for e in r)
     y = np.zeros((len(u), depth, batch.shape[2]), dtype=np.intp)
     for yr, r in zip(y, u):
         for e, c in zip(r, batch):
-            oracle._mac(tbl, yr, e.coeffs, c)
+            oracle._mac(tbl, yr, e, c)
     w = y[-1]
     lead = w[np.maximum(oracle._degrees(w), 0), np.arange(w.shape[1])]
     y[-1] = mul[inv[lead], w]  # monic; w = 0 stays 0

@@ -11,6 +11,7 @@ from orbitcount.fields import field_of_order, tables
 from orbitcount import polymat
 from orbitcount.poly import Poly, poly_gcd
 from orbitcount.polymat import (
+    HermiteForm,
     PolyMatrix,
     column_gcd,
     det,
@@ -34,6 +35,114 @@ def all_matrices_f2(n, k):
     cells = [Poly(F2, c) for c in product(range(2), repeat=width)]
     for flat in product(cells, repeat=n * n):
         yield PolyMatrix([flat[i * n : (i + 1) * n] for i in range(n)])
+
+
+def reference_hnf(m: PolyMatrix) -> HermiteForm:
+    """The Hermite reduction on Poly objects that ``polymat._hermite``
+    replaced: the same rules (first row of least degree as pivot, each swap
+    negating the unit, monic pivots, above-diagonal entries reduced left to
+    right), one Poly operation at a time."""
+    if m.cols > m.rows:
+        raise NotSquare(f"{m.rows}x{m.cols}")
+    field = m.field
+    n, ncols = m.rows, m.cols
+    h = [list(row) for row in m.entries]
+    u = [list(row) for row in PolyMatrix.identity(field, n).entries]
+    unit = 1
+
+    def row_sub(i, j, q):
+        # row_i -= q * row_j
+        h[i] = [a - q * b for a, b in zip(h[i], h[j])]
+        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
+
+    for c in range(ncols):
+        while True:
+            live = [i for i in range(c, n) if not h[i][c].is_zero()]
+            if not live:
+                raise SingularMatrix(f"column {c} has no pivot")
+            piv = min(live, key=lambda i: h[i][c].degree)
+            if piv != c:
+                h[c], h[piv] = h[piv], h[c]
+                u[c], u[piv] = u[piv], u[c]
+                unit = field.neg(unit)
+            below = [i for i in range(c + 1, n) if not h[i][c].is_zero()]
+            if not below:
+                break
+            for i in below:
+                q, _ = divmod(h[i][c], h[c][c])
+                row_sub(i, c, q)
+        # monic pivot
+        lc = h[c][c].lc
+        if lc != 1:
+            inv = field.inv(lc)
+            h[c] = [e.scale(inv) for e in h[c]]
+            u[c] = [e.scale(inv) for e in u[c]]
+            unit = field.mul(unit, inv)
+    # reduce above-diagonal entries, left to right
+    for c in range(1, ncols):
+        for i in range(c):
+            if h[i][c].degree >= h[c][c].degree:
+                q, _ = divmod(h[i][c], h[c][c])
+                row_sub(i, c, q)
+    hm = PolyMatrix(h)
+    um = PolyMatrix(u)
+    t = sum(hm.entries[i][i].degree for i in range(ncols))
+    return HermiteForm(hm, um, t, unit)
+
+
+def outcome(reduce, m):
+    """reduce(m), or the type and message of the error it raises."""
+    try:
+        return reduce(m)
+    except (NotSquare, SingularMatrix) as err:
+        return type(err), str(err)
+
+
+def hnf_cases(fld, rng):
+    """Seeded n x c matrices, 1 <= c <= n <= 4, of entry degree <= 3: for
+    each shape, dense ones, sparse ones (entries 0 or of low degree, so
+    pivot degrees tie), one with a zero column and one with a column a
+    multiple of another (both singular), and one wide (c = n + 1)."""
+
+    def entry(sparse):
+        if sparse and rng.randrange(3) == 0:
+            return Poly.zero(fld)
+        deg = rng.randrange(2 if sparse else 4)
+        return Poly(fld, [rng.randrange(fld.q) for _ in range(deg + 1)])
+
+    for n in range(1, 5):
+        for c in range(1, n + 1):
+            for sparse in (False,) * 4 + (True,) * 8:
+                yield PolyMatrix([[entry(sparse) for _ in range(c)] for _ in range(n)])
+            rows = [[entry(True) for _ in range(c)] for _ in range(n)]
+            j = rng.randrange(c)
+            for row in rows:
+                row[j] = Poly.zero(fld)
+            yield PolyMatrix(rows)
+            if c > 1:
+                rows = [[entry(False) for _ in range(c)] for _ in range(n)]
+                i, j = rng.sample(range(c), 2)
+                a = Poly(fld, [rng.randrange(1, fld.q), rng.randrange(fld.q)])
+                for row in rows:
+                    row[j] = row[i] * a
+                yield PolyMatrix(rows)
+        yield PolyMatrix([[entry(False) for _ in range(n + 1)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_hnf_matches_poly_reference(q):
+    """hnf (the coefficient-list kernel) against reference_hnf on seeded
+    matrices: h, u, det_degree and unit, or the same refusal, type and
+    message; the seeds reach every refusal and every kind of step."""
+    fld = field_of_order(q)
+    rng = random.Random(2400 + q)
+    refused = set()
+    for m in hnf_cases(fld, rng):
+        want = outcome(reference_hnf, m)
+        assert outcome(hnf, m) == want, m
+        if isinstance(want, tuple):
+            refused.add(want[0])
+    assert refused == {NotSquare, SingularMatrix}
 
 
 def test_hnf_permutation_example():
