@@ -252,7 +252,8 @@ def _cached_field(p, e, modulus):
 
 def field_spec(p: int, e: int = 1, modulus=None) -> GF:
     """Validate and return (a cached copy of) the field F_{p^e}."""
-    key = None if modulus is None else tuple(c % p for c in modulus)
+    # no c % p below p = 2, which GF refuses as not prime
+    key = None if modulus is None else tuple(c % p if p >= 2 else c for c in modulus)
     return _cached_field(p, e, key)
 
 

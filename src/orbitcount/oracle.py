@@ -6,8 +6,8 @@ row-major over entries with little-endian coefficient digits (entry (0,0)
 coefficient 0 is the least significant digit).  The ambient censuses visit
 the same matrices grouped by their first n - 1 columns and return buckets,
 whose counts do not depend on the order of the walk.  The orbit census
-finishes the last columns of many prefixes in one numpy batch: each
-matrix's canonical form is packed into one int64 key, the keys are counted
+finishes numpy batches of prefixes against the same decoded last columns:
+each matrix's canonical form is packed into one int64 key, the keys are counted
 with ``np.unique``, and only the distinct ones are decoded, so no Python
 runs per matrix.  The determinant census completes no matrix: it counts
 each prefix's completions by degree from one echelon of its cofactor span,
@@ -22,7 +22,7 @@ determinant and cofactor from ``polymat._minors``, and reduce every batch
 of systems with ``linalg.rref``, read back by the codec of ``linalg``; the
 budget is checked on exponents, so no refused cost is ever computed.  Every
 batch walk takes its batches from one of two codecs: ``fields.digits`` over
-a range of indices (census leaves, the family's choices, and the prefixes,
+a range of indices (census last columns, the family's choices, and the prefixes,
 each entry read from a table of its q^(k+1) values decoded by ``digits``)
 or ``_solutions`` over an affine space (family members, member-counter
 choices).
@@ -141,9 +141,9 @@ def iter_matrices(q, n: int, k: int):
 #
 # A leaf is one (prefix, last column) pair.  Consecutive full-rank prefixes
 # are gathered until their completions fill a batch of _CENSUS_LEAVES
-# leaves (or one prefix), and leaf l of the group, last column l mod
-# q^(n(k+1)) of prefix l div q^(n(k+1)), is decoded per batch from its
-# digits, so y is computed for the whole batch at once.  The leaves are then
+# leaves (or one prefix), and each prefix's u is broadcast against a slice
+# of the q^(n(k+1)) last columns, decoded from their digits, so y is
+# computed for the whole batch at once.  The leaves are then
 # grouped by d = deg w; h is monic, so each quotient digit of y' mod h is the top
 # remainder coefficient, and the long division is a _mac with negated terms.
 # Each leaf's form packs into one int64: an id of H1 within the batch, then
@@ -194,20 +194,20 @@ def _prefixes(fld: GF, n: int, width: int):
         yield tuple(tuple(map(tuple, row)) for row in h[:cols]), u
 
 
-def _images(tbl, u, owner, batch):
+def _images(tbl, u, batch):
     """r @ c for every leaf: u is an array (R, n, Du, P) holding R witness
-    rows of each of P prefixes, owner (L,) the prefix of each leaf, and batch
-    (n, width, L) its last column.  Returns an array (R, D, L) of
-    little-endian coefficients."""
+    rows of each of P prefixes, and batch (n, width, C) holds C last
+    columns.  Returns an array (R, D, P·C) of little-endian coefficients,
+    leaf p·C + j being prefix p with column j."""
     depth = batch.shape[1] + u.shape[2] - 1
-    out = np.zeros((len(u), depth, batch.shape[2]), dtype=batch.dtype)
+    out = np.zeros((len(u), depth, u.shape[3], batch.shape[2]), dtype=batch.dtype)
     for y, row in zip(out, u):
-        for e, c in zip(row, batch):
+        for e, c in zip(row, batch[:, :, None]):
             # with one prefix each coefficient stays a field element (a row
             # lookup in _mac); one that is 0 for every prefix is skipped
-            coeffs = [int(v[0]) if len(v) == 1 else v[owner] if v.any() else 0 for v in e]
+            coeffs = [int(v[0]) if len(v) == 1 else v[:, None] if v.any() else 0 for v in e]
             _mac(tbl, y, coeffs, c)
-    return out
+    return out.reshape(len(u), depth, -1)
 
 
 def _degrees(w):
@@ -225,18 +225,18 @@ def _trim(coeffs) -> tuple:
     return tuple(coeffs[:end])
 
 
-def _leaf_keys(fld: GF, group, u, owner, batch):
+def _leaf_keys(fld: GF, group, u, batch):
     """The canonical forms of the leaves of a batch, counted: ``(form,
     count)`` pairs, form None for the singular ones and otherwise packed as
     ``(h1, d, rest)`` (see _form_key).  group lists the prefixes of the
-    batch, and u, owner and batch are as in _images."""
+    batch, and u and batch are as in _images."""
     add, mul, neg, inv = tbl = tables(fld)
     q, n = fld.q, len(u)
-    y = _images(tbl, u, owner, batch)
+    y = _images(tbl, u, batch)
     w = y[-1]
     deg = _degrees(w)
     h1_ids = {}
-    h1_of = np.array([h1_ids.setdefault(p[0], len(h1_ids)) for p in group])[owner]
+    h1_of = np.repeat([h1_ids.setdefault(p[0], len(h1_ids)) for p in group], batch.shape[2])
     h1s = list(h1_ids)
     out = [(None, int(np.count_nonzero(deg < 0)))]
     for d in np.unique(deg[deg >= 0]).tolist():
@@ -290,7 +290,7 @@ def _census(fld: GF, n: int, k: int, budget, what: str, h1=None):
     _CENSUS_LEAVES leaves; form None counts the singular ones.  With h1
     given, only prefixes with that H1 are completed.  A group holds as many
     consecutive prefixes as their completions fit in a batch, and at least
-    one; its leaves are walked by index, in batches decoded by ``digits``."""
+    one, and is finished against slices of the decoded last columns."""
     _check_scan(fld, n, k, budget, what)
     q, width = fld.q, k + 1
     total = q ** (n * width)
@@ -305,6 +305,13 @@ def _census(fld: GF, n: int, k: int, budget, what: str, h1=None):
     dtype = tables(fld)[0].dtype
     buckets = {}
 
+    def columns(lo):
+        idx = np.arange(lo, min(lo + chunk, total), dtype=np.intp)
+        return np.array(digits(idx, q, n * width), dtype=dtype).reshape(n, width, -1)
+
+    # decoded once if they fit in a batch, else per slice: one batch is held at most
+    whole = columns(0) if total <= chunk else None
+
     def flush(group):
         du = max(len(e) for p in group for row in p[1] for e in row)
         u = np.zeros((n, n, du, len(group)), dtype=dtype)
@@ -312,12 +319,9 @@ def _census(fld: GF, n: int, k: int, budget, what: str, h1=None):
             for r, row in enumerate(p[1]):
                 for c, e in enumerate(row):
                     u[r, c, : len(e), i] = e
-        leaves = len(group) * total
-        for lo in range(0, leaves, chunk):
-            idx = np.arange(lo, min(lo + chunk, leaves), dtype=np.intp)
-            # the low n (k + 1) digits of l are those of l mod total
-            batch = np.array(digits(idx, q, n * width), dtype=dtype).reshape(n, width, -1)
-            for form, count in _leaf_keys(fld, group, u, idx // total, batch):
+        for lo in range(0, total, chunk):
+            batch = columns(lo) if whole is None else whole
+            for form, count in _leaf_keys(fld, group, u, batch):
                 buckets[form] = buckets.get(form, 0) + count
 
     group = []

@@ -139,22 +139,8 @@ class Poly:
         self._check(other)
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        f = self.field
-        db = other.degree
-        rem = list(self.coeffs)
-        if len(rem) - 1 < db:
-            return Poly(f, ()), self
-        quot = [0] * (len(rem) - db)
-        inv_lb = f.inv(other.lc)
-        bcs = other.coeffs
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c:
-                qc = f.mul(c, inv_lb)
-                quot[i - db] = qc
-                for j, bc in enumerate(bcs):
-                    rem[i - db + j] = f.sub(rem[i - db + j], f.mul(qc, bc))
-        return Poly(f, quot), Poly(f, rem)
+        quot, rem = _divmod_coeffs(self.field, self.coeffs, other.coeffs)
+        return Poly(self.field, quot), Poly(self.field, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -181,6 +167,23 @@ class Poly:
                 xs = "x" if i == 1 else f"x^{i}"
                 terms.append(xs if c == 1 else f"{c}*{xs}")
         return "+".join(terms)
+
+
+def _divmod_coeffs(field: GF, a, b):
+    """(quot, rem) of a by b, little-endian coefficient lists (b normalised
+    and nonzero), by long division from the top coefficient down through the
+    field's tables; rem keeps len(a) entries, its top ones 0.  The one long
+    division of ``Poly`` and ``polymat._hermite``; a and b are not written to."""
+    add, mul, neg = field._add, field._mul, field._neg
+    db = len(b) - 1
+    rem, quot, ilb = list(a), [0] * (len(a) - db), field._inv[b[-1]]
+    for i in range(len(a) - 1, db - 1, -1):
+        if rem[i]:
+            quot[i - db] = qc = mul[rem[i]][ilb]
+            row = mul[neg[qc]]
+            for j, bc in enumerate(b, i - db):
+                rem[j] = add[rem[j]][row[bc]]
+    return quot, rem
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:

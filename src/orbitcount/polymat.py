@@ -26,7 +26,7 @@ from .errors import (
     ZeroColumn,
 )
 from .fields import GF, is_int_list, tables
-from .poly import Poly, poly_gcd
+from .poly import Poly, _divmod_coeffs, poly_gcd
 
 
 class PolyMatrix:
@@ -253,18 +253,6 @@ def _hermite(field: GF, rows):
     u = [[[1] if i == j else [] for j in range(n)] for i in range(n)]
     unit = 1
 
-    def quotient(a, b):
-        # a div b, long division from the top coefficient down
-        db = len(b) - 1
-        rem, quot, ilb = list(a), [0] * (len(a) - db), inv[b[-1]]
-        for i in range(len(a) - 1, db - 1, -1):
-            if rem[i]:
-                quot[i - db] = qc = mul[rem[i]][ilb]
-                row = mul[neg[qc]]
-                for j, bc in enumerate(b, i - db):
-                    rem[j] = add[rem[j]][row[bc]]
-        return quot
-
     def submul(a, qt, b):
         # a - qt·b, normalised
         out = list(a) + [0] * (len(qt) + len(b) - 1 - len(a))
@@ -296,7 +284,7 @@ def _hermite(field: GF, rows):
             if not below:
                 break
             for i in below:
-                row_sub(i, c, quotient(h[i][c], h[c][c]))
+                row_sub(i, c, _divmod_coeffs(field, h[i][c], h[c][c])[0])
         # monic pivot
         lc = h[c][c][-1]
         if lc != 1:
@@ -308,7 +296,7 @@ def _hermite(field: GF, rows):
     for c in range(1, ncols):
         for i in range(c):
             if len(h[i][c]) >= len(h[c][c]):
-                row_sub(i, c, quotient(h[i][c], h[c][c]))
+                row_sub(i, c, _divmod_coeffs(field, h[i][c], h[c][c])[0])
     return h, u, sum(len(h[i][i]) - 1 for i in range(ncols)), unit
 
 

@@ -331,6 +331,16 @@ def test_hnf_malformed_matrix_json_exit_2(tmp_path, capsys, doc):
     assert_one_line_error(*run(capsys, "hnf", "--input", str(path)))
 
 
+@pytest.mark.parametrize("command", [["hnf"], ["brute", "--k", "1"]])
+def test_field_of_characteristic_0_exit_2(tmp_path, capsys, command):
+    doc = {"field": {"p": 0, "e": 2, "modulus": [1, 1, 1]}, "entries": [[[1]]]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *command, "--input", str(path))
+    assert_one_line_error(code, out, err)
+    assert "characteristic 0 is not prime" in err
+
+
 def test_brute_orbit_of_input(tmp_path, capsys):
     src = {"field": {"p": 2, "e": 1}, "entries": [[[1], []], [[], [0, 1]]]}
     path = tmp_path / "rep.json"

@@ -96,6 +96,14 @@ def test_nonprime_characteristic_rejected():
             GF(p)
 
 
+def test_characteristic_0_with_a_modulus_rejected():
+    """A modulus is reduced mod p only for p >= 2, so p = 0 is refused as
+    not prime, with or without an extension degree, not divided by."""
+    for e, modulus in ((2, [1, 1, 1]), (1, [1, 1])):
+        with pytest.raises(NonPrimeCharacteristic, match="characteristic 0 is not prime"):
+            field_spec(0, e, modulus)
+
+
 def test_reducible_modulus_rejected():
     # x^2 + 1 = (x+1)^2 over F_2
     with pytest.raises(ReducibleModulus):

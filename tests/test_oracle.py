@@ -382,9 +382,9 @@ def test_batched_finish_matches_reference_finish(monkeypatch, n, q, k, batching)
     batches = []
     leaf_keys = oracle._leaf_keys
 
-    def recorded(fld, group, u, owner, batch):
-        batches.append(len(owner))
-        return leaf_keys(fld, group, u, owner, batch)
+    def recorded(fld, group, u, batch):
+        batches.append(len(group) * batch.shape[2])
+        return leaf_keys(fld, group, u, batch)
 
     def assert_batches(completed):
         assert max(batches) <= min(oracle._LEAF_CHUNK, oracle._CENSUS_LEAVES)
@@ -411,6 +411,35 @@ def test_batched_finish_matches_reference_finish(monkeypatch, n, q, k, batching)
     for h1, key in rep_of.items():
         assert count_orbit_bruteforce(matrix_of_key(fld, key), k) == orbits[key]
         assert_batches(share[h1])
+
+
+@pytest.mark.parametrize("n,q,k,leaves", [(3, 2, 1, None), (2, 3, 2, None), (3, 2, 1, 7)])
+def test_census_decodes_last_columns_that_fit_once(monkeypatch, n, q, k, leaves):
+    """The q^(n(k+1)) last columns of a census are decoded once when they
+    fit in one batch, however many groups of prefixes they finish.  When
+    they do not (batches of 7 leaves), each slice of them is decoded again
+    for every completed prefix: 10 slices of the 64 at 3,2,1, counted on the
+    orbit scan of the H1 with the fewest prefixes."""
+    total = q ** (n * (k + 1))
+    decodes = []
+
+    def counted(v, base, width):
+        if isinstance(v, np.ndarray):
+            decodes.append(len(v))
+        return digits(v, base, width)
+
+    monkeypatch.setattr(oracle, "digits", counted)
+    if leaves is None:
+        orbit_census(q, n, k)
+        assert decodes == [total]
+        return
+    monkeypatch.setattr(oracle, "_CENSUS_LEAVES", leaves)
+    fld = field_of_order(q)
+    share = Counter(p[0] for p in oracle._prefixes(fld, n, k + 1) if p is not None)
+    h1 = min(share, key=share.__getitem__)
+    rows = [list(row) + [[]] for row in h1] + [[[]] * (n - 1) + [[1]]]
+    count_orbit_bruteforce(PolyMatrix.from_ints(fld, rows), k)
+    assert decodes == [min(leaves, total - lo) for lo in range(0, total, leaves)] * share[h1]
 
 
 class Walked(Exception):

@@ -41,7 +41,9 @@ def reference_hnf(m: PolyMatrix) -> HermiteForm:
     """The Hermite reduction on Poly objects that ``polymat._hermite``
     replaced: the same rules (first row of least degree as pivot, each swap
     negating the unit, monic pivots, above-diagonal entries reduced left to
-    right), one Poly operation at a time."""
+    right), one Poly operation at a time.  Its divisions are Poly divmod,
+    the long division ``poly._divmod_coeffs`` that the kernel shares and
+    that test_divmod_identity checks against Poly mul and add."""
     if m.cols > m.rows:
         raise NotSquare(f"{m.rows}x{m.cols}")
     field = m.field
@@ -163,6 +165,20 @@ def test_hnf_witness_identity():
     form = hnf(m)
     assert form.u @ m == form.h
     assert det_constant(form.u) != 0
+
+
+def test_hnf_reduces_above_the_diagonal_of_a_triangular_matrix():
+    """Every upper triangular 2 x 2 matrix over F_3 with monic diagonal
+    entries of degree <= 1 and a corner of degree <= 2 needs no elimination:
+    hnf only reduces the corner modulo the pivot below it, one division
+    whose quotient may have a constant digit."""
+    cells = [Poly(F3, c) for c in product(range(3), repeat=3)]
+    monic = [Poly(F3, (1,))] + [Poly(F3, (c, 1)) for c in range(3)]
+    for a, b, d in product(monic, cells, monic):
+        m = PolyMatrix([[a, b], [Poly.zero(F3), d]])
+        form = hnf(m)
+        assert form.u @ m == form.h and is_canonical_hnf(form.h)
+        assert form.h == PolyMatrix([[a, b % d], [Poly.zero(F3), d]])
 
 
 def test_hnf_is_idempotent_and_canonical():
