@@ -7,11 +7,12 @@ coefficient 0 is the least significant digit).  The ambient censuses visit
 the same matrices grouped by their first n - 1 columns and return buckets,
 whose counts do not depend on the order of the walk.  The orbit census
 finishes numpy batches of prefixes against the same decoded last columns:
-each matrix's canonical form is packed into one int64 key, the keys are counted
-with ``np.unique``, and only the distinct ones are decoded, so no Python
-runs per matrix.  The determinant census completes no matrix: it counts
-each prefix's completions by degree from one echelon of its cofactor span,
-so it reduces q^(n(n-1)(k+1)) small systems, not q^(n^2(k+1)) leaves.  The
+each matrix's canonical form becomes one int64 index among the forms of
+its H1, each H1 counts its forms in one array, and only the forms counted
+are decoded, once, at the end, so no Python runs per matrix.  The
+determinant census completes no matrix: it counts each prefix's completions
+by degree from one echelon of its cofactor span, so it reduces
+q^(n(n-1)(k+1)) small systems, not q^(n^2(k+1)) leaves.  The
 unipotent family of Lemma 2 and the orbit-side member counter are solved,
 not scanned, by one line solve (``_line_systems``): det V is affine in one
 line of V, so only the other lines are enumerated, and each choice's
@@ -31,8 +32,9 @@ choices).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from bisect import bisect_right
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -146,12 +148,13 @@ def iter_matrices(q, n: int, k: int):
 # computed for the whole batch at once.  The leaves are then
 # grouped by d = deg w; h is monic, so each quotient digit of y' mod h is the top
 # remainder coefficient, and the long division is a _mac with negated terms.
-# Each leaf's form packs into one int64: an id of H1 within the batch, then
-# the low coefficients of h and the residues as base-q digits
-# (a census whose keys could reach 2^63 is refused before it starts).
-# np.unique counts the keys of a batch, the census adds the counts up per
-# (H1, d, digits), and each distinct form is decoded into its structural key
-# once, at the end.
+# Each leaf's form is one int64 index among the forms of its H1: offsets[d]
+# = sum of q^(n d') over d' < d, plus the low coefficients of h and the
+# residues as base-q digits, so the indices of one H1 are dense and never
+# collide across d (a census whose indices could reach 2^63 is refused
+# before it starts).  Each H1 counts its forms in one array, with one
+# np.add.at per batch, and each form counted is decoded into its structural
+# key once, at the end.
 #
 # The determinant census needs no canonical form, and counts per prefix.
 # det [M1 | c] = sum_i c_i C_i, C_i the cofactors of M1 along column n, so
@@ -165,9 +168,9 @@ def iter_matrices(q, n: int, k: int):
 # from one _minors call and is reduced by one rref.
 
 _LEAF_CHUNK = 1 << 16  # unipotent-family members, or system entries, per numpy batch
-# leaves per census batch (the smaller of the two counts): the finish holds a
-# few coefficient arrays (n, D, L) of one byte per entry, and wider batches
-# raise the peak memory, not the speed
+# leaves per orbit-census batch: the finish holds a few coefficient arrays
+# (n, D, L) of one byte per entry, and wider batches raise the peak memory,
+# not the speed
 _CENSUS_LEAVES = 1 << 12
 
 
@@ -225,21 +228,17 @@ def _trim(coeffs) -> tuple:
     return tuple(coeffs[:end])
 
 
-def _leaf_keys(fld: GF, group, u, batch):
-    """The canonical forms of the leaves of a batch, counted: ``(form,
-    count)`` pairs, form None for the singular ones and otherwise packed as
-    ``(h1, d, rest)`` (see _form_key).  group lists the prefixes of the
-    batch, and u and batch are as in _images."""
+def _leaf_keys(fld: GF, u, batch, offsets):
+    """The canonical form of each leaf of a batch (u and batch as in
+    _images), in leaf order: an int64 array of indices among the forms of
+    the leaf's H1 (see above), -1 for a singular leaf."""
     add, mul, neg, inv = tbl = tables(fld)
     q, n = fld.q, len(u)
     y = _images(tbl, u, batch)
     w = y[-1]
     deg = _degrees(w)
-    h1_ids = {}
-    h1_of = np.repeat([h1_ids.setdefault(p[0], len(h1_ids)) for p in group], batch.shape[2])
-    h1s = list(h1_ids)
-    out = [(None, int(np.count_nonzero(deg < 0)))]
-    for d in np.unique(deg[deg >= 0]).tolist():
+    out = np.full(len(deg), -1, dtype=np.int64)
+    for d in np.flatnonzero(np.bincount(deg + 1)[1:]).tolist():
         sel = np.flatnonzero(deg == d)
         low = mul[inv[w[d, sel]], w[:d, sel]]  # monic(w) below x^d: (d, Lg)
         r = y[:-1, :, sel]
@@ -247,33 +246,27 @@ def _leaf_keys(fld: GF, group, u, batch):
         for j in range(len(w) - 1, d - 1, -1) if d else ():
             # take r[j] x^(j - d) h off r; r[j] itself is not read again
             r[:, j - d : j] = add[r[:, j - d : j], mul[r[:, j, None], minus]]
-        size = q ** (n * d)
-        packed = h1_of[sel] * size + q ** np.arange(n * d, dtype=np.int64) @ np.concatenate(
+        out[sel] = offsets[d] + q ** np.arange(n * d, dtype=np.int64) @ np.concatenate(
             [low, r[:, :d].reshape(-1, len(sel))]
         )
-        keys, counts = np.unique(packed, return_counts=True)
-        for key, count in zip(keys.tolist(), counts.tolist()):
-            h1_id, rest = divmod(key, size)
-            out.append(((h1s[h1_id], d, rest), count))
     return out
 
 
-def _form_key(q: int, n: int, form):
-    """The structural key of the canonical form [H1, y' mod h; 0, h] packed
-    as ``(h1, d, rest)``: H1's rows as keys, d = deg h, and as base-q digits
-    of rest, least significant first, the d low coefficients of h and then d
-    coefficients of each entry of y' mod h."""
-    h1, d, rest = form
-    coeffs = digits(rest, q, n * d)
-    above = tuple(row + (_trim(coeffs[d * (i + 1) : d * (i + 2)]),) for i, row in enumerate(h1))
-    return above + (((),) * (n - 1) + (tuple(coeffs[:d]) + (1,),),)
-
-
-def _orbits(q: int, n: int, buckets):
-    """An orbit census with its forms decoded: (buckets by structural key,
-    singular count)."""
-    singular = buckets.pop(None, 0)
-    return {_form_key(q, n, form): count for form, count in buckets.items()}, singular
+def _orbits(q: int, n: int, tally, offsets):
+    """The forms counted in a tally ``{h1: counts}`` (see _census), decoded
+    into structural keys: the form [H1, y' mod h; 0, h] at index offsets[d]
+    + rest has d = deg h, and as base-q digits of rest, least significant
+    first, the d low coefficients of h and then d coefficients of each entry
+    of y' mod h."""
+    buckets = {}
+    for h1, counts in tally.items():
+        at = np.flatnonzero(counts)
+        for i, count in zip(at.tolist(), counts[at].tolist()):
+            d = bisect_right(offsets, i) - 1
+            c = digits(i - offsets[d], q, n * d)
+            above = tuple(row + (_trim(c[d * (j + 1) : d * (j + 2)]),) for j, row in enumerate(h1))
+            buckets[above + (((),) * (n - 1) + (tuple(c[:d]) + (1,),),)] = count
+    return buckets
 
 
 def _check_scan(fld: GF, n: int, k: int, budget, what: str):
@@ -285,25 +278,24 @@ def _check_scan(fld: GF, n: int, k: int, budget, what: str):
 
 
 def _census(fld: GF, n: int, k: int, budget, what: str, h1=None):
-    """One walk over every n x n matrix of entry degree <= k, adding up the
-    ``(form, count)`` pairs that _leaf_keys returns for each batch of at most
-    _CENSUS_LEAVES leaves; form None counts the singular ones.  With h1
-    given, only prefixes with that H1 are completed.  A group holds as many
-    consecutive prefixes as their completions fit in a batch, and at least
-    one, and is finished against slices of the decoded last columns."""
+    """One walk over every n x n matrix of entry degree <= k: ``(buckets,
+    singular)`` as in orbit_census.  With h1 given, only prefixes with that
+    H1 are completed.  A group holds as many consecutive prefixes as their
+    completions fit in _CENSUS_LEAVES leaves, and at least one, and is
+    finished against slices of the decoded last columns.  The tally counts
+    each H1's forms, those with d <= n k - deg det H1, in one array."""
     _check_scan(fld, n, k, budget, what)
     q, width = fld.q, k + 1
     total = q ** (n * width)
-    chunk = min(_LEAF_CHUNK, _CENSUS_LEAVES)
+    chunk = _CENSUS_LEAVES
     per = max(1, chunk // total)  # prefixes per batch
-    # a packed key is below per * q^(n d), and d = deg w <= n k since deg det
-    # M <= n k; the budget check has seen q^(n^2 (k+1)), so the power is cheap
-    if per * q ** (n * n * k) >= 1 << 63:
-        raise BudgetExceeded(
-            f"{what}: packed leaf keys of {per} * {q}^{n * n * k} exceed the 64-bit key"
-        )
+    # form indices are below offsets[n k + 1], since d = deg w <= n k; the
+    # budget check has seen q^(n^2 (k+1)), so the powers are cheap
+    offsets = list(accumulate((q ** (n * d) for d in range(n * k + 1)), initial=0))
+    if offsets[-1] >= 1 << 63:
+        raise BudgetExceeded(f"{what}: form indices up to {offsets[-1]} exceed the 64-bit index")
     dtype = tables(fld)[0].dtype
-    buckets = {}
+    tally, singular = {}, 0
 
     def columns(lo):
         idx = np.arange(lo, min(lo + chunk, total), dtype=np.intp)
@@ -313,16 +305,26 @@ def _census(fld: GF, n: int, k: int, budget, what: str, h1=None):
     whole = columns(0) if total <= chunk else None
 
     def flush(group):
+        nonlocal singular
         du = max(len(e) for p in group for row in p[1] for e in row)
         u = np.zeros((n, n, du, len(group)), dtype=dtype)
         for i, p in enumerate(group):
             for r, row in enumerate(p[1]):
                 for c, e in enumerate(row):
                     u[r, c, : len(e), i] = e
+        ids = {}
+        of = np.array([ids.setdefault(p[0], len(ids)) for p in group])
+        for h in ids:
+            if h not in tally:
+                t1 = sum(len(h[i][i]) - 1 for i in range(n - 1))
+                tally[h] = np.zeros(offsets[n * k + 1 - t1], dtype=np.int64)
         for lo in range(0, total, chunk):
             batch = columns(lo) if whole is None else whole
-            for form, count in _leaf_keys(fld, group, u, batch):
-                buckets[form] = buckets.get(form, 0) + count
+            keys = _leaf_keys(fld, u, batch, offsets).reshape(len(group), -1)
+            singular += int(np.count_nonzero(keys < 0))
+            for j, h in enumerate(ids):
+                mine = keys[of == j]
+                np.add.at(tally[h], mine[mine >= 0], 1)
 
     group = []
     for prefix in _prefixes(fld, n, width):
@@ -330,7 +332,7 @@ def _census(fld: GF, n: int, k: int, budget, what: str, h1=None):
         if h1 is not None and (prefix is None or prefix[0] != h1):
             continue
         if prefix is None:
-            buckets[None] = buckets.get(None, 0) + total
+            singular += total
             continue
         group.append(prefix)
         if len(group) == per:
@@ -338,7 +340,7 @@ def _census(fld: GF, n: int, k: int, budget, what: str, h1=None):
             group = []
     if group:
         flush(group)
-    return buckets
+    return _orbits(q, n, tally, offsets), singular
 
 
 def count_orbit_bruteforce(rep: PolyMatrix, k: int, budget=None) -> int:
@@ -349,8 +351,7 @@ def count_orbit_bruteforce(rep: PolyMatrix, k: int, budget=None) -> int:
     n = rep.rows
     target = hnf(rep).h.key()
     h1 = tuple(row[: n - 1] for row in target[: n - 1])
-    buckets = _census(rep.field, n, k, budget, "orbit scan", h1)
-    return _orbits(rep.field.q, n, buckets)[0].get(target, 0)
+    return _census(rep.field, n, k, budget, "orbit scan", h1)[0].get(target, 0)
 
 
 def orbit_census(q, n: int, k: int, budget=None):
@@ -359,8 +360,7 @@ def orbit_census(q, n: int, k: int, budget=None):
     Returns ``(buckets, singular)`` where buckets maps the canonical-form
     structural key to the number of degree-<=k matrices in that orbit.
     """
-    fld = _field(q)
-    return _orbits(fld.q, n, _census(fld, n, k, budget, "orbit census"))
+    return _census(_field(q), n, k, budget, "orbit census")
 
 
 @dataclass(frozen=True)

@@ -246,7 +246,8 @@ def _hermite(field: GF, rows):
     being the first row of least degree (each swap negates the unit); the
     pivot row is made monic, and then the entries above the diagonal are
     reduced by division with remainder, column by column from the left.  A
-    column without a pivot raises SingularMatrix.
+    column without a pivot raises SingularMatrix; a column that its bounded
+    rounds do not clear (a faulty division) raises RuntimeError.
     """
     add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
     h, n, ncols = rows, len(rows), len(rows[0])
@@ -271,7 +272,9 @@ def _hermite(field: GF, rows):
         u[i] = [submul(a, qt, b) for a, b in zip(u[i], u[c])]
 
     for c in range(ncols):
-        while True:
+        # a round that does not end the column lowers the pivot's degree, so
+        # the column ends within 1 + (its longest coefficient list) rounds
+        for _ in range(1 + max(len(h[i][c]) for i in range(c, n))):
             live = [i for i in range(c, n) if h[i][c]]
             if not live:
                 raise SingularMatrix(f"column {c} has no pivot")
@@ -285,6 +288,8 @@ def _hermite(field: GF, rows):
                 break
             for i in below:
                 row_sub(i, c, _divmod_coeffs(field, h[i][c], h[c][c])[0])
+        else:
+            raise RuntimeError(f"column {c}: the Euclidean reduction did not end")
         # monic pivot
         lc = h[c][c][-1]
         if lc != 1:

@@ -41,7 +41,7 @@ from orbitcount.oracle import (
 from orbitcount.poly import Poly
 from orbitcount.polymat import PolyMatrix, hnf, same_orbit
 
-GRID = [(2, 2, 2), (2, 3, 2), (3, 2, 1), (2, 4, 1)]  # (n, q, max k)
+GRID = [(2, 2, 2), (2, 3, 2), (3, 2, 1), (2, 4, 1), (2, 5, 1), (2, 7, 1)]  # (n, q, max k)
 
 _census_cache = {}
 

@@ -351,8 +351,8 @@ def test_brute_orbit_of_input(tmp_path, capsys):
 
 
 def test_orbit_scan_past_the_64_bit_key_exits_3(tmp_path, capsys):
-    """Any budget is accepted, but an orbit scan whose packed keys could
-    reach 2^63 (here 2^64 at n = 2, q = 2, k = 16) is refused at once."""
+    """Any budget is accepted, but an orbit scan whose form indices could
+    reach 2^63 (here about 2^64.4 at n = 2, q = 2, k = 16) is refused at once."""
     src = {"field": {"p": 2, "e": 1}, "entries": [[[1], []], [[], [1]]]}
     path = tmp_path / "rep.json"
     path.write_text(json.dumps(src))

@@ -182,6 +182,7 @@ def test_det_census_matches_per_matrix_reference(n, q, k):
 def test_scans_match_reference_across_leaf_batches(monkeypatch, n, q, k):
     """Last columns, and prefix systems, split over many batches give the
     same buckets (n = 1 has one prefix, so one system)."""
+    monkeypatch.setattr(oracle, "_CENSUS_LEAVES", 7)
     monkeypatch.setattr(oracle, "_LEAF_CHUNK", 7)
     fld = field_of_order(q)
     orbits, degrees, singular = reference_census(fld, n, k)
@@ -367,11 +368,13 @@ def test_batched_finish_matches_reference_finish(monkeypatch, n, q, k, batching)
     scan per H1 checks every restriction the walk makes.  Batches of 7
     leaves cost about 0.3 ms each, so under them the orbit scan runs for the
     H1 with the fewest prefixes only, and at 3,2,1 (37,450 such batches per
-    census) the censuses are left to the other two batchings.  Every scan's
-    batches hold at most min(_LEAF_CHUNK, _CENSUS_LEAVES) leaves, and add up
-    to q^(n(k+1)) leaves per full-rank prefix it completes.
+    census) the censuses are left to the other two batchings.  Every orbit
+    scan's batches hold at most _CENSUS_LEAVES leaves, and add up to
+    q^(n(k+1)) leaves per full-rank prefix it completes; 7-leaf batching
+    also splits the determinant census's prefix systems (_LEAF_CHUNK).
     """
     if batching == "7-leaf":
+        monkeypatch.setattr(oracle, "_CENSUS_LEAVES", 7)
         monkeypatch.setattr(oracle, "_LEAF_CHUNK", 7)
     elif batching == "one-prefix":
         monkeypatch.setattr(oracle, "_CENSUS_LEAVES", q ** (n * (k + 1)))
@@ -382,12 +385,12 @@ def test_batched_finish_matches_reference_finish(monkeypatch, n, q, k, batching)
     batches = []
     leaf_keys = oracle._leaf_keys
 
-    def recorded(fld, group, u, batch):
-        batches.append(len(group) * batch.shape[2])
-        return leaf_keys(fld, group, u, batch)
+    def recorded(fld, u, batch, offsets):
+        batches.append(u.shape[3] * batch.shape[2])
+        return leaf_keys(fld, u, batch, offsets)
 
     def assert_batches(completed):
-        assert max(batches) <= min(oracle._LEAF_CHUNK, oracle._CENSUS_LEAVES)
+        assert max(batches) <= oracle._CENSUS_LEAVES
         assert sum(batches) == completed * q ** (n * (k + 1))
         batches.clear()
 
@@ -440,6 +443,24 @@ def test_census_decodes_last_columns_that_fit_once(monkeypatch, n, q, k, leaves)
     rows = [list(row) + [[]] for row in h1] + [[[]] * (n - 1) + [[1]]]
     count_orbit_bruteforce(PolyMatrix.from_ints(fld, rows), k)
     assert decodes == [min(leaves, total - lo) for lo in range(0, total, leaves)] * share[h1]
+
+
+@pytest.mark.parametrize("n,q,k", [(1, 3, 2), (2, 2, 1), (2, 3, 1), (3, 2, 1)])
+def test_form_indices_decode_to_every_form_of_their_h1_once(n, q, k):
+    """A tally holding one count at every index of every H1 decodes to each
+    canonical form with t <= n k exactly once: the indices of one H1 are
+    dense over d <= n k - deg det H1 and collide across no two d."""
+    offsets = [sum(q ** (n * e) for e in range(d)) for d in range(n * k + 2)]
+    forms = {}
+    for t in range(n * k + 1):
+        for key in iter_hnf_rep_keys(n, q, t):
+            forms.setdefault(tuple(row[: n - 1] for row in key[: n - 1]), []).append(key)
+    for h1, want in forms.items():
+        t1 = sum(len(h1[i][i]) - 1 for i in range(n - 1))
+        counts = np.ones(offsets[n * k + 1 - t1], dtype=np.int64)
+        buckets = oracle._orbits(q, n, {h1: counts}, offsets)
+        assert len(buckets) == len(counts) == len(want)
+        assert set(buckets) == set(want) and set(buckets.values()) == {1}
 
 
 class Walked(Exception):

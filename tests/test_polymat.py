@@ -58,7 +58,8 @@ def reference_hnf(m: PolyMatrix) -> HermiteForm:
         u[i] = [a - q * b for a, b in zip(u[i], u[j])]
 
     for c in range(ncols):
-        while True:
+        # bounded as in the kernel, so a faulty division fails instead of hanging
+        for _ in range(1 + max(len(h[i][c].coeffs) for i in range(c, n))):
             live = [i for i in range(c, n) if not h[i][c].is_zero()]
             if not live:
                 raise SingularMatrix(f"column {c} has no pivot")
@@ -73,6 +74,8 @@ def reference_hnf(m: PolyMatrix) -> HermiteForm:
             for i in below:
                 q, _ = divmod(h[i][c], h[c][c])
                 row_sub(i, c, q)
+        else:
+            raise RuntimeError(f"column {c}: the Euclidean reduction did not end")
         # monic pivot
         lc = h[c][c].lc
         if lc != 1:
@@ -145,6 +148,24 @@ def test_hnf_matches_poly_reference(q):
         if isinstance(want, tuple):
             refused.add(want[0])
     assert refused == {NotSquare, SingularMatrix}
+
+
+def test_hnf_with_a_faulty_division_fails_instead_of_hanging(monkeypatch):
+    """A long division that drops the quotient's top digit makes no progress
+    on [x^2 + 1; x], whose column needs three rounds (x^2 + 1 = x·x + 1, then
+    x = x·1): the bounded Euclidean loop raises RuntimeError, naming the
+    column, where an unbounded one would spin forever."""
+    divmod_coeffs = polymat._divmod_coeffs
+
+    def faulty(field, a, b):
+        quot, rem = divmod_coeffs(field, a, b)
+        return quot[:-1], rem
+
+    m = PolyMatrix([[p2(1, 0, 1)], [p2(0, 1)]])
+    assert hnf(m).h == PolyMatrix([[p2(1)], [p2()]])
+    monkeypatch.setattr(polymat, "_divmod_coeffs", faulty)
+    with pytest.raises(RuntimeError, match="column 0"):
+        hnf(m)
 
 
 def test_hnf_permutation_example():
