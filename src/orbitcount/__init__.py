@@ -7,6 +7,11 @@ Closed-form counts live in :mod:`orbitcount.counting`, exhaustive oracles in
 :mod:`orbitcount.oracle`, proof-step transformations in
 :mod:`orbitcount.moves`, and the 2x2 integer case in
 :mod:`orbitcount.integer_orbits`.
+
+Polynomial arithmetic runs through three coefficient-list kernels in
+:mod:`orbitcount.poly`: ``_trim``, ``_submul`` (a - c·b, for ``Poly`` and the
+Hermite row steps) and ``_divmod_coeffs`` (for ``Poly`` and the Hermite
+reduction); their callers are named there.
 """
 
 from .errors import OrbitCountError

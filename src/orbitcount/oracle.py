@@ -53,7 +53,7 @@ from .linalg import affine_solutions, consistent, rref, solution_count
 # run (perfbench/layers.py) patches each under this module's name as well,
 # so the names stay importable from here
 from .linalg import iter_affine_space, rank, solve_affine
-from .poly import NEG_INF, Poly
+from .poly import NEG_INF, Poly, _trim
 from .polymat import PolyMatrix, _hermite, _mac, _minors, det, hnf
 
 DEFAULT_MAX_ITEMS = 10**8
@@ -220,14 +220,6 @@ def _degrees(w):
     return np.where(nonzero.any(axis=0), top, -1)
 
 
-def _trim(coeffs) -> tuple:
-    """A coefficient list as a normalised ``Poly.coeffs`` tuple."""
-    end = len(coeffs)
-    while end and not coeffs[end - 1]:
-        end -= 1
-    return tuple(coeffs[:end])
-
-
 def _leaf_keys(fld: GF, u, batch, offsets):
     """The canonical form of each leaf of a batch (u and batch as in
     _images), in leaf order: an int64 array of indices among the forms of
@@ -316,8 +308,7 @@ def _census(fld: GF, n: int, k: int, budget, what: str, h1=None):
         of = np.array([ids.setdefault(p[0], len(ids)) for p in group])
         for h in ids:
             if h not in tally:
-                t1 = sum(len(h[i][i]) - 1 for i in range(n - 1))
-                tally[h] = np.zeros(offsets[n * k + 1 - t1], dtype=np.int64)
+                tally[h] = np.zeros(offsets[n * k + 1 - _key_t(h)], dtype=np.int64)
         for lo in range(0, total, chunk):
             batch = columns(lo) if whole is None else whole
             keys = _leaf_keys(fld, u, batch, offsets).reshape(len(group), -1)
@@ -734,14 +725,15 @@ def _key_t(key) -> int:
 def verify_grid(grid, budget=None):
     """Compare scan censuses against the closed forms over a grid of
     (n, q, max_k) triples.  Returns (reports, all_match).  A grid that would
-    check nothing (empty, or a triple with n < 1 or max_k < 0) is refused
-    before the first scan."""
+    check nothing (empty, or a triple with n < 1 or max_k < 0), or has a bad
+    q or a max_k scan over the budget, is refused before the first scan."""
     grid = tuple(grid)
     if not grid:
         raise InvalidParams("verify grid is empty")
     for n, q, kmax in grid:
         if n < 1 or kmax < 0:
             raise InvalidParams(f"verify grid triple {n},{q},{kmax} needs n >= 1 and kmax >= 0")
+        _check_scan(_field(q), n, kmax, budget, "orbit census")
     reports = []
 
     def check(params, t, kind, want, got):
@@ -765,7 +757,7 @@ def verify_grid(grid, budget=None):
             # t <= k the scan holds every one of them; the oracle value counts
             # each missing or stray form on top of the enumerated ones
             for t in sorted(set(by_t) | set(range(k + 1))):
-                want = set(iter_hnf_rep_keys(n, q, t))
+                want = set(iter_hnf_rep_keys(n, q, t, budget))
                 got = by_t.get(t, {}).keys()
                 wrong = got ^ want if t <= k else got - want
                 check(params, t, "rep-inventory", len(want), len(want) + len(wrong))

@@ -4,6 +4,11 @@ Coefficients are stored little-endian (index i holds the coefficient of x^i)
 and always normalized: the last stored coefficient is nonzero, or the tuple is
 empty for the zero polynomial.  ``deg(0)`` is ``NEG_INF``, which compares below
 every integer, so degree-bound predicates need no special case for zero.
+
+Three kernels on coefficient lists do the arithmetic: ``_trim`` normalises
+(``Poly``, ``oracle``'s decoders), ``_submul`` is a - c·b (``Poly``'s ring
+ops, ``polymat._hermite``'s row steps) and ``_divmod_coeffs`` divides
+(``Poly`` divmod, ``polymat._hermite``).
 """
 
 from __future__ import annotations
@@ -18,10 +23,7 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: GF, coeffs=()):
-        n = len(coeffs)
-        while n and coeffs[n - 1] == 0:
-            n -= 1
-        coeffs = tuple(coeffs[:n])
+        coeffs = _trim(coeffs)
         if not field._element_set.issuperset(coeffs):  # from_ints reduces
             raise InvalidParams(f"coefficients {list(coeffs)} are not all in [0, {field.q})")
         self.field = field
@@ -86,61 +88,39 @@ class Poly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def _check(self, other):
+    def _check(self, other) -> GF:
         if self.field != other.field:
             raise MixedFields(f"{self.field} vs {other.field}")
+        return self.field
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
-        self._check(other)
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return Poly(f, out)
+        f = self._check(other)
+        return Poly(f, _submul(f, self.coeffs, (f._neg[1],), other.coeffs))
 
     def __neg__(self):
         f = self.field
-        return Poly(f, [f.neg(c) for c in self.coeffs])
+        return Poly(f, _submul(f, (), (1,), self.coeffs))
 
     def __sub__(self, other):
-        self._check(other)
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        out = list(a) + [0] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] = f.sub(out[i], c)
-        return Poly(f, out)
+        f = self._check(other)
+        return Poly(f, _submul(f, self.coeffs, (1,), other.coeffs))
 
     def __mul__(self, other):
-        self._check(other)
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly(f, ())
-        out = [0] * (len(a) + len(b) - 1)
-        add, mul = f._add, f._mul
-        for i, ca in enumerate(a):
-            if ca:
-                row = mul[ca]
-                for j, cb in enumerate(b):
-                    out[i + j] = add[out[i + j]][row[cb]]
-        return Poly(f, out)
+        f = self._check(other)
+        return Poly(f, _submul(f, (), (-self).coeffs, other.coeffs))
 
     def scale(self, c: int) -> "Poly":
         f = self.field
-        return Poly(f, [f.mul(c, a) for a in self.coeffs])
+        return Poly(f, _submul(f, (), (f._neg[c],), self.coeffs))
 
     def __divmod__(self, other):
-        self._check(other)
+        f = self._check(other)
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        quot, rem = _divmod_coeffs(self.field, self.coeffs, other.coeffs)
-        return Poly(self.field, quot), Poly(self.field, rem)
+        quot, rem = _divmod_coeffs(f, self.coeffs, other.coeffs)
+        return Poly(f, quot), Poly(f, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -169,6 +149,30 @@ class Poly:
         return "+".join(terms)
 
 
+def _trim(coeffs) -> tuple:
+    """A coefficient list as a normalised ``Poly.coeffs`` tuple."""
+    end = len(coeffs)
+    while end and not coeffs[end - 1]:
+        end -= 1
+    return tuple(coeffs[:end])
+
+
+def _submul(field: GF, a, c, b) -> list:
+    """a - c·b on little-endian coefficient lists through the field's
+    tables, as a normalised list (no trailing zero); no argument is written
+    to."""
+    add, mul, neg = field._add, field._mul, field._neg
+    out = list(a) + [0] * (len(c) + len(b) - 1 - len(a))
+    for i, ci in enumerate(c):
+        if ci:
+            row = mul[neg[ci]]
+            for j, bj in enumerate(b, i):
+                out[j] = add[out[j]][row[bj]]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 def _divmod_coeffs(field: GF, a, b):
     """(quot, rem) of a by b, little-endian coefficient lists (b normalised
     and nonzero), by long division from the top coefficient down through the
@@ -193,11 +197,9 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
 def poly_xgcd(f: Poly, g: Poly):
     """Extended gcd: returns (d, s, t) with s*f + t*g = d, d monic."""
-    if f.field != g.field:
-        raise MixedFields(f"{f.field} vs {g.field}")
+    fld = f._check(g)
     if f.is_zero() and g.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
-    fld = f.field
     r0, r1 = f, g
     s0, s1 = Poly.one(fld), Poly.zero(fld)
     t0, t1 = Poly.zero(fld), Poly.one(fld)

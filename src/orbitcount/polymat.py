@@ -9,7 +9,9 @@ The Hermite normal form used throughout is the canonical representative of
 the left orbit under unimodular (constant-determinant) matrices: upper
 triangular, monic diagonal, and every above-diagonal entry reduced to degree
 strictly below the diagonal entry of its column.  Orbit equality is therefore
-a structural equality of canonical forms.
+a structural equality of canonical forms.  One kernel, ``_hermite`` on
+coefficient lists, reduces: ``hnf`` wraps it and the orbit census runs it on
+each prefix, and it computes with ``poly``'s ``_submul`` and ``_divmod_coeffs``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import (
     ZeroColumn,
 )
 from .fields import GF, is_int_list, tables
-from .poly import Poly, _divmod_coeffs, poly_gcd
+from .poly import Poly, _divmod_coeffs, _submul, poly_gcd
 
 
 class PolyMatrix:
@@ -144,19 +146,10 @@ class PolyMatrix:
             raise MixedFields("matrix product across different fields")
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        zero = Poly.zero(self.field)
-        out = []
-        for i in range(self.rows):
-            row = []
-            arow = self.entries[i]
-            for j in range(other.cols):
-                acc = zero
-                for l in range(self.cols):
-                    if arow[l] and other.entries[l][j]:
-                        acc = acc + arow[l] * other.entries[l][j]
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
+        zero, cols = Poly.zero(self.field), list(zip(*other.entries))
+        return PolyMatrix(
+            [[sum((a * b for a, b in zip(row, c)), zero) for c in cols] for row in self.entries]
+        )
 
 
 def satisfies_R(m: PolyMatrix, k: int) -> bool:
@@ -249,27 +242,15 @@ def _hermite(field: GF, rows):
     column without a pivot raises SingularMatrix; a column that its bounded
     rounds do not clear (a faulty division) raises RuntimeError.
     """
-    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
+    mul, neg, inv = field._mul, field._neg, field._inv
     h, n, ncols = rows, len(rows), len(rows[0])
     u = [[[1] if i == j else [] for j in range(n)] for i in range(n)]
     unit = 1
 
-    def submul(a, qt, b):
-        # a - qt·b, normalised
-        out = list(a) + [0] * (len(qt) + len(b) - 1 - len(a))
-        for i, c in enumerate(qt):
-            if c:
-                row = mul[neg[c]]
-                for j, bc in enumerate(b, i):
-                    out[j] = add[out[j]][row[bc]]
-        while out and not out[-1]:
-            out.pop()
-        return out
-
     def row_sub(i, c, qt):
         # row_i -= qt * row_c
-        h[i] = [submul(a, qt, b) for a, b in zip(h[i], h[c])]
-        u[i] = [submul(a, qt, b) for a, b in zip(u[i], u[c])]
+        h[i] = [_submul(field, a, qt, b) for a, b in zip(h[i], h[c])]
+        u[i] = [_submul(field, a, qt, b) for a, b in zip(u[i], u[c])]
 
     for c in range(ncols):
         # a round that does not end the column lowers the pivot's degree, so

@@ -389,6 +389,38 @@ def test_verify_small_grid(capsys):
     assert all(r["match"] for r in payload["reports"] if "match" in r)
 
 
+@pytest.mark.parametrize(
+    "grid, code, named",
+    [
+        ("3,2,1;2,2,40", 3, "2^164"),  # (2, 2, 40)'s largest box: 2^(4·41) matrices
+        ("3,2,1;2,6,1", 2, "q = 6"),  # 6 is not a prime power
+    ],
+)
+def test_verify_refuses_a_doomed_grid_before_any_census(capsys, monkeypatch, grid, code, named):
+    """Each triple is checked, field and largest scan, before the first
+    census: a refusal behind (3, 2, 1) costs no scan of (3, 2, ·)."""
+    calls = []
+    monkeypatch.setattr(oracle, "orbit_census", lambda *args: calls.append(args))
+    start = time.perf_counter()
+    got, out, err = run(capsys, "verify", "--grid", grid)
+    assert time.perf_counter() - start < 1.0
+    assert (got, out, calls) == (code, "", [])
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and named in err
+
+
+def test_verify_enumerates_canonical_forms_under_its_budget(capsys, monkeypatch):
+    real, budgets = oracle.iter_hnf_rep_keys, set()
+
+    def spy(n, q, t, budget=None):
+        budgets.add(budget)
+        return real(n, q, t, budget)
+
+    monkeypatch.setattr(oracle, "iter_hnf_rep_keys", spy)
+    code, _, _ = run(capsys, "verify", "--grid", "2,2,1", "--budget", "1000000")
+    assert code == 0
+    assert [b.max_items for b in budgets] == [1000000]
+
+
 def test_verify_detects_corrupted_formula(capsys, monkeypatch):
     """A deliberately wrong closed form must drive the pipeline to exit 1."""
     real = counting.orbit_count_formula

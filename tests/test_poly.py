@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orbitcount.errors import (
     BothZero,
@@ -11,11 +11,14 @@ from orbitcount.errors import (
     NegativeCutoff,
 )
 from orbitcount.fields import field_of_order, prime_field
-from orbitcount.poly import NEG_INF, Poly, poly_gcd, poly_xgcd, truncate_low
+from orbitcount.poly import NEG_INF, Poly, _submul, poly_gcd, poly_xgcd, truncate_low
 
 F2 = field_of_order(2)
 F3 = field_of_order(3)
 F4 = field_of_order(4)
+F8 = field_of_order(8)
+F9 = field_of_order(9)
+F509 = field_of_order(509)
 
 
 def p2(*c):
@@ -26,6 +29,108 @@ def polys(field, max_deg=5):
     return st.lists(
         st.integers(0, field.q - 1), min_size=0, max_size=max_deg + 1
     ).map(lambda cs: Poly(field, cs))
+
+
+# -- the ring operations one coefficient at a time, on GF's scalar methods:
+# the slow path that poly._submul replaced, kept as its reference
+
+
+def reference_add(a, b):
+    f = a.field
+    x, y = a.coeffs, b.coeffs
+    if len(x) < len(y):
+        x, y = y, x
+    out = list(x)
+    for i, c in enumerate(y):
+        out[i] = f.add(out[i], c)
+    return Poly(f, out)
+
+
+def reference_neg(a):
+    f = a.field
+    return Poly(f, [f.neg(c) for c in a.coeffs])
+
+
+def reference_sub(a, b):
+    f = a.field
+    x, y = a.coeffs, b.coeffs
+    out = list(x) + [0] * (len(y) - len(x))
+    for i, c in enumerate(y):
+        out[i] = f.sub(out[i], c)
+    return Poly(f, out)
+
+
+def reference_mul(a, b):
+    f = a.field
+    x, y = a.coeffs, b.coeffs
+    out = [0] * max(0, len(x) + len(y) - 1)
+    for i, cx in enumerate(x):
+        for j, cy in enumerate(y):
+            out[i + j] = f.add(out[i + j], f.mul(cx, cy))
+    return Poly(f, out)
+
+
+def reference_scale(a, c):
+    f = a.field
+    return Poly(f, [f.mul(c, v) for v in a.coeffs])
+
+
+def reference_submul(field, a, c, b):
+    """a - c·b on coefficient lists, as the normalised tuple _submul returns."""
+    return reference_sub(Poly(field, a), reference_mul(Poly(field, c), Poly(field, b))).coeffs
+
+
+KERNEL_FIELDS = [F2, F3, F4, F8, F9, F509]
+
+
+@st.composite
+def submul_operands(draw):
+    """(field, a, c, b): coefficient lists of up to 6 entries, trailing zeros
+    and empty lists included; half the time a agrees with c·b above its j
+    lowest coefficients, so that a - c·b cancels down to degree < j (to 0
+    for j = 0)."""
+    f = draw(st.sampled_from(KERNEL_FIELDS))
+    coeffs = st.lists(st.integers(0, f.q - 1), max_size=6)
+    a, c, b = draw(coeffs), draw(coeffs), draw(coeffs)
+    if draw(st.booleans()):
+        prod = list(reference_mul(Poly(f, c), Poly(f, b)).coeffs)
+        j = draw(st.integers(0, len(prod)))
+        a = draw(st.lists(st.integers(0, f.q - 1), min_size=j, max_size=j)) + prod[j:]
+    return f, a, c, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(submul_operands())
+@example((F3, [], [], []))
+@example((F4, [], [2, 3], [1, 0, 3]))
+@example((F9, [4, 7], [], [5, 1]))
+@example((F509, [1, 2], [3], []))
+@example((F8, [0, 6, 5], [1, 1], [0, 6]))
+def test_submul_matches_the_reference(ops):
+    f, a, c, b = ops
+    args = [list(a), list(c), list(b)]
+    got = _submul(f, *args)
+    assert got == list(reference_submul(f, a, c, b))  # normalised: no trailing zero
+    assert args == [a, c, b]  # no argument is written to
+
+
+@settings(max_examples=400, deadline=None)
+@given(submul_operands())
+@example((F3, [], [], []))
+@example((F509, [], [7], [1, 508]))
+def test_ring_ops_match_the_reference(ops):
+    """Poly add, sub, neg, mul and scale against the per-coefficient loops,
+    on pairs whose sum or difference cancels to a lower degree or to 0."""
+    f, a, c, b = ops
+    x, y = Poly(f, a), Poly(f, b)
+    w = reference_mul(Poly(f, c), y)  # x agrees with w at the top half the time
+    for u, v in ((x, y), (x, w), (x, reference_neg(w)), (y, y)):
+        assert u + v == reference_add(u, v)
+        assert u - v == reference_sub(u, v)
+        assert u * v == reference_mul(u, v)
+    assert -x == reference_neg(x)
+    for s in {0, 1, f.q - 1, *c}:
+        assert x.scale(s) == reference_scale(x, s)
 
 
 def test_normalization_and_degree():
