@@ -10,8 +10,9 @@ x - p (x // p); an extension field looks both up in its add and mul tables,
 widened to intp for flat ``x * q + y`` lookups.  One codec (``consistent``,
 ``affine_solutions``, ``solution_count``) reads a reduced batch back as
 affine spaces.  ``rank``, ``solve_affine`` and the constant
-inverse of the conjugation move run on a batch of one, the orbit-side
-counters on a whole count at once.
+inverse of the conjugation move run on a batch of one; the orbit-side
+counters run on whole batches: the member counter reduces the systems of
+every form it counts in one call, and each batch of choices in another.
 """
 
 from __future__ import annotations

@@ -14,8 +14,11 @@ from .errors import (
     BadIndex,
     DegreeTooSmall,
     InvalidParams,
+    MixedFields,
     NotConstant,
+    NotSquare,
     NotTriangular,
+    ShapeMismatch,
     SingularConjugator,
     ZeroPivot,
 )
@@ -137,6 +140,8 @@ def conjugate_const(m: PolyMatrix, h: PolyMatrix) -> PolyMatrix:
 
 def two_cycle_matrix(field, n: int, a: int, b: int) -> PolyMatrix:
     """Permutation matrix for the transposition (a b), 1-based."""
+    if not (1 <= a <= n and 1 <= b <= n):
+        raise BadIndex(f"transposition ({a} {b}) outside [1, {n}]")
     grid = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     i, j = a - 1, b - 1
     grid[i][i] = grid[j][j] = 0
@@ -204,28 +209,45 @@ def verify_count_preservation(
     move: dict | None = None,
 ) -> MoveRecord:
     """Count the degree-bounded orbit members of both matrices exactly, on
-    the orbit side, for each k and record whether the counts agree."""
-    return _count_preservation(before, after, k_range, budget, move, {})
+    the orbit side, for each k and record whether the counts agree.  The two
+    matrices must share a field (else MixedFields) and a shape (else
+    ShapeMismatch), and be square (else NotSquare)."""
+    if before.field != after.field:
+        raise MixedFields(f"before over F_{before.field.q}, after over F_{after.field.q}")
+    if (before.rows, before.cols) != (after.rows, after.cols):
+        raise ShapeMismatch(f"before {before.rows}x{before.cols}, after {after.rows}x{after.cols}")
+    if not before.is_square():
+        raise NotSquare(f"{before.rows}x{before.cols}")
+    return _count_preservation([(before, after, k_range, move)], budget)[0]
 
 
-def _count_preservation(before, after, k_range, budget, move, counts) -> MoveRecord:
-    """verify_count_preservation with a table of the counts made so far.
+def _count_preservation(pairs, budget) -> list:
+    """verify_count_preservation on a list of (before, after, k_range, move)
+    pairs of square matrices: one MoveRecord each.
 
-    A count depends only on the field, the canonical form and k, so counts
-    maps each (field, canonical-form key, k) to its count, and each key is
-    counted once for as long as the caller keeps the table.  A singular
-    matrix has no canonical form: ``hnf`` raises SingularMatrix.
+    A count depends only on the field, the canonical form and k, so each
+    distinct (field, canonical-form key, k) is counted once.  All of them
+    are counted first, by one ``oracle._member_counts`` call per (field,
+    size), in the order the pairs first name them.  A singular matrix has no
+    canonical form: ``hnf`` raises SingularMatrix.
     """
-
-    def count(m, form, k):
-        key = (m.field, form, k)
-        if key not in counts:
-            counts[key] = oracle.count_orbit_members(m, k, budget)
-        return counts[key]
-
-    fb, fa = hnf(before).h.key(), hnf(after).h.key()
-    checked = tuple((k, count(before, fb, k), count(after, fa, k)) for k in k_range)
-    return MoveRecord(before, after, move or {}, checked)
+    pairs = [(before, after, tuple(k_range), move) for before, after, k_range, move in pairs]
+    sides = [[(m.field, hnf(m).h.key()) for m in (before, after)] for before, after, _, _ in pairs]
+    groups = {}  # (field, size) -> its (field, key, k) to count, in order
+    for (_, _, k_range, _), two in zip(pairs, sides):
+        for k in k_range:
+            for f, key in two:
+                groups.setdefault((f, len(key)), {}).setdefault((f, key, k))
+    counts = {}
+    for (f, n), group in groups.items():
+        forms = [(key, k) for _, key, k in group]
+        counts.update(zip(group, oracle._member_counts(f, n, forms, budget)))
+    return [
+        MoveRecord(
+            before, after, move or {}, tuple((k, counts[(*b, k)], counts[(*a, k)]) for k in k_range)
+        )
+        for (before, after, k_range, move), (b, a) in zip(pairs, sides)
+    ]
 
 
 # -- fixture battery ---------------------------------------------------------
@@ -267,8 +289,7 @@ def run_move_battery(fixtures, k_extra: int = 2, budget=None):
     preservation for k in [t, t + k_extra]; returns the MoveRecords."""
     if k_extra < 0:
         raise InvalidParams(f"k_extra must be >= 0, got {k_extra}")
-    records = []
-    counts = {}  # one table per battery: see _count_preservation
+    pairs = []
     for m, l0 in fixtures:
         t = int(det(m).degree)
         ks = range(t, t + k_extra + 1)
@@ -277,6 +298,5 @@ def run_move_battery(fixtures, k_extra: int = 2, budget=None):
                 after = move(m, l0)
             except DegreeTooSmall:  # only the diagonal truncation refuses so
                 continue
-            move_info = {"move": name, "l0": l0}
-            records.append(_count_preservation(m, after, ks, budget, move_info, counts))
-    return records
+            pairs.append((m, after, ks, {"move": name, "l0": l0}))
+    return _count_preservation(pairs, budget)

@@ -17,11 +17,15 @@ unipotent family of Lemma 2 and the orbit-side member counter are solved,
 not scanned, by one line solve (``_line_systems``): det V is affine in one
 line of V, so only the other lines are enumerated, and each choice's
 completions are the solutions of one affine system, which the family counts
-per system without expanding them.  All of these compute over F_q[x] in
-numpy batches on the field's tables (``fields.tables``), take every
-determinant and cofactor from ``polymat._minors``, and reduce every batch
-of systems with ``linalg.rref``, read back by the codec of ``linalg``; the
-budget is checked on exponents, so no refused cost is ever computed.  Every
+per system without expanding them.  The member counter (``_member_counts``)
+counts a list of canonical forms of one size in one pass: one ``rref`` for
+the systems of all of them, one walk over all their choices, and one line
+solve per batch of choices, a segment per form.  All of these compute over
+F_q[x] in numpy batches on the field's tables (``fields.tables``), take
+every determinant and cofactor from ``polymat._minors``, and reduce every
+batch of systems with ``linalg.rref``, read back by the codec of
+``linalg``; the budget is checked on exponents, so no refused cost is ever
+computed.  Every
 batch walk takes its batches from one of two codecs: ``fields.digits`` over
 a range of indices (census last columns, the family's choices, and the prefixes,
 each entry read from a table of its q^(k+1) values decoded by ``digits``)
@@ -432,28 +436,35 @@ def _check_cofactors(budget: EnumerationBudget, n: int, what: str):
     budget.check(2, [n - 1] * n, f"{what} (cofactor products)")
 
 
-def _line_systems(fld: GF, lines, c: int, base, directions, size: int):
+def _line_systems(fld: GF, lines, c: int, segments, size: int):
     """The systems of a batch of size matrices whose line c is base + sum_b
     x_b directions[b], reduced by one ``rref``: ``(reduced, ranks, pivots,
     ok)``, ok marking the consistent ones.  lines are the other n - 1 lines,
-    each n coefficient lists as in polymat._mac; base is an array (n, E) of
-    coefficients, and directions an array (nb, n, E)."""
+    each n coefficient lists as in polymat._mac.  segments are ``(lo, hi,
+    base, directions)``: matrices lo..hi - 1 of the batch take line c from
+    base, an array (n, E) of coefficients, and directions, an array (nb, n,
+    E); every segment has the same nb and E (pad with zero directions, which
+    add a free column that no system pivots on)."""
     add, mul, neg, _ = tbl = tables(fld)
+    _, _, base, directions = segments[0]  # the shapes of every segment
     n, nb = len(lines) + 1, len(directions)
     minors = _minors(tbl, lines, size)
     cofs = [minors[tuple(range(j)) + tuple(range(j + 1, n))] for j in range(n)]
     cofs = [neg[m] if (c + j) % 2 else m for j, m in enumerate(cofs)]
     # g[b] holds the coefficients of directions[b]·C, and g[nb] those of
     # -base·C: a sum of cofactors, each scaled and shifted by one nonzero
-    # coefficient (b, j, e) of the vectors; the first of each b is written
-    vecs = np.concatenate([directions, neg[base][None]])
+    # coefficient (b, j, e) of the segment's vectors; the first of each b is
+    # written
     g = np.zeros((nb + 1, base.shape[1] - 1 + max(map(len, cofs)), size), dtype=add.dtype)
-    last = None
-    for b, j, e, a in zip(*(x.tolist() for x in (*np.nonzero(vecs), vecs[vecs != 0]))):
-        term = cofs[j] if a == 1 else mul[a][cofs[j]]
-        at = slice(e, e + len(term))
-        g[b, at] = add[g[b, at], term] if b == last else term
-        last = b
+    for lo, hi, base, directions in segments:
+        vecs = np.concatenate([directions, neg[base][None]])
+        part, cut = g[..., lo:hi], [m[:, lo:hi] for m in cofs]
+        last = None
+        for b, j, e, a in zip(*(x.tolist() for x in (*np.nonzero(vecs), vecs[vecs != 0]))):
+            term = cut[j] if a == 1 else mul[a][cut[j]]
+            at = slice(e, e + len(term))
+            part[b, at] = add[part[b, at], term] if b == last else term
+            last = b
     # a degree that no system of the batch reaches holds no pivot and no
     # inconsistency: its row is dropped before the elimination
     g = g[:, 1:]
@@ -578,7 +589,8 @@ def _p_systems(fld: GF, bounds: tuple, max_items: int):
             idx = o % q**lo + o // q**lo * q ** (lo + unk)
             entries = _family_entries(fld, bounds, idx)
             lines = [[row[j] for row in entries] for j in range(n) if j != c]
-            reduced, ranks, pivots, ok = _line_systems(fld, lines, c, base, directions, len(o))
+            segments = [(0, len(o), base, directions)]
+            reduced, ranks, pivots, ok = _line_systems(fld, lines, c, segments, len(o))
             count += solution_count(q, unk - ranks[ok])
             if count > max_items:
                 raise BudgetExceeded(f"{what}: {count} members exceed budget {max_items}")
@@ -769,72 +781,116 @@ def verify_grid(grid, budget=None):
 
 def count_orbit_members(rep: PolyMatrix, k: int, budget=None) -> int:
     """Exact count of degree-<=k matrices in the left orbit of rep, by direct
-    enumeration of the orbit side.
-
-    Members are U*H with H the canonical form and U unimodular.  Factoring U
-    by its (invertible) constant term reduces to counting unimodular V with
-    V(0) = I and V*H of entry degree <= k.  The rows of V range over affine
-    F_q-spaces v_i = p_i + span(B) with one nullspace B for every row, solved
-    as one system with n right-hand sides.  The choices of the first n-1
-    rows, the points of one affine space, are walked by ``_solutions``, and
-    the last row is counted by a line solve (see _line_systems): q^(nb - rank)
-    solutions per consistent system.  A 1x1 orbit {c·h : c in F_q^*} is
-    counted at once.
-    Cross-checked against the ambient scan and the per-choice reference in
-    the test suite.
-    """
+    enumeration of the orbit side: ``_member_counts`` on a batch of one, its
+    canonical form.  Cross-checked against the ambient scan and the per-choice
+    reference in the test suite."""
     if not rep.is_square():
         raise NotSquare(f"{rep.rows}x{rep.cols}")
     if k < 0:
         raise InvalidParams(f"orbit member count needs k >= 0, got k = {k}")
-    budget = _budget(budget)
-    H = hnf(rep).h
-    fld = rep.field
-    n, q = rep.rows, fld.q
+    h = _hermite(rep.field, [[e.coeffs for e in row] for row in rep.entries])[0]
+    return _member_counts(rep.field, rep.rows, [(h, k)], budget)[0]
+
+
+def _member_counts(fld: GF, n: int, forms, budget) -> list:
+    """The orbit member counts of a list of (H, k) pairs in one pass: H a
+    canonical n x n form over fld as rows of coefficient lists (as
+    ``PolyMatrix.key`` or ``polymat._hermite`` give them), k >= 0.
+
+    Members are U*H with U unimodular.  Factoring U by its (invertible)
+    constant term reduces to counting unimodular V with V(0) = I and V*H of
+    entry degree <= k.  The rows of V range over affine F_q-spaces v_i = p_i
+    + span(B) with one nullspace B for every row, solved as one system with
+    n right-hand sides.  One ``rref`` solves the systems of every form: the
+    unknowns v_j[d] sit at column j K + d - 1 for K = max k, and identity
+    rows pin those with d > k to 0.  The budget is checked per consistent
+    form, in input order.  One ``_solutions`` walk yields the choices of the
+    first n - 1 rows of every form, the points of block-diagonal spans, and
+    the last row is counted by a line solve (see _line_systems), one segment
+    per form in each batch: q^(nb - rank) solutions per consistent system,
+    nb the form's nullity.  A 1x1 orbit {c·h : c in F_q^*} is counted at
+    once.
+    """
+    q = fld.q
     if n == 1:
-        # the orbit of [h] is {c·h : c in F_q^*}
-        return (q - 1) * (H.entries[0][0].degree <= k)
-    nunk = n * k  # coefficients v_j[d] at column j * k + d - 1, d = 1..k
+        return [(q - 1) * (len(H[0][0]) <= k + 1) for H, k in forms]
+    budget = _budget(budget)
+    K = max(k for _, k in forms)
+    nunk = n * K
+    # coefficient dp > k of column c of v_i H vanishes: A v_i = b_i, one row
+    # per (c, dp), written where the coefficients of H are nonzero
+    neg, systems = fld._neg, []
+    for H, k in forms:
+        rows = []
+        for c in range(n):
+            col = [H[j][c] for j in range(n)]
+            for dp in range(k + 1, k + max(map(len, col))):
+                row = [0] * (nunk + n)
+                for j, h in enumerate(col):
+                    for d in range(max(1, dp - len(h) + 1), k + 1):
+                        row[j * K + d - 1] = h[dp - d]
+                    if dp < len(h):
+                        row[nunk + j] = neg[h[dp]]
+                rows.append(row)
+        pins = [j * K + d - 1 for j in range(n) for d in range(k + 1, K + 1)]
+        systems.append(rows + [[int(u == p) for u in range(nunk + n)] for p in pins])
+    # every system zero-padded to one height
+    height = max(map(len, systems))
+    zero = [0] * (nunk + n)
+    a = np.array([rows + [zero] * (height - len(rows)) for rows in systems], dtype=np.intp)
+    reduced, ranks, pivots = rref(a.reshape(len(forms), height, nunk + n), nunk, fld)
+    # an inconsistent system leaves no member: some row of V*H cannot have
+    # entry degree <= k
+    live = np.flatnonzero(consistent(reduced, ranks, nunk))
+    counts = [0] * len(forms)
+    if not len(live):
+        return counts
+    for nb in (nunk - ranks[live]).tolist():
+        budget.check(q, [nb * (n - 1)], "orbit member enumeration")
+        _check_cofactors(budget, n, "orbit member enumeration")
+    particulars, basis, nb = affine_solutions(reduced[live], ranks[live], pivots[live], fld)
+    size, width = basis.shape[:2]
 
-    # coefficient dp > k of column c of v_i H vanishes: A v_i = b_i
-    system = []
-    for c in range(n):
-        col = [H.entries[j][c] for j in range(n)]
-        maxdeg = k + max((int(h.degree) for h in col if h), default=0)
-        for dp in range(k + 1, maxdeg + 1):
-            system.append(
-                [h[dp - d] for h in col for d in range(1, k + 1)]
-                + [fld.neg(H.entries[i][c][dp]) for i in range(n)]
-            )
-    system = np.array(system, dtype=np.intp).reshape(1, -1, nunk + n)
-    reduced, ranks, pivots = rref(system, nunk, fld)
-    if not consistent(reduced, ranks, nunk)[0]:
-        return 0  # some row of V*H cannot have entry degree <= k
-    (particulars,), (basis,), _ = affine_solutions(reduced, ranks, pivots, fld)
-    nb = len(basis)
-    budget.check(q, [nb * (n - 1)], "orbit member enumeration")
-    _check_cofactors(budget, n, "orbit member enumeration")
-
-    # the last row as coefficient arrays (n, k + 1): e_(n-1) plus its
+    # the choices of rows 0..n-2 are the points of one affine space per form:
+    # base p_0..p_(n-2) side by side, basis B once per row, block-diagonal
+    base = particulars[:, :-1].reshape(size, -1)
+    spans = np.zeros((size, n - 1, width, n - 1, nunk), dtype=np.intp)
+    for i in range(n - 1):
+        spans[:, i, :, i] = basis
+    spans = spans.reshape(size, (n - 1) * width, (n - 1) * nunk)
+    if (nb < width).any():
+        # the basis rows past a form's nullity are unread: its (n - 1) nb
+        # directions go first, and its last row gets zero directions there
+        unread = np.arange(width) >= nb[:, None]
+        spans = np.take_along_axis(
+            spans, np.argsort(np.tile(unread, n - 1), axis=1, kind="stable")[..., None], 1
+        )
+        basis[unread] = 0
+    # the last row as coefficient arrays (n, K + 1): e_(n-1) plus its
     # particular, then its directions, whose constant layer is zero
-    line = np.zeros((nb + 1, n, k + 1), dtype=np.intp)
-    line[:, :, 1:] = np.concatenate([particulars[-1:], basis]).reshape(nb + 1, n, k)
-    line[0, n - 1, 0] = 1
-    # the choices of rows 0..n-2 are the points of one affine space: base
-    # p_0..p_(n-2) side by side, basis B once per row, block-diagonal.  A
-    # last-row system has at most n k rows (degrees 1..deg det V): a batch of
-    # them, an array (L, <= n k, nb + 1), holds about _LEAF_CHUNK entries
-    base = particulars[:-1].reshape(1, -1)
-    spans = np.zeros((n - 1, nb, n - 1, nunk), dtype=np.intp)
-    spans[range(n - 1), :, range(n - 1)] = basis
-    spans = spans.reshape(1, (n - 1) * nb, (n - 1) * nunk)
-    chunk = max(1, _LEAF_CHUNK // (max(nunk, 1) * (nb + 1)))
-    total = 0
-    for points, _ in _solutions(fld, base, spans, np.array([(n - 1) * nb])):
+    line = np.zeros((size, width + 1, n, K + 1), dtype=np.intp)
+    line[..., 1:] = np.concatenate([particulars[:, -1:], basis], 1).reshape(size, width + 1, n, K)
+    line[:, 0, n - 1, 0] = 1
+    # a last-row system has at most n K rows (degrees 1..deg det V): a batch
+    # of them, an array (L, <= n K, width + 1), holds about _LEAF_CHUNK
+    # entries.  hist counts the consistent systems by (form, nullity), at
+    # top[s] - rank for form s
+    chunk = max(1, _LEAF_CHUNK // (max(nunk, 1) * (width + 1)))
+    hist = np.zeros(size * (width + 1), dtype=np.int64)
+    top = np.arange(size) * (width + 1) + nb
+    for points, owner in _solutions(fld, base, spans, (n - 1) * nb):
+        if size > 1:  # each form's choices in one run
+            order = np.argsort(owner, kind="stable")
+            points, owner = points[order], owner[order]
         for lo in range(0, len(points), chunk):
-            choices = points[lo : lo + chunk]
-            v = choices.T.reshape(n - 1, n, k, len(choices))
+            choices, who = points[lo : lo + chunk], owner[lo : lo + chunk]
+            v = choices.T.reshape(n - 1, n, K, len(choices))
             rows = [[[int(i == c), *v[i, c]] for c in range(n)] for i in range(n - 1)]
-            _, ranks, _, ok = _line_systems(fld, rows, n - 1, line[0], line[1:], len(choices))
-            total += solution_count(q, (nb - ranks)[ok])
-    return gl_count(n, q) * total
+            cuts = [0, *(np.flatnonzero(np.diff(who)) + 1 if size > 1 else ()), len(who)]
+            segments = [(i, j, line[who[i], 0], line[who[i], 1:]) for i, j in zip(cuts, cuts[1:])]
+            _, ranks, _, ok = _line_systems(fld, rows, n - 1, segments, len(choices))
+            hist += np.bincount((top[who] - ranks)[ok], minlength=len(hist))
+    gl = gl_count(n, q)
+    for s, row in zip(live.tolist(), hist.reshape(size, width + 1).tolist()):
+        counts[s] = gl * sum(c * q**f for f, c in enumerate(row))
+    return counts

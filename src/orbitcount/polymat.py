@@ -2,8 +2,8 @@
 
 Every determinant and cofactor comes from one kernel, ``_minors``, on the
 field's tables: ``det`` runs it on a batch of one, ``oracle`` on numpy
-batches (the cofactors of the unipotent-family solve and of
-``count_orbit_members``).
+batches (the cofactors of the unipotent-family solve and of the member
+counter, ``oracle._member_counts``).
 
 The Hermite normal form used throughout is the canonical representative of
 the left orbit under unimodular (constant-determinant) matrices: upper

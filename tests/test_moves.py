@@ -4,8 +4,11 @@ from orbitcount import oracle
 from orbitcount.errors import (
     BadIndex,
     DegreeTooSmall,
+    MixedFields,
     NotConstant,
+    NotSquare,
     NotTriangular,
+    ShapeMismatch,
     SingularConjugator,
     SingularMatrix,
 )
@@ -100,6 +103,21 @@ def test_conjugation_preserves_det_and_R():
     assert out.max_entry_degree() == m.max_entry_degree()
 
 
+def test_two_cycle_matrix_swaps_two_rows():
+    F3 = field_of_order(3)
+    assert two_cycle_matrix(F3, 3, 1, 3) == PolyMatrix.constant(
+        F3, [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    )
+    assert two_cycle_matrix(F3, 3, 2, 2) == PolyMatrix.identity(F3, 3)
+
+
+@pytest.mark.parametrize("a, b", [(0, 2), (2, 0), (1, 4), (4, 1), (-1, 2)])
+def test_two_cycle_matrix_refuses_an_index_outside_1_to_n(a, b):
+    # index 0 would wrap to row n, and n + 1 would end in an IndexError
+    with pytest.raises(BadIndex):
+        two_cycle_matrix(field_of_order(3), 3, a, b)
+
+
 def test_conjugation_validation():
     m = upper(p2(0, 1), p2(1), p2(1, 1))
     with pytest.raises(NotConstant):
@@ -157,6 +175,22 @@ def test_verify_count_preservation_refuses_a_singular_matrix(side):
     pair = (singular, m) if side == "before" else (m, singular)
     with pytest.raises(SingularMatrix):
         verify_count_preservation(*pair, [2])
+
+
+def test_verify_count_preservation_refuses_two_fields():
+    # identity over F_3 against F_2 at k = 1 would record 432 vs 24
+    with pytest.raises(MixedFields):
+        verify_count_preservation(
+            PolyMatrix.identity(field_of_order(3), 2), PolyMatrix.identity(F2, 2), [1]
+        )
+
+
+def test_verify_count_preservation_refuses_two_sizes_and_a_non_square_pair():
+    with pytest.raises(ShapeMismatch):
+        verify_count_preservation(PolyMatrix.identity(F2, 2), PolyMatrix.identity(F2, 3), [1])
+    tall = PolyMatrix([[p2(1), p2()], [p2(), p2(1)], [p2(), p2()]])
+    with pytest.raises(NotSquare):
+        verify_count_preservation(tall, tall, [1])
 
 
 def test_move_record_json():
@@ -221,13 +255,13 @@ def test_run_move_battery_matches_direct_counts(q):
 
 def test_run_move_battery_counts_each_orbit_once(monkeypatch):
     calls = []
-    count = oracle.count_orbit_members
+    count = oracle._member_counts
 
-    def counting(rep, k, budget=None):
-        calls.append((rep.field, triangularize(rep).key(), k))
-        return count(rep, k, budget)
+    def counting(fld, n, forms, budget):
+        calls.append((fld, n, [(fld, key, k) for key, k in forms]))
+        return count(fld, n, forms, budget)
 
-    monkeypatch.setattr(oracle, "count_orbit_members", counting)
+    monkeypatch.setattr(oracle, "_member_counts", counting)
     two, three = standard_move_fixtures(field_of_order(3))
     records = run_move_battery(two + three, k_extra=1)
     wanted = {
@@ -236,8 +270,11 @@ def test_run_move_battery_counts_each_orbit_once(monkeypatch):
         for m in (rec.before, rec.after)
         for k, _, _ in rec.counts_checked
     }
-    assert len(calls) == len(set(calls)) == len(wanted)
-    assert set(calls) == wanted
+    counted = [form for _, _, forms in calls for form in forms]
+    assert len(counted) == len(set(counted)) == len(wanted)
+    assert set(counted) == wanted
+    # one call per (field, size): the 2 x 2 fixtures, then the 3 x 3 ones
+    assert [(fld.q, n) for fld, n, _ in calls] == [(3, 2), (3, 3)]
     # the same battery twice counts everything again: no table outlives a call
     run_move_battery(two[:3], k_extra=0)
-    assert len(calls) > len(wanted)
+    assert len(calls) == 3

@@ -29,7 +29,15 @@ from orbitcount.errors import (
     SingularMatrix,
 )
 from orbitcount.fields import digits, field_of_order, tables
-from orbitcount.linalg import iter_affine_space, rank, rref, solve_affine
+from orbitcount.linalg import (
+    affine_solutions,
+    consistent,
+    iter_affine_space,
+    rank,
+    rref,
+    solution_count,
+    solve_affine,
+)
 from orbitcount.oracle import (
     EnumerationBudget,
     _decode_p_member,
@@ -743,6 +751,78 @@ def test_members_counter_matches_per_choice_reference(monkeypatch, q):
     monkeypatch.setattr(oracle, "_LEAF_CHUNK", 7)
     assert [count_orbit_members(rep, k) for rep, k in cases] == want
     assert any(want) and not all(want)
+
+
+# -- the member counter's batches against the per-form counter ---------------
+
+
+def per_form_member_count(rep, k):
+    """The member counter on one form: its own system, its own walk over the
+    choices of the first n - 1 rows, one line solve per batch of them.
+    None when the system is inconsistent (the count is 0)."""
+    H = hnf(rep).h
+    fld = rep.field
+    n, q = rep.rows, fld.q
+    if n == 1:
+        return (q - 1) * (H.entries[0][0].degree <= k)
+    nunk = n * k  # coefficients v_j[d] at column j * k + d - 1, d = 1..k
+    # coefficient dp > k of column c of v_i H vanishes: A v_i = b_i
+    system = []
+    for c in range(n):
+        col = [H.entries[j][c] for j in range(n)]
+        maxdeg = k + max((int(h.degree) for h in col if h), default=0)
+        for dp in range(k + 1, maxdeg + 1):
+            system.append(
+                [h[dp - d] for h in col for d in range(1, k + 1)]
+                + [fld.neg(H.entries[i][c][dp]) for i in range(n)]
+            )
+    system = np.array(system, dtype=np.intp).reshape(1, -1, nunk + n)
+    reduced, ranks, pivots = rref(system, nunk, fld)
+    if not consistent(reduced, ranks, nunk)[0]:
+        return None
+    (particulars,), (basis,), _ = affine_solutions(reduced, ranks, pivots, fld)
+    nb = len(basis)
+    # the last row: e_(n-1) plus its particular, then its directions
+    line = np.zeros((nb + 1, n, k + 1), dtype=np.intp)
+    line[:, :, 1:] = np.concatenate([particulars[-1:], basis]).reshape(nb + 1, n, k)
+    line[0, n - 1, 0] = 1
+    # the choices of rows 0..n-2: one affine space, basis B once per row
+    base = particulars[:-1].reshape(1, -1)
+    spans = np.zeros((n - 1, nb, n - 1, nunk), dtype=np.intp)
+    spans[range(n - 1), :, range(n - 1)] = basis
+    spans = spans.reshape(1, (n - 1) * nb, (n - 1) * nunk)
+    chunk = max(1, oracle._LEAF_CHUNK // (max(nunk, 1) * (nb + 1)))
+    total = 0
+    for points, _ in oracle._solutions(fld, base, spans, np.array([(n - 1) * nb])):
+        for lo in range(0, len(points), chunk):
+            choices = points[lo : lo + chunk]
+            v = choices.T.reshape(n - 1, n, k, len(choices))
+            rows = [[[int(i == c), *v[i, c]] for c in range(n)] for i in range(n - 1)]
+            segments = [(0, len(choices), line[0], line[1:])]
+            _, ranks, _, ok = oracle._line_systems(fld, rows, n - 1, segments, len(choices))
+            total += solution_count(q, (nb - ranks)[ok])
+    return gl_count(n, q) * total
+
+
+@pytest.mark.parametrize("chunk", [oracle._LEAF_CHUNK, 7], ids=["chunk", "chunk7"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_member_counts_of_a_batch_match_the_per_form_counter(monkeypatch, q, chunk):
+    """Every member case of one size counted in one batch: mixed k (so pinned
+    unknowns and padded systems), t > k, inconsistent systems, zero counts,
+    and nullities that differ within a batch of choices."""
+    monkeypatch.setattr(oracle, "_LEAF_CHUNK", chunk)
+    fld = field_of_order(q)
+    cases = member_cases(q)
+    want = [per_form_member_count(rep, k) for rep, k in cases]
+    got = {}
+    for n in (1, 2, 3):
+        batch = [(i, rep, k) for i, (rep, k) in enumerate(cases) if rep.rows == n]
+        assert len({k for _, _, k in batch}) > 1
+        forms = [(hnf(rep).h.key(), k) for _, rep, k in batch]
+        got.update(zip((i for i, _, _ in batch), oracle._member_counts(fld, n, forms, None)))
+    assert [got[i] for i in range(len(cases))] == [w or 0 for w in want]
+    assert None in want and 0 in want and any(want)
+    assert any(int(det(rep).degree) > k for rep, k in cases)
 
 
 # -- canonical form enumeration ----------------------------------------------
