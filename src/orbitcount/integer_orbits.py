@@ -10,7 +10,7 @@ All matrix arithmetic is exact; norm thresholds compare the squared Frobenius
 norm against T^2, and the square roots that bound a row of the ball are
 floored exactly.
 
-The norm ball is walked in numpy blocks, one per group of consecutive row
+The norm ball is walked in numpy blocks, one per slab of consecutive row
 values (``_ball_blocks``), and the ratio census classifies each block in one
 pass.  ``count_det_norm`` walks no matrix: it counts the ball along the
 quadric route, two sums of two squares, and the walk is its cross-check.
@@ -124,11 +124,11 @@ def _runs(n):
     return run, np.arange(run.size) - (np.cumsum(n) - n)[run]
 
 
-# Rows of the ball walk are grouped until a group holds about this many
-# candidate points: enough that a group's numpy calls pay off, few enough that
-# a classified group (about a dozen int64 arrays of its size) stays near 2 MB.
-# The lines are solved for slabs of rows with an eighth as many (a, b) pairs.
-_GROUP_POINTS = 1 << 14
+# The ball walk cuts its rows into slabs of about this many (a, b) pairs and
+# yields one block per slab: enough that a slab's numpy calls pay off, few
+# enough that a classified slab (about a dozen int64 arrays of its candidates,
+# some 24k of them at T = 200) stays near 2 MB.
+_SLAB_PAIRS = 1 << 11
 
 
 def _ball_is_nonempty(det_value: int, T: int, budget) -> bool:
@@ -142,25 +142,28 @@ def _ball_is_nonempty(det_value: int, T: int, budget) -> bool:
     return 2 * abs(det_value) <= T * T
 
 
-def _ball_lines(D: int, T: int, bezout):
-    """The candidate lines of the ball walk in walk order: a ascending, then
-    b, then c.  One table of int64 arrays (a, b, c, d, dc, dd, n) is yielded
-    per slab of consecutive rows (the row a = 0 is a slab of its own); the
-    candidates of a line are (a, b, c + k*dc, d + k*dd) for 0 <= k < n, all
-    with determinant D.  Lines without a candidate are dropped; bezout is
-    ``_bezout_table(T)``."""
+def _ball_blocks(D: int, T: int, bezout):
+    """Every 2x2 integer matrix with determinant D and squared Frobenius
+    norm <= T^2, as int64 arrays (a, b, c, d): one block per slab of
+    consecutive rows a, with fewer than ``_SLAB_PAIRS`` (a, b) pairs besides
+    its last row (the row a = 0 is a slab of its own), the points in order
+    of a ascending, then (b, c, d).  Each slab's candidate lines are solved
+    in one pass (``_slab_lines``, ``_row0_lines``), then expanded and
+    norm-filtered in one more; bezout is ``_bezout_table(T)``.  The caller
+    makes the refusals of ``_ball_is_nonempty`` first."""
     gcds, invs = bezout
     rows = np.arange(-T, T + 1)
     bmax = _isqrt(T * T - rows * rows)
     pairs = 2 * bmax + 1
-    slab = (np.cumsum(pairs) - pairs) // max(_GROUP_POINTS >> 3, 1)
+    slab = (np.cumsum(pairs) - pairs) // _SLAB_PAIRS
     cuts = sorted({*np.flatnonzero(np.diff(slab, prepend=-1)).tolist(), T, T + 1, 2 * T + 1})
     for lo, hi in zip(cuts, cuts[1:]):
         if lo == T:
-            yield _row0_lines(D, T)
+            lines = _row0_lines(D, T)
         else:
             run, k = _runs(pairs[lo:hi])
-            yield _slab_lines(D, T, rows[lo:hi][run], k - bmax[lo:hi][run], gcds, invs)
+            lines = _slab_lines(D, T, rows[lo:hi][run], k - bmax[lo:hi][run], gcds, invs)
+        yield _line_points(T, *lines)
 
 
 def _slab_lines(D: int, T: int, a, b, gcds, invs):
@@ -206,44 +209,6 @@ def _line_points(T: int, a, b, c, d, dc, dd, n):
     return a[keep], b[keep], c[keep], d[keep]
 
 
-def _ball_blocks(det_value: int, T: int, budget=None):
-    """Every 2x2 integer matrix with determinant det_value and squared
-    Frobenius norm <= T^2, as int64 arrays (a, b, c, d): one block per group
-    of consecutive row values a, the points in order of a ascending, then
-    (b, c, d).
-
-    The candidate lines of ``_ball_lines`` are cut at row boundaries, by
-    windows of ``_GROUP_POINTS`` candidates: a group holds fewer than
-    ``_GROUP_POINTS`` candidates besides its last row, and a larger row is a
-    group of its own.  The last group of a slab stays open and its lines
-    are carried into the next slab; each closed group is expanded and
-    norm-filtered in one pass.  A det with 2|det| > T^2 has no matrix in the
-    ball and yields nothing.
-    """
-    if _ball_is_nonempty(det_value, T, budget):
-        yield from _walk_blocks(det_value, T, _bezout_table(T))
-
-
-def _walk_blocks(D: int, T: int, bezout):
-    """The blocks of ``_ball_blocks`` once its refusals have passed, the
-    lines solved with bezout = ``_bezout_table(T)``."""
-    held = None  # the lines of the open group
-    for lines in _ball_lines(D, T, bezout):
-        if held is not None:
-            lines = [np.concatenate(v) for v in zip(held, lines)]
-        a, n = lines[0], lines[-1]
-        if not a.size:
-            continue
-        starts = np.flatnonzero(np.diff(a, prepend=a[0] - 1))
-        before = (np.cumsum(n) - n)[starts]  # candidates ahead of each row
-        cuts = starts[np.diff(before // _GROUP_POINTS, prepend=-1) > 0].tolist()
-        for lo, hi in zip(cuts, cuts[1:]):
-            yield _line_points(T, *(v[lo:hi] for v in lines))
-        held = [v[cuts[-1] :] for v in lines]
-    if held is not None:
-        yield _line_points(T, *held)
-
-
 def enumerate_det_norm(n: int, det_value: int, T: int, budget=None):
     """Yield every n x n integer matrix with the given determinant and
     squared Frobenius norm <= T^2, exactly once, as nested tuples of Python
@@ -255,7 +220,9 @@ def enumerate_det_norm(n: int, det_value: int, T: int, budget=None):
     """
     if n != 2:
         raise UnsupportedDimension("only 2x2 enumeration is supported")
-    for block in _ball_blocks(det_value, T, budget):
+    if not _ball_is_nonempty(det_value, T, budget):
+        return
+    for block in _ball_blocks(det_value, T, _bezout_table(T)):
         a, b, c, d = (v.tolist() for v in block)
         yield from zip(zip(a, b), zip(c, d))
 
@@ -304,7 +271,7 @@ def orbit_ratio_experiment(det_value: int, T: int, ladder=None, budget=None) -> 
     """Census of the determinant surface inside nested norm balls, bucketed by
     two-sided (Smith) class and by left (Hermite) class.
 
-    Each block of the ball walk, one group of rows, is classified in one
+    Each block of the ball walk, one slab of rows, is classified in one
     numpy pass (``_block_classes``) and each point gets its rung, the least
     ladder value L with norm <= L^2.  One packed key (class, rung) per point
     is counted with one ``np.unique`` per form and block, and a count at a
@@ -323,7 +290,7 @@ def orbit_ratio_experiment(det_value: int, T: int, ladder=None, budget=None) -> 
     blocks = ()
     if _ball_is_nonempty(D, top, budget):  # the walk's refusals come before any array
         bezout = _bezout_table(top)  # one table for the walk and the classes
-        squares, blocks = np.array([L * L for L in ladder]), _walk_blocks(D, top, bezout)
+        squares, blocks = np.array([L * L for L in ladder]), _ball_blocks(D, top, bezout)
     for a, b, c, d in blocks:
         if not a.size:
             continue

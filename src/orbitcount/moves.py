@@ -123,8 +123,14 @@ def reduce_above(m: PolyMatrix, l0: int) -> PolyMatrix:
 
 
 def conjugate_const(m: PolyMatrix, h: PolyMatrix) -> PolyMatrix:
-    """Conjugate by a constant invertible matrix: h @ m @ h^-1."""
-    if m.field != h.field or h.rows != h.cols or h.rows != m.rows:
+    """Conjugate by a constant invertible matrix: h @ m @ h^-1.  The two
+    must share a field (else MixedFields), m must be square (else
+    NotSquare), and h square of m's size (else SingularConjugator)."""
+    if m.field != h.field:
+        raise MixedFields(f"m over F_{m.field.q}, conjugator over F_{h.field.q}")
+    if not m.is_square():
+        raise NotSquare(f"{m.rows}x{m.cols}")
+    if h.rows != h.cols or h.rows != m.rows:
         raise SingularConjugator("conjugator must be square of matching size")
     if any(not e.is_constant() for row in h.entries for e in row):
         raise NotConstant("conjugator must have constant entries")
@@ -172,7 +178,9 @@ def check_S_conditions(m: PolyMatrix, l0: int) -> dict:
     see verify_count_preservation.
     """
     n = m.rows
-    if not m.is_square() or not 2 <= l0 <= n:
+    if not m.is_square():
+        raise NotSquare(f"{m.rows}x{m.cols}")
+    if not 2 <= l0 <= n:
         raise BadIndex(f"l0 = {l0} outside [2, {n}]")
     c = l0 - 1
     report = {}
@@ -226,13 +234,16 @@ def _count_preservation(pairs, budget) -> list:
     pairs of square matrices: one MoveRecord each.
 
     A count depends only on the field, the canonical form and k, so each
-    distinct (field, canonical-form key, k) is counted once.  All of them
-    are counted first, by one ``oracle._member_counts`` call per (field,
-    size), in the order the pairs first name them.  A singular matrix has no
-    canonical form: ``hnf`` raises SingularMatrix.
+    distinct matrix is reduced once and each distinct (field,
+    canonical-form key, k) is counted once.  All of them are counted first,
+    by one ``oracle._member_counts`` call per (field, size), in the order
+    the pairs first name them.  A singular matrix has no canonical form:
+    ``hnf`` raises SingularMatrix.
     """
     pairs = [(before, after, tuple(k_range), move) for before, after, k_range, move in pairs]
-    sides = [[(m.field, hnf(m).h.key()) for m in (before, after)] for before, after, _, _ in pairs]
+    forms = dict.fromkeys(m for before, after, _, _ in pairs for m in (before, after))
+    forms = {m: (m.field, hnf(m).h.key()) for m in forms}
+    sides = [[forms[before], forms[after]] for before, after, _, _ in pairs]
     groups = {}  # (field, size) -> its (field, key, k) to count, in order
     for (_, _, k_range, _), two in zip(pairs, sides):
         for k in k_range:

@@ -312,22 +312,41 @@ def test_enumerate_det_norm_matches_reference_in_order():
 
 
 def test_enumeration_matches_reference_across_row_groups(monkeypatch):
-    """Groups of one row (every row holds at least one candidate) and of 7
-    candidates (rows near the rim join up) keep the walk's order; some
-    group of the 7-candidate walk holds more than one row."""
+    """Slabs of one (a, b) pair (every row is a slab of its own, since every
+    row holds the pair b = 0) and of 7 pairs (rows near the rim join up)
+    keep the walk's order; some block of the 7-pair walk holds more than
+    one row."""
     multi_row = 0
     for det_value in [*range(-12, 13), 36, 100]:
         for T in (1, 2, 3, 5, 8, 13, 21, 30):
             want = list(reference_enumerate_det_norm(det_value, T))
             for size in (1, 7):
-                monkeypatch.setattr(integer_orbits, "_GROUP_POINTS", size)
+                monkeypatch.setattr(integer_orbits, "_SLAB_PAIRS", size)
                 assert list(enumerate_det_norm(2, det_value, T)) == want, (size, det_value, T)
-                rows = [np.unique(a).size for a, *_ in _ball_blocks(det_value, T)]
+                blocks = _ball_blocks(det_value, T, _bezout_table(T))
+                rows = [np.unique(a).size for a, *_ in blocks]
                 assert size == 7 or max(rows, default=0) <= 1, (det_value, T)
                 multi_row += size == 7 and max(rows, default=0) > 1
     assert multi_row
     monkeypatch.undo()
-    assert sum(1 for _ in _ball_blocks(4, 200)) > 1
+    assert sum(1 for _ in _ball_blocks(4, 200, _bezout_table(200))) > 1
+
+
+def test_ball_blocks_are_slabs_of_ascending_rows():
+    """Each block is a run of ascending rows that no other block shares, and
+    the blocks hold exactly the ball's points of determinant det: as many
+    as the quadric route counts."""
+    for det_value in [*range(-12, 13), 36, 100]:
+        for T in (1, 2, 5, 13, 30, 64, 121, 200):
+            bezout, last, total = _bezout_table(T), None, 0
+            for a, b, c, d in _ball_blocks(det_value, T, bezout):
+                if not a.size:
+                    continue
+                assert (np.diff(a) >= 0).all(), (det_value, T)
+                assert last is None or last < a[0], (det_value, T)
+                assert (a * d - b * c == det_value).all(), (det_value, T)
+                last, total = a[-1], total + a.size
+            assert total == count_det_norm(det_value, T), (det_value, T)
 
 
 def test_enumerate_det_norm_frozen_counts():
@@ -446,7 +465,7 @@ def test_block_classes_match_euclidean_reference_pointwise():
     bezout = _bezout_table(40)
     checked = 0
     for det_value in (1, 2, 3, 4, 6, 12):
-        for a, b, c, d in _ball_blocks(det_value, 40):
+        for a, b, c, d in _ball_blocks(det_value, 40, bezout):
             if not a.size:
                 continue
             g, g1, corner = _block_classes(a, b, c, d, det_value, bezout)
@@ -482,7 +501,7 @@ def test_ratio_experiment_matches_reference_across_row_groups(monkeypatch):
     for det_value, T, ladder in RATIO_CASES:
         want = reference_orbit_ratio_experiment(det_value, T, ladder)
         for size in (1, 7):
-            monkeypatch.setattr(integer_orbits, "_GROUP_POINTS", size)
+            monkeypatch.setattr(integer_orbits, "_SLAB_PAIRS", size)
             assert orbit_ratio_experiment(det_value, T, ladder) == want, (size, det_value, T)
 
 
@@ -513,7 +532,7 @@ def test_smith_classes_are_content_times_primitive_counts():
 def walk_count(det_value, T):
     """N_D(T) as the sizes of the ball walk's blocks: the reference for the
     quadric route of ``count_det_norm``."""
-    return sum(a.size for a, *_ in _ball_blocks(det_value, T))
+    return sum(a.size for a, *_ in _ball_blocks(det_value, T, _bezout_table(T)))
 
 
 @pytest.mark.parametrize("det_value, T, expect", [

@@ -1,6 +1,6 @@
 import pytest
 
-from orbitcount import oracle
+from orbitcount import moves, oracle
 from orbitcount.errors import (
     BadIndex,
     DegreeTooSmall,
@@ -126,6 +126,21 @@ def test_conjugation_validation():
         conjugate_const(m, PolyMatrix.constant(F2, [[1, 1], [1, 1]]))
 
 
+def test_conjugation_names_two_fields_and_a_non_square_matrix():
+    m = upper(p2(0, 1), p2(1), p2(1, 1))
+    with pytest.raises(MixedFields):
+        conjugate_const(m, PolyMatrix.identity(field_of_order(3), 2))
+    wide = PolyMatrix([[p2(1), p2(), p2()], [p2(), p2(1), p2()]])
+    with pytest.raises(NotSquare):
+        conjugate_const(wide, PolyMatrix.identity(F2, 2))
+
+
+def test_check_S_conditions_refuses_a_non_square_matrix():
+    wide = PolyMatrix([[p2(1), p2(), p2()], [p2(), p2(1), p2()]])
+    with pytest.raises(NotSquare):
+        check_S_conditions(wide, 2)
+
+
 def test_check_S_conditions_reports():
     m = PolyMatrix(
         [
@@ -191,6 +206,23 @@ def test_verify_count_preservation_refuses_two_sizes_and_a_non_square_pair():
     tall = PolyMatrix([[p2(1), p2()], [p2(), p2(1)], [p2(), p2()]])
     with pytest.raises(NotSquare):
         verify_count_preservation(tall, tall, [1])
+
+
+def test_each_distinct_matrix_is_reduced_once(monkeypatch):
+    """The truncation leaves this fixture as it is and the diagonal
+    truncation applies: four record sides, two distinct matrices, one
+    ``hnf`` each."""
+    m = upper(p2(1), p2(0, 1), p2(1, 1, 1))
+    calls = []
+    reduce = moves.hnf
+    monkeypatch.setattr(moves, "hnf", lambda a: calls.append(a) or reduce(a))
+    records = run_move_battery([(m, 2)], k_extra=1)
+    assert [rec.move["move"] for rec in records] == ["truncation", "diag_truncate"]
+    assert records[0].after == m != records[1].after
+    assert calls == [m, records[1].after]
+    calls.clear()
+    assert verify_count_preservation(m, m, [2, 3]).all_equal()
+    assert calls == [m]
 
 
 def test_move_record_json():
