@@ -273,7 +273,10 @@ def field_of_order(q: int) -> GF:
     """Return F_q, picking a default modulus for the prime powers we ship."""
     if q > MAX_Q:
         raise UnsupportedSize(f"q = {q} exceeds the supported cap {MAX_Q}")
-    if factorize(q) == {q: 1}:
+    factors = factorize(q)
+    if len(factors) != 1:
+        raise InvalidParams(f"q = {q} is not a prime power, so F_q does not exist")
+    if factors == {q: 1}:
         return prime_field(q)
     if q in DEFAULT_MODULI:
         p, e, modulus = DEFAULT_MODULI[q]

@@ -9,10 +9,11 @@ p = 13, int16 up to 181, int32 beyond), reduced once per step as
 x - p (x // p); an extension field looks both up in its add and mul tables,
 widened to intp for flat ``x * q + y`` lookups.  One codec (``consistent``,
 ``affine_solutions``, ``solution_count``) reads a reduced batch back as
-affine spaces.  ``rank``, ``solve_affine`` and the constant
-inverse of the conjugation move run on a batch of one; the orbit-side
-counters run on whole batches: the member counter reduces the systems of
-every form it counts in one call, and each batch of choices in another.
+affine spaces, each basis zero in the rows past its system's nullity.
+``rank``, ``solve_affine`` and the constant inverse of the conjugation
+move run on a batch of one; the orbit-side counters run on whole batches:
+the member counter reduces the systems of every form it counts in one
+call, and each batch of choices in another.
 """
 
 from __future__ import annotations
@@ -136,7 +137,8 @@ def affine_solutions(reduced, ranks, pivots, field: GF):
     (reduced rows, ranks, pivot masks on A): ``(particulars, basis, free)``,
     arrays (L, m, ncols) with a solution for each of the m right-hand sides
     (where ``consistent``), (L, F, ncols) whose first free[l] rows span the
-    nullspace of A (row f is 1 on the f-th last free column), and nullities."""
+    nullspace of A (row f is 1 on the f-th last free column), the rest zero,
+    and nullities."""
     neg = tables(field)[2]
     size, nrows, width = reduced.shape
     ncols = pivots.shape[1]
@@ -151,10 +153,11 @@ def affine_solutions(reduced, ranks, pivots, field: GF):
     particulars[at[:, None], order[:, :m]] = rows[:, :, ncols:]
     basis = np.zeros((size, free.max(initial=0), ncols), dtype=reduced.dtype)
     for k in range(basis.shape[1]):
-        f = order[:, ncols - 1 - k]  # the k-th last free column; past free, unread rows
+        f = order[:, ncols - 1 - k]  # the k-th last free column; past free, a pivot one (zeroed below)
         # free column f set to 1 moves pivot column order[r] by -reduced[r, f]
         basis[at[:, None], k, order[:, :m]] = neg[rows[at, :, f]]
         basis[at, k, f] = 1
+    basis[np.arange(basis.shape[1]) >= free[:, None]] = 0
     return particulars.transpose(0, 2, 1), basis, free
 
 

@@ -124,14 +124,14 @@ def reduce_above(m: PolyMatrix, l0: int) -> PolyMatrix:
 
 def conjugate_const(m: PolyMatrix, h: PolyMatrix) -> PolyMatrix:
     """Conjugate by a constant invertible matrix: h @ m @ h^-1.  The two
-    must share a field (else MixedFields), m must be square (else
-    NotSquare), and h square of m's size (else SingularConjugator)."""
+    must share a field (else MixedFields), m and h must be square (else
+    NotSquare), and h of m's size (else ShapeMismatch)."""
     if m.field != h.field:
         raise MixedFields(f"m over F_{m.field.q}, conjugator over F_{h.field.q}")
-    if not m.is_square():
-        raise NotSquare(f"{m.rows}x{m.cols}")
-    if h.rows != h.cols or h.rows != m.rows:
-        raise SingularConjugator("conjugator must be square of matching size")
+    if not (m.is_square() and h.is_square()):
+        raise NotSquare(f"{m.rows}x{m.cols} matrix, {h.rows}x{h.cols} conjugator")
+    if h.rows != m.rows:
+        raise ShapeMismatch(f"{h.rows}x{h.rows} conjugator for a {m.rows}x{m.rows} matrix")
     if any(not e.is_constant() for row in h.entries for e in row):
         raise NotConstant("conjugator must have constant entries")
     fld = m.field

@@ -808,8 +808,9 @@ def _member_counts(fld: GF, n: int, forms, budget) -> list:
     first n - 1 rows of every form, the points of block-diagonal spans, and
     the last row is counted by a line solve (see _line_systems), one segment
     per form in each batch: q^(nb - rank) solutions per consistent system,
-    nb the form's nullity.  A 1x1 orbit {c·h : c in F_q^*} is counted at
-    once.
+    nb the form's nullity, past which the codec's basis is zero, so the
+    spans and the line read it as it comes.  A 1x1 orbit {c·h : c in
+    F_q^*} is counted at once.
     """
     q = fld.q
     if n == 1:
@@ -852,45 +853,35 @@ def _member_counts(fld: GF, n: int, forms, budget) -> list:
     size, width = basis.shape[:2]
 
     # the choices of rows 0..n-2 are the points of one affine space per form:
-    # base p_0..p_(n-2) side by side, basis B once per row, block-diagonal
+    # base p_0..p_(n-2) side by side, basis B once per row, block-diagonal,
+    # direction f of row i at f (n - 1) + i: a form's (n - 1) nb directions lead
     base = particulars[:, :-1].reshape(size, -1)
-    spans = np.zeros((size, n - 1, width, n - 1, nunk), dtype=np.intp)
+    spans = np.zeros((size, width, n - 1, n - 1, nunk), dtype=np.intp)
     for i in range(n - 1):
-        spans[:, i, :, i] = basis
-    spans = spans.reshape(size, (n - 1) * width, (n - 1) * nunk)
-    if (nb < width).any():
-        # the basis rows past a form's nullity are unread: its (n - 1) nb
-        # directions go first, and its last row gets zero directions there
-        unread = np.arange(width) >= nb[:, None]
-        spans = np.take_along_axis(
-            spans, np.argsort(np.tile(unread, n - 1), axis=1, kind="stable")[..., None], 1
-        )
-        basis[unread] = 0
+        spans[:, :, i, i] = basis
+    spans = spans.reshape(size, width * (n - 1), (n - 1) * nunk)
     # the last row as coefficient arrays (n, K + 1): e_(n-1) plus its
-    # particular, then its directions, whose constant layer is zero
+    # particular, then its directions (zero past nb); the constant layer is 0
     line = np.zeros((size, width + 1, n, K + 1), dtype=np.intp)
     line[..., 1:] = np.concatenate([particulars[:, -1:], basis], 1).reshape(size, width + 1, n, K)
     line[:, 0, n - 1, 0] = 1
     # a last-row system has at most n K rows (degrees 1..deg det V): a batch
     # of them, an array (L, <= n K, width + 1), holds about _LEAF_CHUNK
-    # entries.  hist counts the consistent systems by (form, nullity), at
-    # top[s] - rank for form s
+    # entries.  hist counts the consistent systems by (form, nb - rank)
     chunk = max(1, _LEAF_CHUNK // (max(nunk, 1) * (width + 1)))
-    hist = np.zeros(size * (width + 1), dtype=np.int64)
-    top = np.arange(size) * (width + 1) + nb
+    hist = np.zeros((size, width + 1), dtype=np.int64)
     for points, owner in _solutions(fld, base, spans, (n - 1) * nb):
-        if size > 1:  # each form's choices in one run
-            order = np.argsort(owner, kind="stable")
-            points, owner = points[order], owner[order]
+        order = np.argsort(owner, kind="stable")  # each form's choices in one run
         for lo in range(0, len(points), chunk):
-            choices, who = points[lo : lo + chunk], owner[lo : lo + chunk]
+            at = order[lo : lo + chunk]
+            choices, who = points[at], owner[at]
             v = choices.T.reshape(n - 1, n, K, len(choices))
             rows = [[[int(i == c), *v[i, c]] for c in range(n)] for i in range(n - 1)]
-            cuts = [0, *(np.flatnonzero(np.diff(who)) + 1 if size > 1 else ()), len(who)]
+            cuts = [0, *(np.flatnonzero(np.diff(who)) + 1), len(who)]
             segments = [(i, j, line[who[i], 0], line[who[i], 1:]) for i, j in zip(cuts, cuts[1:])]
             _, ranks, _, ok = _line_systems(fld, rows, n - 1, segments, len(choices))
-            hist += np.bincount((top[who] - ranks)[ok], minlength=len(hist))
+            np.add.at(hist, (who[ok], (nb[who] - ranks)[ok]), 1)
     gl = gl_count(n, q)
-    for s, row in zip(live.tolist(), hist.reshape(size, width + 1).tolist()):
+    for s, row in zip(live.tolist(), hist.tolist()):
         counts[s] = gl * sum(c * q**f for f, c in enumerate(row))
     return counts

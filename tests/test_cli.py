@@ -191,6 +191,12 @@ def test_formula_rejects_non_prime_power_q(capsys):
     assert_one_line_error(*run(capsys, "formula", "--n", "2", "--q", "6", "--t", "0", "--k", "1"))
 
 
+def test_brute_names_a_q_that_is_not_a_prime_power(capsys):
+    code, out, err = run(capsys, "brute", "--n", "2", "--q", "6", "--k", "1")
+    assert_one_line_error(code, out, err)
+    assert err == "error: q = 6 is not a prime power, so F_q does not exist\n"
+
+
 def test_brute_census_needs_n_and_q(capsys):
     assert_one_line_error(*run(capsys, "brute", "--k", "1"))
 

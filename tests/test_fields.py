@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from orbitcount.errors import (
     BudgetExceeded,
     DivisionByZero,
+    InvalidParams,
     NonPrimeCharacteristic,
     ReducibleModulus,
     UnsupportedSize,
@@ -127,6 +128,18 @@ def test_size_cap():
         GF(521)
     with pytest.raises(UnsupportedSize):
         GF(2, 10, tuple([1] + [0] * 9 + [1]))
+
+
+@pytest.mark.parametrize("q", [6, 1, 0, 12])
+def test_field_of_order_refuses_a_q_that_is_not_a_prime_power(q):
+    with pytest.raises(InvalidParams, match=f"^q = {q} is not a prime power, so F_q does not exist$"):
+        field_of_order(q)
+
+
+@pytest.mark.parametrize("q", [16, 25])
+def test_field_of_order_refuses_a_prime_power_it_ships_no_modulus_for(q):
+    with pytest.raises(UnsupportedSize, match=f"no default construction for q = {q}"):
+        field_of_order(q)
 
 
 def test_field_spec_caching_and_equality():

@@ -109,6 +109,7 @@ def test_batched_codec_matches_enumeration(batch):
         ]
         assert ok[l] == all(wants)
         assert free[l] == n - rank(a, fld)
+        assert not basis[l, free[l] :].any()
         if not ok[l]:
             continue
         # row f is 1 on the f-th last free column and 0 on the other free ones
@@ -119,6 +120,17 @@ def test_batched_codec_matches_enumeration(batch):
             assert {tuple(v) for v in iter_affine_space(particular, span, fld)} == want
         total += len(wants[0])
     assert solution_count(fld.q, free[ok]) == total
+
+
+def test_basis_rows_past_each_nullity_are_zero():
+    # one F_3 batch of nullities 3 and 2: the basis has 3 rows, and the
+    # second system's last one must not hold the image of a pivot column
+    f3 = field_of_order(3)
+    aug = np.array([[[1, 2, 0, 1, 1], [0, 0, 0, 0, 0]], [[1, 0, 2, 1, 0], [0, 1, 1, 2, 2]]])
+    _, basis, free = affine_solutions(*rref(aug, 4, f3), f3)
+    assert free.tolist() == [3, 2] and basis.shape == (2, 3, 4)
+    assert basis[0].any(axis=1).all() and basis[1, :2].any(axis=1).all()
+    assert not basis[1, 2].any()
 
 
 def test_solve_affine_refuses_mismatched_shapes():

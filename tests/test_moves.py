@@ -135,6 +135,14 @@ def test_conjugation_names_two_fields_and_a_non_square_matrix():
         conjugate_const(wide, PolyMatrix.identity(F2, 2))
 
 
+def test_conjugation_names_a_non_square_conjugator_and_one_of_another_size():
+    m = upper(p2(0, 1), p2(1), p2(1, 1))
+    with pytest.raises(NotSquare):
+        conjugate_const(m, PolyMatrix.constant(F2, [[1, 0, 0], [0, 1, 0]]))
+    with pytest.raises(ShapeMismatch):
+        conjugate_const(m, PolyMatrix.identity(F2, 3))
+
+
 def test_check_S_conditions_refuses_a_non_square_matrix():
     wide = PolyMatrix([[p2(1), p2(), p2()], [p2(), p2(1), p2()]])
     with pytest.raises(NotSquare):

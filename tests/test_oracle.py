@@ -809,8 +809,17 @@ def per_form_member_count(rep, k):
 def test_member_counts_of_a_batch_match_the_per_form_counter(monkeypatch, q, chunk):
     """Every member case of one size counted in one batch: mixed k (so pinned
     unknowns and padded systems), t > k, inconsistent systems, zero counts,
-    and nullities that differ within a batch of choices."""
+    and nullities that differ within a batch, so a form's basis rows past
+    its nullity pad its spans and its line."""
     monkeypatch.setattr(oracle, "_LEAF_CHUNK", chunk)
+    nullities = []  # of the consistent forms of each batch
+
+    def solutions(*args):
+        out = affine_solutions(*args)
+        nullities.append(out[2])
+        return out
+
+    monkeypatch.setattr(oracle, "affine_solutions", solutions)
     fld = field_of_order(q)
     cases = member_cases(q)
     want = [per_form_member_count(rep, k) for rep, k in cases]
@@ -823,6 +832,8 @@ def test_member_counts_of_a_batch_match_the_per_form_counter(monkeypatch, q, chu
     assert [got[i] for i in range(len(cases))] == [w or 0 for w in want]
     assert None in want and 0 in want and any(want)
     assert any(int(det(rep).degree) > k for rep, k in cases)
+    # some form's basis is narrower than its batch's, so it is padded
+    assert any((free < free.max()).any() for free in nullities)
 
 
 # -- canonical form enumeration ----------------------------------------------
