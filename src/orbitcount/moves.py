@@ -98,9 +98,7 @@ def diag_truncate_move(m: PolyMatrix, l0: int) -> PolyMatrix:
     pivot = m.entries[c][c]
     cut = int(d1.degree) + 1
     if not pivot.degree > cut:
-        raise DegreeTooSmall(
-            f"deg(m_l0,l0) = {pivot.degree} must exceed deg(d_1)+1 = {cut}"
-        )
+        raise DegreeTooSmall(f"deg(m_l0,l0) = {pivot.degree} must exceed deg(d_1)+1 = {cut}")
     rows = [list(r) for r in m.entries]
     rows[c][c] = pivot - truncate_low(pivot, cut)
     return PolyMatrix(rows)

@@ -1,44 +1,25 @@
 """Exhaustive enumeration ground truth for every counting formula.
 
-All enumerations are exact and refuse up front when the scan would exceed the
-budget.  ``iter_matrices`` walks the matrix index space in index order:
-row-major over entries with little-endian coefficient digits (entry (0,0)
-coefficient 0 is the least significant digit).  The ambient censuses visit
-the same matrices grouped by their first n - 1 columns and return buckets,
-whose counts do not depend on the order of the walk.  The orbit census
-finishes numpy batches of prefixes against the same decoded last columns:
-each matrix's canonical form becomes one int64 index among the forms of
-its H1, each H1 counts its forms in one array, and only the forms counted
-are decoded, once, at the end, so no Python runs per matrix.  The
-determinant census completes no matrix: it counts each prefix's completions
-by degree from one echelon of its cofactor span, so it reduces
-q^(n(n-1)(k+1)) small systems, not q^(n^2(k+1)) leaves.  The
-unipotent family of Lemma 2 and the orbit-side member counter are solved,
-not scanned, by one line solve (``_line_systems``): det V is affine in one
-line of V, so only the other lines are enumerated, and each choice's
-completions are the solutions of one affine system, which the family counts
-per system without expanding them.  The member counter (``_member_counts``)
-counts a list of canonical forms of one size in one pass: one ``rref`` for
-the systems of all of them, one walk over all their choices, and one line
-solve per batch of choices, a segment per form.  All of these compute over
-F_q[x] in numpy batches on the field's tables (``fields.tables``), take
-every determinant and cofactor from ``polymat._minors``, and reduce every
-batch of systems with ``linalg.rref``, read back by the codec of
-``linalg``; the budget is checked on exponents, so no refused cost is ever
-computed.  Every
-batch walk takes its batches from one of two codecs: ``fields.digits`` over
-a range of indices (census last columns, the family's choices, and the prefixes,
-each entry read from a table of its q^(k+1) values decoded by ``digits``)
-or ``_solutions`` over an affine space (family members, member-counter
-choices).
+Every enumeration is exact and refuses up front, on exponents, when it would
+exceed the budget.  The orbit census counts each matrix at the position of
+its canonical form in the walk of canonical forms, in one array read back
+with the walk's own decoder (``_forms``); the determinant census counts
+each prefix's completions by degree from one echelon of its cofactor span;
+the unipotent family of Lemma 2 and the orbit-side member counter
+(``_member_counts``) are solved by one line solve (``_line_systems``).  All
+of them compute over F_q[x] in numpy batches on the field's tables, take
+every determinant and cofactor from ``polymat._minors``, reduce every batch
+of systems with ``linalg.rref``, and take their batches from
+``fields.digits`` over a range of indices or from ``_solutions`` over an
+affine space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from bisect import bisect_right
+from bisect import bisect_left
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, chain, product, takewhile
 
 import numpy as np
 
@@ -125,7 +106,8 @@ def _decode_matrix(fld: GF, rows: int, cols: int, width: int, idx: int) -> PolyM
 
 
 def iter_matrices(q, n: int, k: int):
-    """All n x n matrices with entry degrees <= k, in index order."""
+    """All n x n matrices with entry degrees <= k, in index order: row-major
+    over entries, little-endian coefficient digits ((0, 0)'s constant lowest)."""
     fld = _field(q)
     for idx in range(fld.q ** (n * n * (k + 1))):
         yield _decode_matrix(fld, n, n, k + 1, idx)
@@ -137,28 +119,28 @@ def iter_matrices(q, n: int, k: int):
 # grouped by its first n - 1 columns M1 (the prefix).  The orbit scans
 # (orbit_census, count_orbit_bruteforce) reduce each prefix once, by hnf's
 # kernel polymat._hermite on its coefficient lists, to u @ M1 = [H1; 0]
-# with H1 canonical.  For each last column
-# c let y = u @ c and w = y_n.  Row n of u @ M vanishes on the prefix
-# columns, so reducing the last column leaves H1 alone: M is singular iff
-# w = 0 (or the prefix is rank-deficient), and otherwise its canonical form
-# is [H1, y' mod h; 0, h] with h = monic(w) and y' the first n - 1 entries of
-# y, and deg det M = deg det H1 + deg w.  This is the column-wise Hermite
-# reduction of Storjohann, Algorithms for Matrix Canonical Forms (ETH 2000).
+# with H1 canonical.  For each last column c let y = u @ c and w = y_n.  Row
+# n of u @ M vanishes on the prefix columns, so reducing the last column
+# leaves H1 alone: M is singular iff w = 0 (or the prefix is rank-deficient),
+# and otherwise its canonical form is [H1, y' mod h; 0, h] with h = monic(w)
+# and y' the first n - 1 entries of y, and deg det M = deg det H1 + deg w.
+# This is the column-wise Hermite reduction of Storjohann, Algorithms for
+# Matrix Canonical Forms (ETH 2000).
 #
 # A leaf is one (prefix, last column) pair.  Consecutive full-rank prefixes
 # are gathered until their completions fill a batch of _CENSUS_LEAVES
 # leaves (or one prefix), and each prefix's u is broadcast against a slice
-# of the q^(n(k+1)) last columns, decoded from their digits, so y is
-# computed for the whole batch at once.  The leaves are then
-# grouped by d = deg w; h is monic, so each quotient digit of y' mod h is the top
-# remainder coefficient, and the long division is a _mac with negated terms.
-# Each leaf's form is one int64 index among the forms of its H1: offsets[d]
-# = sum of q^(n d') over d' < d, plus the low coefficients of h and the
-# residues as base-q digits, so the indices of one H1 are dense and never
-# collide across d (a census whose indices could reach 2^63 is refused
-# before it starts).  Each H1 counts its forms in one array, with one
-# np.add.at per batch, and each form counted is decoded into its structural
-# key once, at the end.
+# of the q^(n(k+1)) last columns, so y is computed for the whole batch at
+# once.  The leaves are then grouped by d = deg w; h is monic, so each
+# quotient digit of y' mod h is the top remainder coefficient, and the long
+# division is a _mac with negated terms.
+#
+# A leaf's form [H1, y' mod h; 0, h] is named by its position in the walk
+# of canonical forms (see _forms): its run is H1's composition and d,
+# and in the run y' mod h takes the lowest digits, then H1's cells above its
+# diagonal, h's low coefficients, and H1's diagonal.  So a position is a
+# term of H1 and d (_h1_terms) plus the leaf's digits.  One int64 array
+# counts every form with t <= n k, and each position counted is decoded once.
 #
 # The determinant census needs no canonical form, and counts per prefix.
 # det [M1 | c] = sum_i c_i C_i, C_i the cofactors of M1 along column n, so
@@ -224,45 +206,47 @@ def _degrees(w):
     return np.where(nonzero.any(axis=0), top, -1)
 
 
-def _leaf_keys(fld: GF, u, batch, offsets):
+def _h1_terms(q: int, h1, start: dict, top: int):
+    """The terms of H1 (rows as _prefixes gives them), start being each run's
+    first position: an int64 array (top + 1, 2), per d the position of [H1,
+    0; 0, x^d] and the weight of h's constant term (0 past t = top)."""
+    n, parts = len(h1) + 1, [len(row[j]) - 1 for j, row in enumerate(h1)]
+    above, pos = sum(j * tj for j, tj in enumerate(parts)), 0  # H1's digits above its diagonal
+    for i, j in _cells(n - 1):  # H1's position in its own run
+        pos = pos * q ** parts[j] + sum(c * q**e for e, c in enumerate(h1[i][j][: parts[j]]))
+    diag, rest = divmod(pos, q**above)
+    out = np.zeros((top + 1, 2), dtype=np.int64)
+    for d in range(top + 1 - sum(parts)):
+        w = q ** ((n - 1) * d)  # the weight of y' mod h's digits, the lowest
+        out[d] = start[(*parts, d)] + w * (rest + diag * q ** (above + d)), w * q**above
+    return out
+
+
+def _leaf_keys(fld: GF, u, batch, terms):
     """The canonical form of each leaf of a batch (u and batch as in
-    _images), in leaf order: an int64 array of indices among the forms of
-    the leaf's H1 (see above), -1 for a singular leaf."""
+    _images), in leaf order: an int64 array of positions (see above), -1
+    for a singular leaf.  terms is an int64 array (P, D, 2), the _h1_terms of
+    each prefix."""
     add, mul, neg, inv = tbl = tables(fld)
-    q, n = fld.q, len(u)
     y = _images(tbl, u, batch)
     w = y[-1]
     deg = _degrees(w)
-    out = np.full(len(deg), -1, dtype=np.int64)
-    for d in np.flatnonzero(np.bincount(deg + 1)[1:]).tolist():
+    # the leaves of prefix p read row d of its terms; at d = 0, h = 1 and y' mod h = 0
+    base, weight = terms[np.arange(len(terms))[:, None], deg.reshape(len(terms), -1)].reshape(-1, 2).T
+    out = np.where(deg < 0, -1, base)
+    for d in (np.flatnonzero(np.bincount(deg + 1)[2:]) + 1).tolist():
         sel = np.flatnonzero(deg == d)
         low = mul[inv[w[d, sel]], w[:d, sel]]  # monic(w) below x^d: (d, Lg)
         r = y[:-1, :, sel]
         minus = neg[low]
-        for j in range(len(w) - 1, d - 1, -1) if d else ():
+        for j in range(len(w) - 1, d - 1, -1):
             # take r[j] x^(j - d) h off r; r[j] itself is not read again
             r[:, j - d : j] = add[r[:, j - d : j], mul[r[:, j, None], minus]]
-        out[sel] = offsets[d] + q ** np.arange(n * d, dtype=np.int64) @ np.concatenate(
-            [low, r[:, :d].reshape(-1, len(sel))]
-        )
+        # h's low coefficients at weight, and y' mod h, row n - 2 first, lowest
+        residues = r[::-1, :d].reshape(-1, len(sel))
+        out[sel] += weight[sel] * (fld.q ** np.arange(d, dtype=np.int64) @ low)
+        out[sel] += fld.q ** np.arange(len(residues), dtype=np.int64) @ residues
     return out
-
-
-def _orbits(q: int, n: int, tally, offsets):
-    """The forms counted in a tally ``{h1: counts}`` (see _census), decoded
-    into structural keys: the form [H1, y' mod h; 0, h] at index offsets[d]
-    + rest has d = deg h, and as base-q digits of rest, least significant
-    first, the d low coefficients of h and then d coefficients of each entry
-    of y' mod h."""
-    buckets = {}
-    for h1, counts in tally.items():
-        at = np.flatnonzero(counts)
-        for i, count in zip(at.tolist(), counts[at].tolist()):
-            d = bisect_right(offsets, i) - 1
-            c = digits(i - offsets[d], q, n * d)
-            above = tuple(row + (_trim(c[d * (j + 1) : d * (j + 2)]),) for j, row in enumerate(h1))
-            buckets[above + (((),) * (n - 1) + (tuple(c[:d]) + (1,),),)] = count
-    return buckets
 
 
 def _check_scan(fld: GF, n: int, k: int, budget, what: str):
@@ -276,22 +260,19 @@ def _check_scan(fld: GF, n: int, k: int, budget, what: str):
 def _census(fld: GF, n: int, k: int, budget, what: str, h1=None):
     """One walk over every n x n matrix of entry degree <= k: ``(buckets,
     singular)`` as in orbit_census.  With h1 given, only prefixes with that
-    H1 are completed.  A group holds as many consecutive prefixes as their
-    completions fit in _CENSUS_LEAVES leaves, and at least one, and is
-    finished against slices of the decoded last columns.  The tally counts
-    each H1's forms, those with d <= n k - deg det H1, in one array."""
+    H1 are completed."""
     _check_scan(fld, n, k, budget, what)
     q, width = fld.q, k + 1
     total = q ** (n * width)
     chunk = _CENSUS_LEAVES
     per = max(1, chunk // total)  # prefixes per batch
-    # form indices are below offsets[n k + 1], since d = deg w <= n k; the
-    # budget check has seen q^(n^2 (k+1)), so the powers are cheap
-    offsets = list(accumulate((q ** (n * d) for d in range(n * k + 1)), initial=0))
-    if offsets[-1] >= 1 << 63:
-        raise BudgetExceeded(f"{what}: form indices up to {offsets[-1]} exceed the 64-bit index")
+    # the forms with t <= n k; the scan's budget check makes these powers cheap
+    comps, firsts = _runs(q, n, range(n * k + 1))
+    if firsts[-1] >= 1 << 63:
+        raise BudgetExceeded(f"{what}: form indices up to {firsts[-1]} exceed the 64-bit index")
+    start = dict(zip(comps, firsts))
     dtype = tables(fld)[0].dtype
-    tally, singular = {}, 0
+    tally, terms, singular = np.zeros(0, dtype=np.int64), {}, 0  # sized by the first batch
 
     def columns(lo):
         idx = np.arange(lo, min(lo + chunk, total), dtype=np.intp)
@@ -301,25 +282,23 @@ def _census(fld: GF, n: int, k: int, budget, what: str, h1=None):
     whole = columns(0) if total <= chunk else None
 
     def flush(group):
-        nonlocal singular
+        nonlocal tally, singular
+        if not len(tally):
+            tally = np.zeros(firsts[-1], dtype=np.int64)
         du = max(len(e) for p in group for row in p[1] for e in row)
         u = np.zeros((n, n, du, len(group)), dtype=dtype)
         for i, p in enumerate(group):
             for r, row in enumerate(p[1]):
                 for c, e in enumerate(row):
                     u[r, c, : len(e), i] = e
-        ids = {}
-        of = np.array([ids.setdefault(p[0], len(ids)) for p in group])
-        for h in ids:
-            if h not in tally:
-                tally[h] = np.zeros(offsets[n * k + 1 - _key_t(h)], dtype=np.int64)
+        for h in {p[0] for p in group} - terms.keys():
+            terms[h] = _h1_terms(q, h, start, n * k)
+        at = np.array([terms[p[0]] for p in group])
         for lo in range(0, total, chunk):
             batch = columns(lo) if whole is None else whole
-            keys = _leaf_keys(fld, u, batch, offsets).reshape(len(group), -1)
+            keys = _leaf_keys(fld, u, batch, at)
             singular += int(np.count_nonzero(keys < 0))
-            for j, h in enumerate(ids):
-                mine = keys[of == j]
-                np.add.at(tally[h], mine[mine >= 0], 1)
+            np.add.at(tally, keys[keys >= 0], 1)
 
     group = []
     for prefix in _prefixes(fld, n, width):
@@ -335,7 +314,9 @@ def _census(fld: GF, n: int, k: int, budget, what: str, h1=None):
             group = []
     if group:
         flush(group)
-    return _orbits(q, n, tally, offsets), singular
+    at = np.flatnonzero(tally)
+    keys = _forms(n, comps, firsts, at.tolist(), _cell_values(q, comps))
+    return dict(zip(keys, tally[at].tolist())), singular
 
 
 def count_orbit_bruteforce(rep: PolyMatrix, k: int, budget=None) -> int:
@@ -343,10 +324,9 @@ def count_orbit_bruteforce(rep: PolyMatrix, k: int, budget=None) -> int:
     (equal canonical form)."""
     if not rep.is_square():
         raise NotSquare(f"{rep.rows}x{rep.cols}")
-    n = rep.rows
     target = hnf(rep).h.key()
-    h1 = tuple(row[: n - 1] for row in target[: n - 1])
-    return _census(rep.field, n, k, budget, "orbit scan", h1)[0].get(target, 0)
+    h1 = tuple(row[:-1] for row in target[:-1])
+    return _census(rep.field, rep.rows, k, budget, "orbit scan", h1)[0].get(target, 0)
 
 
 def orbit_census(q, n: int, k: int, budget=None):
@@ -491,12 +471,7 @@ def _line_systems(fld: GF, lines, c: int, segments, size: int):
 def _free_positions(n: int, bounds):
     """Free coefficient slots (i, j, d) for the constant-term-I scan, in index
     order (least significant first)."""
-    return [
-        (i, j, d)
-        for j, kj in enumerate(bounds)
-        for d in range(1, kj + 1)
-        for i in range(n)
-    ]
+    return [(i, j, d) for j, kj in enumerate(bounds) for d in range(1, kj + 1) for i in range(n)]
 
 
 def _family_entries(fld: GF, bounds, idx):
@@ -679,51 +654,72 @@ def count_QR_bruteforce(kind: str, i: int, bounds, q, budget=None) -> int:
 
 
 # -- canonical form enumeration ----------------------------------------------
+#
+# A canonical form's one index is its position in the walk: the runs of the
+# compositions (t_1, ..., t_n) in _compositions order, and in a run, a
+# position read in base q, least significant digit first, lays t_j digits
+# (coefficients below x^t_j, lowest first) on each cell of column j, the
+# cells in reverse walk order (_cells): the first diagonal cell is highest.
 
 
-def _hnf_rep_rows(fld: GF, n: int, t: int, budget, entry):
-    """The rows of every canonical form with determinant degree t, each
-    entry given as ``entry(coefficients)``.  Bad n or t and the budget are
-    checked on the call, before the first form."""
+def _cells(n: int):
+    """The cells of an n x n form in walk order: the diagonal, then the rest by column."""
+    return [(j, j) for j in range(n)] + [(i, j) for j in range(n) for i in range(j)]
+
+
+def _runs(q: int, n: int, ts):
+    """The compositions of each t in ts in walk order, and the first position
+    of each one's run, then the number of forms."""
+    comps = [parts for t in ts for parts in _compositions(t, n)]
+    sizes = (q ** sum((j + 1) * tj for j, tj in enumerate(parts)) for parts in comps)
+    return comps, list(accumulate(sizes, initial=0))
+
+
+def _cell_values(q: int, comps):
+    """Per part t_j of comps, the q^t_j values of a cell of column j in digit
+    order: those above the diagonal, and those on it."""
+    low = {d: [digits(v, q, d) for v in range(q**d)] for d in {0, *chain(*comps)}}
+    return {d: ([_trim(c) for c in cs], [(*c, 1) for c in cs]) for d, cs in low.items()}
+
+
+def _forms(n: int, comps, firsts, positions, values):
+    """The forms at positions (ascending ints) of _runs' runs, as tuples of
+    rows, each cell one of values (as _cell_values gives them, or their images)."""
+    zero = values[0][0][0]
+    for parts, lo, hi in zip(comps, firsts, firsts[1:]):
+        cells = [(i, j, len(values[parts[j]][0]), values[parts[j]][i == j]) for i, j in _cells(n)[::-1]]
+        for pos in positions[bisect_left(positions, lo) : bisect_left(positions, hi)]:
+            pos -= lo
+            rows = [[zero] * n for _ in range(n)]
+            for i, j, radix, cell in cells:
+                pos, c = divmod(pos, radix)
+                rows[i][j] = cell[c]
+            yield tuple(map(tuple, rows))
+
+
+def _rep_runs(n: int, q, t: int, budget):
+    """The field and _runs of the forms of determinant degree t, bad n or t and budget checked."""
+    fld = _field(q)
     if n < 1 or t < 0:
         raise InvalidParams(f"canonical forms need n >= 1 and t >= 0, got n = {n}, t = {t}")
-    _budget(budget).check(
-        fld.q,
-        (sum((j + 1) * tj for j, tj in enumerate(parts)) for parts in _compositions(t, n)),
-        "canonical form enumeration",
-    )
-    return _hnf_rep_walk(fld.q, n, t, entry)
-
-
-def _hnf_rep_walk(q: int, n: int, t: int, entry):
-    # the n diagonal slots vary slowest, then the above-diagonal slots column
-    # by column; callers pick reps by index, so this order is kept fixed
-    cells = [(j, j) for j in range(n)] + [(i, j) for j in range(n) for i in range(j)]
-    zero = entry(())
-    for parts in _compositions(t, n):
-        # column j holds polynomials of degree < t_j above the diagonal, and
-        # one of them plus x^t_j on it, in iter_polys order
-        low = [[digits(idx, q, tj) for idx in range(q**tj)] for tj in parts]
-        slots = [[entry(tuple(c) + (1,)) for c in cs] for cs in low]
-        slots += [[entry(_trim(c)) for c in low[j]] for _, j in cells[n:]]
-        for choice in product(*slots):
-            rows = [[zero] * n for _ in range(n)]
-            for (i, j), e in zip(cells, choice):
-                rows[i][j] = e
-            yield rows
+    exponents = (sum((j + 1) * tj for j, tj in enumerate(p)) for p in _compositions(t, n))
+    _budget(budget).check(fld.q, exponents, "canonical form enumeration")
+    return (fld, *_runs(fld.q, n, [t]))
 
 
 def iter_hnf_rep_keys(n: int, q, t: int, budget=None):
-    """The structural keys of ``enumerate_hnf_reps(n, q, t)``, in the same
-    order, without building a matrix."""
-    rows = _hnf_rep_rows(_field(q), n, t, budget, tuple)
-    return (tuple(map(tuple, r)) for r in rows)
+    """The keys of the canonical forms with determinant degree t, positions 0
+    .. c_nt - 1 of the walk; bad n or t and the budget are checked on the call."""
+    fld, comps, firsts = _rep_runs(n, q, t, budget)
+    return _forms(n, comps, firsts, range(firsts[-1]), _cell_values(fld.q, comps))
 
 
 def enumerate_hnf_reps(n: int, q, t: int, budget=None):
-    """Every canonical form with determinant degree t, exactly once."""
-    fld = _field(q)
-    return [PolyMatrix(r) for r in _hnf_rep_rows(fld, n, t, budget, lambda c: Poly(fld, c))]
+    """Every canonical form with determinant degree t, exactly once, in walk order."""
+    fld, comps, firsts = _rep_runs(n, q, t, budget)
+    cells = _cell_values(fld.q, comps)
+    values = {d: [[Poly(fld, c) for c in cs] for cs in pair] for d, pair in cells.items()}
+    return [PolyMatrix(rows) for rows in _forms(n, comps, firsts, range(firsts[-1]), values)]
 
 
 # -- the closed forms against the census -------------------------------------
@@ -797,25 +793,33 @@ def _member_counts(fld: GF, n: int, forms, budget) -> list:
     canonical n x n form over fld as rows of coefficient lists (as
     ``PolyMatrix.key`` or ``polymat._hermite`` give them), k >= 0.
 
-    Members are U*H with U unimodular.  Factoring U by its (invertible)
-    constant term reduces to counting unimodular V with V(0) = I and V*H of
-    entry degree <= k.  The rows of V range over affine F_q-spaces v_i = p_i
-    + span(B) with one nullspace B for every row, solved as one system with
-    n right-hand sides.  One ``rref`` solves the systems of every form: the
-    unknowns v_j[d] sit at column j K + d - 1 for K = max k, and identity
-    rows pin those with d > k to 0.  The budget is checked per consistent
-    form, in input order.  One ``_solutions`` walk yields the choices of the
-    first n - 1 rows of every form, the points of block-diagonal spans, and
-    the last row is counted by a line solve (see _line_systems), one segment
-    per form in each batch: q^(nb - rank) solutions per consistent system,
-    nb the form's nullity, past which the codec's basis is zero, so the
-    spans and the line read it as it comes.  A 1x1 orbit {c·h : c in
-    F_q^*} is counted at once.
+    Members are U*H with U unimodular; factoring U by its constant term
+    leaves the unimodular V with V(0) = I and V*H of entry degree <= k.  The
+    rows of V range over affine spaces v_i = p_i + span(B), one nullspace B
+    for every row.  One ``rref`` solves the systems of every form: v_j[d] is
+    column j K + d - 1 for K = max k, and identity rows pin those with d > k
+    to 0.  The budget is checked per consistent form, in input order.  One
+    ``_solutions`` walk yields the choices of the first n - 1 rows of every
+    form, and the last row is counted by a line solve (see _line_systems),
+    one segment per form in each batch: q^(nb - rank) solutions per
+    consistent system, nb the form's nullity, past which the codec's basis
+    is zero.  A 1x1 orbit {c·h : c in F_q^*} is counted at once.
     """
     q = fld.q
     if n == 1:
         return [(q - 1) * (len(H[0][0]) <= k + 1) for H, k in forms]
     budget = _budget(budget)
+
+    def check(nullities, start: int):  # in input order, the cofactors after the first
+        for i, nb in enumerate(nullities, start):
+            budget.check(q, [(n - 1) * nb], "orbit member enumeration")
+            if not i:
+                _check_cofactors(budget, n, "orbit member enumeration")
+
+    # a form with t <= k has independent rows, so nullity n k - t: the forms
+    # before the first with t > k are checked before any system is built
+    early = [n * k - _key_t(H) for H, k in takewhile(lambda f: _key_t(f[0]) <= f[1], forms)]
+    check(early, 0)
     K = max(k for _, k in forms)
     nunk = n * K
     # coefficient dp > k of column c of v_i H vanishes: A v_i = b_i, one row
@@ -846,9 +850,7 @@ def _member_counts(fld: GF, n: int, forms, budget) -> list:
     counts = [0] * len(forms)
     if not len(live):
         return counts
-    for nb in (nunk - ranks[live]).tolist():
-        budget.check(q, [nb * (n - 1)], "orbit member enumeration")
-        _check_cofactors(budget, n, "orbit member enumeration")
+    check((nunk - ranks[live[live >= len(early)]]).tolist(), len(early))
     particulars, basis, nb = affine_solutions(reduced[live], ranks[live], pivots[live], fld)
     size, width = basis.shape[:2]
 

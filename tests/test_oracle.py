@@ -393,9 +393,9 @@ def test_batched_finish_matches_reference_finish(monkeypatch, n, q, k, batching)
     batches = []
     leaf_keys = oracle._leaf_keys
 
-    def recorded(fld, u, batch, offsets):
+    def recorded(fld, u, batch, terms):
         batches.append(u.shape[3] * batch.shape[2])
-        return leaf_keys(fld, u, batch, offsets)
+        return leaf_keys(fld, u, batch, terms)
 
     def assert_batches(completed):
         assert max(batches) <= oracle._CENSUS_LEAVES
@@ -454,21 +454,45 @@ def test_census_decodes_last_columns_that_fit_once(monkeypatch, n, q, k, leaves)
 
 
 @pytest.mark.parametrize("n,q,k", [(1, 3, 2), (2, 2, 1), (2, 3, 1), (3, 2, 1)])
-def test_form_indices_decode_to_every_form_of_their_h1_once(n, q, k):
-    """A tally holding one count at every index of every H1 decodes to each
-    canonical form with t <= n k exactly once: the indices of one H1 are
-    dense over d <= n k - deg det H1 and collide across no two d."""
-    offsets = [sum(q ** (n * e) for e in range(d)) for d in range(n * k + 2)]
-    forms = {}
-    for t in range(n * k + 1):
-        for key in iter_hnf_rep_keys(n, q, t):
-            forms.setdefault(tuple(row[: n - 1] for row in key[: n - 1]), []).append(key)
-    for h1, want in forms.items():
-        t1 = sum(len(h1[i][i]) - 1 for i in range(n - 1))
-        counts = np.ones(offsets[n * k + 1 - t1], dtype=np.int64)
-        buckets = oracle._orbits(q, n, {h1: counts}, offsets)
-        assert len(buckets) == len(counts) == len(want)
-        assert set(buckets) == set(want) and set(buckets.values()) == {1}
+def test_census_positions_decode_to_every_form_once(n, q, k):
+    """A tally holding one count at every position of a census decodes to
+    each canonical form with t <= n k exactly once, in the order of the
+    reference walk: the runs of t = 0, 1, ..., n k follow one another."""
+    comps, firsts = oracle._runs(q, n, range(n * k + 1))
+    tally = np.ones(firsts[-1], dtype=np.int64)
+    values = oracle._cell_values(q, comps)
+    keys = list(oracle._forms(n, comps, firsts, np.flatnonzero(tally).tolist(), values))
+    want = [m.key() for t in range(n * k + 1) for m in reference_enumerate_hnf_reps(n, q, t)]
+    assert keys == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_census_encoder_inverts_the_walk_decoder(n, q):
+    """position -> structural key (_forms) -> the census encoder
+    (_h1_terms and _leaf_keys) -> the same position, for every form with t
+    <= T, the largest T whose forms number at most 2^16 (T >= 1 at every
+    point).  Each form is one leaf: the witness u of its prefix holds the
+    form's last column in its column n - 1, and the one last column is e_n,
+    so u @ e_n is that column, already reduced."""
+    T = max(t for t in range(16) if sum(c_nt(n, q, s) for s in range(t + 1)) <= 1 << 16)
+    assert T >= 1
+    comps, firsts = oracle._runs(q, n, range(T + 1))
+    keys = list(oracle._forms(n, comps, firsts, range(firsts[-1]), oracle._cell_values(q, comps)))
+    assert len(keys) == firsts[-1] == sum(c_nt(n, q, t) for t in range(T + 1))
+    fld = field_of_order(q)
+    dtype = tables(fld)[0].dtype
+    u = np.zeros((n, n, T + 1, len(keys)), dtype=dtype)
+    for p, key in enumerate(keys):
+        for i, row in enumerate(key):
+            u[i, n - 1, : len(row[-1]), p] = row[-1]
+    h1s = [tuple(row[: n - 1] for row in key[: n - 1]) for key in keys]
+    start = dict(zip(comps, firsts))
+    terms = {h1: oracle._h1_terms(q, h1, start, T) for h1 in set(h1s)}
+    batch = np.zeros((n, 1, 1), dtype=dtype)
+    batch[n - 1] = 1
+    got = oracle._leaf_keys(fld, u, batch, np.array([terms[h1] for h1 in h1s]))
+    assert got.tolist() == list(range(firsts[-1]))
 
 
 class Walked(Exception):
@@ -622,6 +646,32 @@ def test_members_counter_refuses_its_cofactor_expansion_first(monkeypatch):
         count_orbit_members(PolyMatrix.identity(F2, 2), 0, EnumerationBudget(3))
     monkeypatch.undo()
     assert count_orbit_members(PolyMatrix.identity(F2, 2), 0, EnumerationBudget(4)) == 6
+
+
+def test_member_counts_refuse_forms_with_t_at_most_k_before_any_rref(monkeypatch):
+    """Forms with t <= k have nullity n k - t, so their choices are refused
+    before any system is built, with the message that their solved systems
+    give behind a form with t > k (diag(x^2, 1) at k = 1, which has no
+    member, so only its system is checked).  The cofactor expansion is
+    checked once per call."""
+    I, d = PolyMatrix.identity(F2, 2).key(), diag2(p2(1), p2(0, 1)).key()
+    forms = [(I, 1), (d, 2), (I, 3)]  # nullities 2, 3, 6: 2^2, 2^3, 2^6 choices
+    blocker = (diag2(p2(0, 0, 1), p2(1)).key(), 1)
+    message = r"^orbit member enumeration: 2\^6 items exceed budget 50$"
+    with pytest.raises(BudgetExceeded, match=message):
+        oracle._member_counts(F2, 2, [blocker] + forms, EnumerationBudget(50))
+    checks = []
+    monkeypatch.setattr(oracle, "_check_cofactors", lambda *args: checks.append(args))
+    assert oracle._member_counts(F2, 2, [blocker] + forms, None) == [0, 24, 48, 384]
+    assert oracle._member_counts(F2, 2, forms, None) == [24, 48, 384]
+    assert len(checks) == 2
+
+    def fail(*args):
+        raise AssertionError("built a system before refusing a form with t <= k")
+
+    monkeypatch.setattr(oracle, "rref", fail)
+    with pytest.raises(BudgetExceeded, match=message):
+        oracle._member_counts(F2, 2, forms, EnumerationBudget(50))
 
 
 # -- the batched member counter against the per-choice reference ------------
