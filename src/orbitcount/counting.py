@@ -105,17 +105,18 @@ def total_count_formula(n: int, q: int, t: int, k: int) -> int:
 # -- the unipotent-at-zero family -------------------------------------------
 
 
-def _check_bounds(bounds):
+def _check_bounds(bounds, q: int):
     bounds = tuple(bounds)
     if not bounds or any(b < 0 for b in bounds):
         raise InvalidParams(f"bounds must be a nonempty tuple of ints >= 0: {bounds}")
+    _check_nq(len(bounds), q)
     return bounds
 
 
 def p_count_formula(bounds, q: int) -> int:
     """Closed form q^((n-1) * sum(bounds)) for the number of unimodular
     matrices with constant term I and per-column degree bounds."""
-    bounds = _check_bounds(bounds)
+    bounds = _check_bounds(bounds, q)
     return q ** ((len(bounds) - 1) * sum(bounds))
 
 
@@ -141,7 +142,7 @@ def p_count_recursive(bounds, q: int) -> int:
     """The same count as p_count_formula, evaluated by the recursion: peel a
     zero bound off, otherwise decrement the largest bound and scale by
     q^(n-1)."""
-    return _p_recursive(_check_bounds(bounds), q)
+    return _p_recursive(_check_bounds(bounds, q), q)
 
 
 def _check_tail(i: int, bounds, lo: int):
@@ -184,7 +185,7 @@ def _q_recursive(i: int, bounds: tuple, q: int) -> int:
 def r_count_recursive(i: int, bounds, q: int) -> int:
     """Count of matrices in the unipotent-at-zero family whose top coefficient
     layers from column i onward are linearly dependent."""
-    bounds = _check_bounds(bounds)
+    bounds = _check_bounds(bounds, q)
     _check_tail(i, bounds, 2)
     return _r_recursive(i, bounds, q)
 
@@ -192,7 +193,7 @@ def r_count_recursive(i: int, bounds, q: int) -> int:
 def q_count_recursive(i: int, bounds, q: int) -> int:
     """Count with layers from column i dependent but from column i+1 on
     independent (exact dependence boundary at column i)."""
-    bounds = _check_bounds(bounds)
+    bounds = _check_bounds(bounds, q)
     _check_tail(i, bounds, 1)
     return _q_recursive(i, bounds, q)
 

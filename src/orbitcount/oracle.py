@@ -782,30 +782,31 @@ def count_orbit_members(rep: PolyMatrix, k: int, budget=None) -> int:
     reference in the test suite."""
     if not rep.is_square():
         raise NotSquare(f"{rep.rows}x{rep.cols}")
-    if k < 0:
-        raise InvalidParams(f"orbit member count needs k >= 0, got k = {k}")
     h = _hermite(rep.field, [[e.coeffs for e in row] for row in rep.entries])[0]
     return _member_counts(rep.field, rep.rows, [(h, k)], budget)[0]
 
 
 def _member_counts(fld: GF, n: int, forms, budget) -> list:
-    """The orbit member counts of a list of (H, k) pairs in one pass: H a
-    canonical n x n form over fld as rows of coefficient lists (as
-    ``PolyMatrix.key`` or ``polymat._hermite`` give them), k >= 0.
+    """The orbit member counts of (H, k) pairs in one pass: H a canonical
+    n x n form over fld as rows of coefficient lists (as ``PolyMatrix.key``
+    or ``polymat._hermite`` give them), k >= 0 (else InvalidParams).
 
     Members are U*H with U unimodular; factoring U by its constant term
     leaves the unimodular V with V(0) = I and V*H of entry degree <= k.  The
     rows of V range over affine spaces v_i = p_i + span(B), one nullspace B
-    for every row.  One ``rref`` solves the systems of every form: v_j[d] is
-    column j K + d - 1 for K = max k, and identity rows pin those with d > k
-    to 0.  The budget is checked per consistent form, in input order.  One
-    ``_solutions`` walk yields the choices of the first n - 1 rows of every
-    form, and the last row is counted by a line solve (see _line_systems),
-    one segment per form in each batch: q^(nb - rank) solutions per
-    consistent system, nb the form's nullity, past which the codec's basis
-    is zero.  A 1x1 orbit {c·h : c in F_q^*} is counted at once.
+    for every row.  One ``rref`` solves the systems of every form, one
+    gather of their coefficients: v_j[d] is column j K + d - 1 for K = max
+    k, held at 0 past k by rows up to the top degree of V*H.  The budget is
+    checked per consistent form, in input order.  One ``_solutions`` walk
+    yields the choices of the first n - 1 rows of every form, and the last
+    row is counted by a line solve (see _line_systems), one segment per form
+    in each batch: q^(nb - rank) solutions per consistent system, nb the
+    form's nullity, past which the codec's basis is zero.  A 1x1 orbit
+    {c·h : c in F_q^*} is counted at once.
     """
-    q = fld.q
+    q, low = fld.q, min((k for _, k in forms), default=0)
+    if low < 0:
+        raise InvalidParams(f"orbit member count needs k >= 0, got k = {low}")
     if n == 1:
         return [(q - 1) * (len(H[0][0]) <= k + 1) for H, k in forms]
     budget = _budget(budget)
@@ -822,28 +823,24 @@ def _member_counts(fld: GF, n: int, forms, budget) -> list:
     check(early, 0)
     K = max(k for _, k in forms)
     nunk = n * K
-    # coefficient dp > k of column c of v_i H vanishes: A v_i = b_i, one row
-    # per (c, dp), written where the coefficients of H are nonzero
-    neg, systems = fld._neg, []
-    for H, k in forms:
-        rows = []
-        for c in range(n):
-            col = [H[j][c] for j in range(n)]
-            for dp in range(k + 1, k + max(map(len, col))):
-                row = [0] * (nunk + n)
-                for j, h in enumerate(col):
-                    for d in range(max(1, dp - len(h) + 1), k + 1):
-                        row[j * K + d - 1] = h[dp - d]
-                    if dp < len(h):
-                        row[nunk + j] = neg[h[dp]]
-                rows.append(row)
-        pins = [j * K + d - 1 for j in range(n) for d in range(k + 1, K + 1)]
-        systems.append(rows + [[int(u == p) for u in range(nunk + n)] for p in pins])
-    # every system zero-padded to one height
-    height = max(map(len, systems))
-    zero = [0] * (nunk + n)
-    a = np.array([rows + [zero] * (height - len(rows)) for rows in systems], dtype=np.intp)
-    reduced, ranks, pivots = rref(a.reshape(len(forms), height, nunk + n), nunk, fld)
+    entries = [h for H, _ in forms for col in zip(*H) for h in col]
+    lens = np.array([len(h) for h in entries])
+    W, neg = lens.max(), tables(fld)[2]
+    Z = 3 * K + W - low  # hc[f, c, j Z + K + d] = H_jc[d], 0 unless 0 <= d < W
+    hc = np.zeros((len(forms), n, n * Z), dtype=neg.dtype)
+    at = np.repeat(np.arange(len(lens)) * Z + K - np.cumsum(lens) + lens, lens)
+    hc.flat[at + np.arange(len(at))] = np.fromiter(chain.from_iterable(entries), neg.dtype, len(at))
+    # coefficient dp > k of column c of v_i H vanishes: A v_i = b_i, a row per
+    # (c, dp), dp - k = 1..K + W - 1 - min k: H_jc[dp - d] at v_j[d] (d >= 1),
+    # -H_ic[dp] in b_i.  No row pins v_j[d] = 0 for d > k: the rows reach
+    # K + W - 1, the top of v_i H, and H is triangular, each entry of lower
+    # degree than the diagonal t_c below it, so by induction over c,
+    # deg (v_i H)_c <= k forces deg v_ic <= max(k - t_c, k - 1)
+    off = np.r_[(np.arange(n)[:, None] * Z - np.arange(1, K + 1)).ravel(), np.arange(n) * Z]
+    dp = np.array([k for _, k in forms])[:, None, None, None] + np.arange(1, K + W - low)[:, None]
+    a = hc[np.arange(len(forms))[:, None, None, None], np.arange(n)[:, None, None], K + dp + off]
+    a[..., nunk:] = neg[a[..., nunk:]]
+    reduced, ranks, pivots = rref(a[:, a.any(axis=(0, 3))], nunk, fld)
     # an inconsistent system leaves no member: some row of V*H cannot have
     # entry degree <= k
     live = np.flatnonzero(consistent(reduced, ranks, nunk))

@@ -304,7 +304,9 @@ def hnf(m: PolyMatrix) -> HermiteForm:
 
 
 def same_orbit(a: PolyMatrix, b: PolyMatrix) -> bool:
-    """True iff a and b generate the same left unimodular orbit."""
+    """True iff a and b, of one field and one shape, share a left unimodular orbit."""
+    if a.field != b.field:
+        raise MixedFields(f"a over F_{a.field.q}, b over F_{b.field.q}")
     if a.rows != b.rows or a.cols != b.cols:
         raise ShapeMismatch(f"{a.rows}x{a.cols} vs {b.rows}x{b.cols}")
     return hnf(a).h == hnf(b).h

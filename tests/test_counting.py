@@ -143,6 +143,19 @@ def test_p_bad_bounds():
         p_count_recursive((1, -1), 2)
 
 
+@pytest.mark.parametrize("q, message", [(6, "not a prime power"), (1, "q >= 2"), (0, "q >= 2")])
+def test_p_q_r_counts_refuse_a_q_with_no_field(q, message):
+    """Like c_nt and gl_count: a q that is no prime power names no F_q."""
+    for count in (
+        lambda: p_count_formula((1, 1), q),
+        lambda: p_count_recursive((1, 1), q),
+        lambda: q_count_recursive(1, (2, 1), q),
+        lambda: r_count_recursive(2, (2, 1), q),
+    ):
+        with pytest.raises(InvalidParams, match=message):
+            count()
+
+
 def _valid_r_indices(bounds):
     n = len(bounds)
     for i in range(2, n + 1):

@@ -4,6 +4,7 @@ from orbitcount import moves, oracle
 from orbitcount.errors import (
     BadIndex,
     DegreeTooSmall,
+    InvalidParams,
     MixedFields,
     NotConstant,
     NotSquare,
@@ -206,6 +207,24 @@ def test_verify_count_preservation_refuses_two_fields():
         verify_count_preservation(
             PolyMatrix.identity(field_of_order(3), 2), PolyMatrix.identity(F2, 2), [1]
         )
+
+
+@pytest.mark.parametrize("k_range, shown", [([0, -1], -1), ([-1], -1), ([-5], -5), ([1, -5, -1], -5)])
+def test_verify_count_preservation_refuses_a_negative_k(monkeypatch, k_range, shown):
+    """The box at k < 0 holds only the zero matrix, so no orbit has a member
+    there: refused before any form is counted, with the message of
+    count_orbit_members.  [0, -1] recorded 6 members at k = -1 over F_2."""
+
+    def fail(*args):
+        raise AssertionError("counted a form before refusing k < 0")
+
+    monkeypatch.setattr(oracle, "rref", fail)
+    I = PolyMatrix.identity(F2, 2)
+    message = f"^orbit member count needs k >= 0, got k = {shown}$"
+    with pytest.raises(InvalidParams, match=message):
+        verify_count_preservation(I, I, k_range)
+    with pytest.raises(InvalidParams, match=message):  # the 1x1 orbit is counted at once
+        verify_count_preservation(PolyMatrix([[p2(0, 1)]]), PolyMatrix([[p2(0, 1)]]), k_range)
 
 
 def test_verify_count_preservation_refuses_two_sizes_and_a_non_square_pair():

@@ -857,8 +857,8 @@ def per_form_member_count(rep, k):
 @pytest.mark.parametrize("chunk", [oracle._LEAF_CHUNK, 7], ids=["chunk", "chunk7"])
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
 def test_member_counts_of_a_batch_match_the_per_form_counter(monkeypatch, q, chunk):
-    """Every member case of one size counted in one batch: mixed k (so pinned
-    unknowns and padded systems), t > k, inconsistent systems, zero counts,
+    """Every member case of one size counted in one batch: mixed k (so rows
+    past each form's own k), t > k, inconsistent systems, zero counts,
     and nullities that differ within a batch, so a form's basis rows past
     its nullity pad its spans and its line."""
     monkeypatch.setattr(oracle, "_LEAF_CHUNK", chunk)
@@ -884,6 +884,89 @@ def test_member_counts_of_a_batch_match_the_per_form_counter(monkeypatch, q, chu
     assert any(int(det(rep).degree) > k for rep, k in cases)
     # some form's basis is narrower than its batch's, so it is padded
     assert any((free < free.max()).any() for free in nullities)
+
+
+# -- the member counter's systems against the pinned reference --------------
+
+
+def reference_member_systems(fld, n, forms):
+    """The member counter's systems built form by form in Python, an array
+    (L, height, n K + n) over forms, a list of (H, k): v_j[d] at column
+    j K + d - 1 for K = max k, a row per (c, dp) for k < dp < k + the
+    longest entry of column c, identity rows pinning each v_j[d] with d > k
+    to 0, and every system zero-padded to one height."""
+    K = max(k for _, k in forms)
+    nunk = n * K
+    neg, systems = fld._neg, []
+    for H, k in forms:
+        rows = []
+        for c in range(n):
+            col = [H[j][c] for j in range(n)]
+            for dp in range(k + 1, k + max(map(len, col))):
+                row = [0] * (nunk + n)
+                for j, h in enumerate(col):
+                    for d in range(max(1, dp - len(h) + 1), k + 1):
+                        row[j * K + d - 1] = h[dp - d]
+                    if dp < len(h):
+                        row[nunk + j] = neg[h[dp]]
+                rows.append(row)
+        pins = [j * K + d - 1 for j in range(n) for d in range(k + 1, K + 1)]
+        systems.append(rows + [[int(u == p) for u in range(nunk + n)] for p in pins])
+    height = max(map(len, systems))
+    zero = [0] * (nunk + n)
+    padded = [rows + [zero] * (height - len(rows)) for rows in systems]
+    return np.array(padded, dtype=np.intp).reshape(len(forms), height, nunk + n)
+
+
+class _Built(Exception):
+    """Raised by a patched rref once the member systems are captured."""
+
+
+@pytest.mark.parametrize("n, q, k", [(2, 3, 2), (3, 2, 1), (2, 2, 3)])
+def test_member_systems_match_the_pinned_reference(monkeypatch, n, q, k):
+    """Every form with t <= n k, each at k' = t - 1 .. t + 2 (k' >= 0), in
+    batches of mixed k': the counter's systems, whose rows run past each
+    form's own k' where the reference pins its higher unknowns, reduce to
+    the reference's ranks, pivots and consistency flags, and to its reduced
+    rows up to the rank: whole where the system is consistent, on the
+    unknowns where it is not (an inconsistent system's right-hand sides
+    there depend on the order of its rows)."""
+    fld = field_of_order(q)
+    forms = [
+        (key, kk)
+        for t in range(n * k + 1)
+        for key in iter_hnf_rep_keys(n, q, t)
+        for kk in range(max(t - 1, 0), t + 3)
+    ]
+    built = []
+
+    def capture(systems, ncols, field):
+        built.append(systems)
+        raise _Built
+
+    flags = []
+    for lo in range(0, len(forms), 2000):
+        batch = forms[lo : lo + 2000]
+        nunk = n * max(kk for _, kk in batch)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "rref", capture)
+            with pytest.raises(_Built):
+                oracle._member_counts(fld, n, batch, None)
+        got = rref(built.pop(), nunk, fld)
+        want = rref(reference_member_systems(fld, n, batch), nunk, fld)
+        assert (got[1] == want[1]).all() and (got[2] == want[2]).all()
+        ok = consistent(got[0], got[1], nunk)
+        assert (ok == consistent(want[0], want[1], nunk)).all()
+        flags.extend(ok)
+        top = min(got[0].shape[1], want[0].shape[1])
+        assert top >= got[1].max(initial=0)
+        ranked = (np.arange(top) < got[1][:, None])[..., None]
+        got, want = got[0][:, :top] * ranked, want[0][:, :top] * ranked
+        assert (got[..., :nunk] == want[..., :nunk]).all()
+        assert (got[ok] == want[ok]).all()
+    # batches of mixed k, where a form's higher unknowns were pinned
+    assert len({kk for _, kk in forms[:2000]}) > 1
+    assert any(flags) and not all(flags)
 
 
 # -- canonical form enumeration ----------------------------------------------

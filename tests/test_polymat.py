@@ -6,7 +6,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from orbitcount.errors import NotSquare, ShapeMismatch, SingularMatrix, ZeroColumn
+from orbitcount.errors import MixedFields, NotSquare, ShapeMismatch, SingularMatrix, ZeroColumn
 from orbitcount.fields import field_of_order, tables
 from orbitcount import polymat
 from orbitcount.poly import Poly, poly_gcd
@@ -285,6 +285,12 @@ def test_same_orbit():
     assert not same_orbit(a, b)
     with pytest.raises(ShapeMismatch):
         same_orbit(a, PolyMatrix([[p2(1)]]))
+
+
+def test_same_orbit_refuses_two_fields():
+    # I over F_3 against I over F_2 read as two orbits
+    with pytest.raises(MixedFields):
+        same_orbit(PolyMatrix.identity(F3, 2), PolyMatrix.identity(F2, 2))
 
 
 def test_satisfies_R():
