@@ -290,8 +290,8 @@ def main(argv=None) -> int:
         report, ok = args.func(args)
         emit(report, args.format, args.out)
         return EXIT_OK if ok else EXIT_MISMATCH
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BudgetExceeded, MemoryError) as exc:  # what the budget admits may not fit in memory
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BUDGET
     except (OrbitCountError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -224,33 +224,39 @@ def verify_count_preservation(
         raise ShapeMismatch(f"before {before.rows}x{before.cols}, after {after.rows}x{after.cols}")
     if not before.is_square():
         raise NotSquare(f"{before.rows}x{before.cols}")
-    return _count_preservation([(before, after, k_range, move)], budget)[0]
+    return _count_preservation([(before, after, tuple(k_range), move)], budget)[0]
 
 
 def _count_preservation(pairs, budget) -> list:
     """verify_count_preservation on a list of (before, after, k_range, move)
-    pairs of square matrices: one MoveRecord each.
+    pairs of square matrices, each k_range a range or a tuple: one
+    MoveRecord each.
 
     A count depends only on the field, the canonical form and k, so each
     distinct matrix is reduced once and each distinct (field,
     canonical-form key, k) is counted once.  All of them are counted first,
     by one ``oracle._member_counts`` call per (field, size), in the order
-    the pairs first name them.  A singular matrix has no canonical form:
-    ``hnf`` raises SingularMatrix.
+    the pairs first name them.  Each call draws its forms from a walk of the
+    pairs as it checks them, so a refusal ends the walk there.  A singular
+    matrix has no canonical form: ``hnf`` raises SingularMatrix.
     """
-    pairs = [(before, after, tuple(k_range), move) for before, after, k_range, move in pairs]
     forms = dict.fromkeys(m for before, after, _, _ in pairs for m in (before, after))
     forms = {m: (m.field, hnf(m).h.key()) for m in forms}
     sides = [[forms[before], forms[after]] for before, after, _, _ in pairs]
-    groups = {}  # (field, size) -> its (field, key, k) to count, in order
-    for (_, _, k_range, _), two in zip(pairs, sides):
-        for k in k_range:
-            for f, key in two:
-                groups.setdefault((f, len(key)), {}).setdefault((f, key, k))
+    named = [(r, two) for (_, _, r, _), two in zip(pairs, sides) if r]  # the pairs with a k
+    # k < 0 is refused before any form is checked (a range's least k is one of its ends)
+    lows = (min(r[0], r[-1]) if isinstance(r, range) else min(r) for r, _ in named)
+    oracle._check_k(min(lows, default=0))
     counts = {}
-    for (f, n), group in groups.items():
-        forms = [(key, k) for _, key, k in group]
-        counts.update(zip(group, oracle._member_counts(f, n, forms, budget)))
+    for f, n in dict.fromkeys((f, len(key)) for _, two in named for f, key in two):
+        group = {}  # its (field, key, k), each once, in the order the walk draws them
+        walk = (
+            group.setdefault((g, key, k), (key, k))
+            for r, two in named for k in r for g, key in two
+            if (g, len(key)) == (f, n) and (g, key, k) not in group
+        )
+        got = oracle._member_counts(f, n, walk, budget)
+        counts.update(zip(group, got))
     return [
         MoveRecord(
             before, after, move or {}, tuple((k, counts[(*b, k)], counts[(*a, k)]) for k in k_range)

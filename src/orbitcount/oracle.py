@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import accumulate, chain, product, takewhile
+from itertools import accumulate, chain, product
 
 import numpy as np
 
@@ -127,13 +127,14 @@ def iter_matrices(q, n: int, k: int):
 # This is the column-wise Hermite reduction of Storjohann, Algorithms for
 # Matrix Canonical Forms (ETH 2000).
 #
-# A leaf is one (prefix, last column) pair.  Consecutive full-rank prefixes
-# are gathered until their completions fill a batch of _CENSUS_LEAVES
-# leaves (or one prefix), and each prefix's u is broadcast against a slice
-# of the q^(n(k+1)) last columns, so y is computed for the whole batch at
-# once.  The leaves are then grouped by d = deg w; h is monic, so each
-# quotient digit of y' mod h is the top remainder coefficient, and the long
-# division is a _mac with negated terms.
+# A leaf is one (prefix, last column) pair.  A batch is one index range of
+# prefixes, decoded by _prefix_entries, whose completions fill _CENSUS_LEAVES
+# leaves (or one prefix).  Its full-rank prefixes (with the H1 asked for) are
+# finished together, each one's u broadcast against a slice of the q^(n(k+1))
+# last columns, so y is computed for the whole batch at once.  The leaves are
+# then grouped by d = deg w; h is monic, so each quotient digit of y' mod h is
+# the top remainder coefficient, and the long division is a _mac with negated
+# terms.
 #
 # A leaf's form [H1, y' mod h; 0, h] is named by its position in the walk
 # of canonical forms (see _forms): its run is H1's composition and d,
@@ -160,27 +161,12 @@ _LEAF_CHUNK = 1 << 16  # unipotent-family members, or system entries, per numpy 
 _CENSUS_LEAVES = 1 << 12
 
 
-def _prefixes(fld: GF, n: int, width: int):
-    """Every choice of the first n - 1 columns, in index order (digits as in
-    _decode_matrix), reduced once by ``polymat._hermite``.
-
-    Yields ``(h1, u)``: the rows of H1 as coefficient-tuple keys and the rows
-    of the witness u as coefficient lists; or ``None`` for a rank-deficient
-    prefix, all of whose completions are singular.
-    """
-    # every entry's coefficients, in index order; product varies its last
-    # factor fastest, so a prefix's entries are its tuple reversed (n = 1:
-    # one empty prefix, whose u is the identity)
-    polys = [_trim(digits(idx, fld.q, width)) for idx in range(fld.q**width)]
-    cols = n - 1
-    for entries in product(polys, repeat=n * cols):
-        entries = entries[::-1]
-        try:
-            h, u, _, _ = _hermite(fld, [entries[i * cols : (i + 1) * cols] for i in range(n)])
-        except SingularMatrix:
-            yield None
-            continue
-        yield tuple(tuple(map(tuple, row)) for row in h[:cols]), u
+def _prefix_entries(q: int, n: int, width: int, idx):
+    """The first n - 1 columns of the matrices idx (an index array, digits as
+    in _decode_matrix): an array (n, n - 1, L) of entry indices, entry (i, j)
+    being base-q^width digit i (n - 1) + j, whose base-q digits are its
+    coefficients."""
+    return np.array(digits(idx, q**width, n * (n - 1))).reshape(n, n - 1, len(idx))
 
 
 def _images(tbl, u, batch):
@@ -207,7 +193,7 @@ def _degrees(w):
 
 
 def _h1_terms(q: int, h1, start: dict, top: int):
-    """The terms of H1 (rows as _prefixes gives them), start being each run's
+    """The terms of H1 (rows of coefficient tuples), start being each run's
     first position: an int64 array (top + 1, 2), per d the position of [H1,
     0; 0, x^d] and the weight of h's constant term (0 past t = top)."""
     n, parts = len(h1) + 1, [len(row[j]) - 1 for j, row in enumerate(h1)]
@@ -280,9 +266,24 @@ def _census(fld: GF, n: int, k: int, budget, what: str, h1=None):
 
     # decoded once if they fit in a batch, else per slice: one batch is held at most
     whole = columns(0) if total <= chunk else None
-
-    def flush(group):
-        nonlocal tally, singular
+    # every entry's trimmed coefficients, by entry index (n = 1 has no entry)
+    polys = [_trim(digits(e, q, width)) for e in range(q**width if n > 1 else 0)]
+    prefixes = q ** (n * (n - 1) * width)
+    for lo in range(0, prefixes, per):
+        idx = np.arange(lo, min(lo + per, prefixes), dtype=np.int64)
+        group = []  # the batch's full-rank prefixes with the H1 asked for: (h1, u)
+        for entries in _prefix_entries(q, n, width, idx).transpose(2, 0, 1).tolist():
+            try:
+                h, u, _, _ = _hermite(fld, [[polys[e] for e in row] for row in entries])
+            except SingularMatrix:
+                singular += total
+                continue
+            h = tuple(tuple(map(tuple, row)) for row in h[: n - 1])
+            # every completion of a prefix with another H1 lies in another orbit
+            if h1 is None or h == h1:
+                group.append((h, u))
+        if not group:
+            continue
         if not len(tally):
             tally = np.zeros(firsts[-1], dtype=np.int64)
         du = max(len(e) for p in group for row in p[1] for e in row)
@@ -294,26 +295,10 @@ def _census(fld: GF, n: int, k: int, budget, what: str, h1=None):
         for h in {p[0] for p in group} - terms.keys():
             terms[h] = _h1_terms(q, h, start, n * k)
         at = np.array([terms[p[0]] for p in group])
-        for lo in range(0, total, chunk):
-            batch = columns(lo) if whole is None else whole
-            keys = _leaf_keys(fld, u, batch, at)
+        for j in range(0, total, chunk):
+            keys = _leaf_keys(fld, u, columns(j) if whole is None else whole, at)
             singular += int(np.count_nonzero(keys < 0))
             np.add.at(tally, keys[keys >= 0], 1)
-
-    group = []
-    for prefix in _prefixes(fld, n, width):
-        # every completion of a prefix with another H1 lies in another orbit
-        if h1 is not None and (prefix is None or prefix[0] != h1):
-            continue
-        if prefix is None:
-            singular += total
-            continue
-        group.append(prefix)
-        if len(group) == per:
-            flush(group)
-            group = []
-    if group:
-        flush(group)
     at = np.flatnonzero(tally)
     keys = _forms(n, comps, firsts, at.tolist(), _cell_values(q, comps))
     return dict(zip(keys, tally[at].tolist())), singular
@@ -361,8 +346,9 @@ def _det_degree_counts(fld: GF, n: int, k: int, idx) -> dict:
     degree None for the singular ones (see above)."""
     q, width = fld.q, k + 1
     size, top = n * width, n * k  # spanning polynomials x^d C_i, and their top degree
-    entries = np.array(digits(idx, q, n * (n - 1) * width)).reshape(n, n - 1, width, len(idx))
-    minors = _minors(tables(fld), entries.transpose(1, 0, 2, 3), len(idx))  # column by column
+    # the coefficients of each entry, column by column: an array (n - 1, n, width, L)
+    entries = np.array(digits(_prefix_entries(q, n, width, idx), q, width)).transpose(2, 1, 0, 3)
+    minors = _minors(tables(fld), entries, len(idx))
     # row i width + d of each system holds x^d C_i, from degree top down (C_i
     # up to its sign, which leaves the span alone): an array (top + 1, size, L)
     g = np.zeros((top + 1, size, len(idx)), dtype=np.intp)
@@ -783,13 +769,21 @@ def count_orbit_members(rep: PolyMatrix, k: int, budget=None) -> int:
     if not rep.is_square():
         raise NotSquare(f"{rep.rows}x{rep.cols}")
     h = _hermite(rep.field, [[e.coeffs for e in row] for row in rep.entries])[0]
+    _check_k(k)
     return _member_counts(rep.field, rep.rows, [(h, k)], budget)[0]
 
 
+def _check_k(low: int):
+    """Refuse k = low < 0: the box there holds only the zero matrix, so no orbit has a member."""
+    if low < 0:
+        raise InvalidParams(f"orbit member count needs k >= 0, got k = {low}")
+
+
 def _member_counts(fld: GF, n: int, forms, budget) -> list:
-    """The orbit member counts of (H, k) pairs in one pass: H a canonical
-    n x n form over fld as rows of coefficient lists (as ``PolyMatrix.key``
-    or ``polymat._hermite`` give them), k >= 0 (else InvalidParams).
+    """The orbit member counts of (H, k) pairs in one pass: forms an
+    iterable of them, H a canonical n x n form over fld as rows of
+    coefficient lists (as ``PolyMatrix.key`` or ``polymat._hermite`` give
+    them), k >= 0 (callers refuse k < 0 first, by _check_k).
 
     Members are U*H with U unimodular; factoring U by its constant term
     leaves the unimodular V with V(0) = I and V*H of entry degree <= k.  The
@@ -797,16 +791,15 @@ def _member_counts(fld: GF, n: int, forms, budget) -> list:
     for every row.  One ``rref`` solves the systems of every form, one
     gather of their coefficients: v_j[d] is column j K + d - 1 for K = max
     k, held at 0 past k by rows up to the top degree of V*H.  The budget is
-    checked per consistent form, in input order.  One ``_solutions`` walk
+    checked per consistent form, in input order, and forms are drawn from
+    the input only as far as the first refusal.  One ``_solutions`` walk
     yields the choices of the first n - 1 rows of every form, and the last
     row is counted by a line solve (see _line_systems), one segment per form
     in each batch: q^(nb - rank) solutions per consistent system, nb the
     form's nullity, past which the codec's basis is zero.  A 1x1 orbit
     {c·h : c in F_q^*} is counted at once.
     """
-    q, low = fld.q, min((k for _, k in forms), default=0)
-    if low < 0:
-        raise InvalidParams(f"orbit member count needs k >= 0, got k = {low}")
+    q = fld.q
     if n == 1:
         return [(q - 1) * (len(H[0][0]) <= k + 1) for H, k in forms]
     budget = _budget(budget)
@@ -818,10 +811,17 @@ def _member_counts(fld: GF, n: int, forms, budget) -> list:
                 _check_cofactors(budget, n, "orbit member enumeration")
 
     # a form with t <= k has independent rows, so nullity n k - t: the forms
-    # before the first with t > k are checked before any system is built
-    early = [n * k - _key_t(H) for H, k in takewhile(lambda f: _key_t(f[0]) <= f[1], forms)]
-    check(early, 0)
-    K = max(k for _, k in forms)
+    # before the first with t > k are checked as they are drawn, before any
+    # system is built
+    rest, forms, early = iter(forms), [], 0
+    for H, k in rest:
+        forms.append((H, k))
+        if _key_t(H) > k:
+            break
+        check([n * k - _key_t(H)], early)
+        early += 1
+    forms += rest
+    low, K = min(k for _, k in forms), max(k for _, k in forms)
     nunk = n * K
     entries = [h for H, _ in forms for col in zip(*H) for h in col]
     lens = np.array([len(h) for h in entries])
@@ -847,7 +847,7 @@ def _member_counts(fld: GF, n: int, forms, budget) -> list:
     counts = [0] * len(forms)
     if not len(live):
         return counts
-    check((nunk - ranks[live[live >= len(early)]]).tolist(), len(early))
+    check((nunk - ranks[live[live >= early]]).tolist(), early)
     particulars, basis, nb = affine_solutions(reduced[live], ranks[live], pivots[live], fld)
     size, width = basis.shape[:2]
 

@@ -371,6 +371,22 @@ def test_orbit_scan_past_the_64_bit_key_exits_3(tmp_path, capsys):
     assert err.startswith("error: ") and len(err.splitlines()) == 1 and "64-bit" in err
 
 
+def test_census_too_large_to_allocate_exits_3(tmp_path, capsys):
+    """diag(x, 1) over F_2 at k = 11 passes a budget of 10^15 and the 64-bit
+    guard, but its count array would take 341 TiB: refused by the allocator
+    at once, before any memory is touched, as one error line with exit 3."""
+    src = {"field": {"p": 2, "e": 1}, "entries": [[[0, 1], [0]], [[0], [1]]]}
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps(src))
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "brute", "--input", str(path), "--k", "11", "--budget", str(10**15)
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and "allocate" in err
+
+
 def test_brute_census(capsys):
     code, out, _ = run(capsys, "brute", "--n", "2", "--q", "2", "--k", "1")
     assert code == 0

@@ -3,6 +3,7 @@ import pytest
 from orbitcount import moves, oracle
 from orbitcount.errors import (
     BadIndex,
+    BudgetExceeded,
     DegreeTooSmall,
     InvalidParams,
     MixedFields,
@@ -317,6 +318,7 @@ def test_run_move_battery_counts_each_orbit_once(monkeypatch):
     count = oracle._member_counts
 
     def counting(fld, n, forms, budget):
+        forms = list(forms)
         calls.append((fld, n, [(fld, key, k) for key, k in forms]))
         return count(fld, n, forms, budget)
 
@@ -337,3 +339,28 @@ def test_run_move_battery_counts_each_orbit_once(monkeypatch):
     # the same battery twice counts everything again: no table outlives a call
     run_move_battery(two[:3], k_extra=0)
     assert len(calls) == 3
+
+
+def test_a_battery_refusal_draws_no_form_past_it(monkeypatch):
+    """The forms are checked as the battery's walk of its k ranges draws
+    them, so a refusal ends the walk and costs the same at any k_extra: the
+    2 x 2 battery over F_2 is refused at its first form's 2^28 choices (k =
+    14) with the same message and the same forms drawn at k_extra = 300 and
+    300,000."""
+    drawn = []
+    count = oracle._member_counts
+
+    def counting(fld, n, forms, budget):
+        return count(fld, n, (drawn.append(form) or form for form in forms), budget)
+
+    monkeypatch.setattr(oracle, "_member_counts", counting)
+    two, _ = standard_move_fixtures(F2)
+    seen = []
+    for k_extra in (300, 300_000):
+        with pytest.raises(BudgetExceeded) as refusal:
+            run_move_battery(two, k_extra=k_extra)
+        seen.append((str(refusal.value), list(drawn)))
+        drawn.clear()
+    assert seen[0] == seen[1]
+    assert seen[0][0] == "orbit member enumeration: 2^28 items exceed budget 100000000"
+    assert len(seen[0][1]) < 100

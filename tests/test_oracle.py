@@ -56,7 +56,7 @@ from orbitcount.oracle import (
     p_members,
     verify_grid,
 )
-from orbitcount.poly import NEG_INF, Poly
+from orbitcount.poly import NEG_INF, Poly, _trim
 from orbitcount.polymat import PolyMatrix, _minors, det, hnf, is_canonical_hnf
 from test_acceptance import _bound_grid
 from test_polymat import _det_cofactor  # the kernel-free determinant reference
@@ -297,23 +297,63 @@ def test_prefix_degree_counts_match_det_of_every_completion(q, n, k):
 # -- the prefix reductions against the Poly-object reference ----------------
 
 
+def reference_prefix(fld, n, k, idx):
+    """Prefix idx reduced by reference_hnf of _decode_matrix: the rows of H1
+    as coefficient tuples and the rows of u as coefficient lists, or None
+    where the reference raises SingularMatrix.  n = 1 has one empty prefix,
+    whose u is the identity."""
+    if n == 1:
+        return (), [[[1]]]
+    try:
+        form = reference_hnf(oracle._decode_matrix(fld, n, n - 1, k + 1, idx))
+    except SingularMatrix:
+        return None
+    return form.h.key()[: n - 1], [[list(e.coeffs) for e in row] for row in form.u.entries]
+
+
+@lru_cache(maxsize=None)
+def reference_prefixes(q, n, k):
+    """reference_prefix at every prefix index, in index order."""
+    fld = field_of_order(q)
+    return [reference_prefix(fld, n, k, idx) for idx in range(q ** (n * (n - 1) * (k + 1)))]
+
+
+@pytest.mark.parametrize("n,q,k", [(1, 3, 2), (2, 2, 1), (2, 4, 1), (2, 9, 0), (3, 2, 1)])
+def test_prefix_entries_match_decode_matrix_at_every_index(n, q, k):
+    """The entries _prefix_entries decodes from one index range, each read
+    as a polynomial from its base-q digits, against _decode_matrix at every
+    prefix index; n = 1 has one empty prefix."""
+    fld = field_of_order(q)
+    width, total = k + 1, q ** (n * (n - 1) * (k + 1))
+    entries = oracle._prefix_entries(q, n, width, np.arange(total))
+    assert entries.shape == (n, n - 1, total)
+    for idx, prefix in enumerate(entries.transpose(2, 0, 1).tolist()):
+        got = [[Poly(fld, digits(e, q, width)) for e in row] for row in prefix]
+        want = oracle._decode_matrix(fld, n, n - 1, width, idx).entries if n > 1 else [[]]
+        assert got == list(map(list, want)), idx
+
+
 @pytest.mark.parametrize("n,q,k", [(2, 2, 1), (2, 3, 1), (2, 4, 1), (2, 9, 0), (3, 2, 0), (3, 2, 1)])
 def test_prefixes_match_reference_hnf_of_each_decoded_prefix(n, q, k):
-    """Every prefix that _prefixes yields, in index order, against
-    reference_hnf of _decode_matrix at the same index: the rows of H1 and
-    of u, and None exactly where the reference raises SingularMatrix."""
+    """Every prefix of the census walk, decoded by _prefix_entries from one
+    index range and reduced by _hermite on the census's table of entries,
+    against reference_prefix at the same index: the rows of H1 and of u,
+    and SingularMatrix exactly where the reference raises it."""
     fld = field_of_order(q)
+    width, total = k + 1, q ** (n * (n - 1) * (k + 1))
+    polys = [_trim(digits(e, q, width)) for e in range(q**width)]
+    entries = oracle._prefix_entries(q, n, width, np.arange(total))
     singular = 0
-    for idx, prefix in enumerate(oracle._prefixes(fld, n, k + 1)):
+    for idx, prefix in enumerate(entries.transpose(2, 0, 1).tolist()):
+        want = reference_prefix(fld, n, k, idx)
         try:
-            form = reference_hnf(oracle._decode_matrix(fld, n, n - 1, k + 1, idx))
+            h, u, _, _ = oracle._hermite(fld, [[polys[e] for e in row] for row in prefix])
         except SingularMatrix:
-            assert prefix is None, idx
+            assert want is None, idx
             singular += 1
             continue
-        want = form.h.key()[: n - 1], [[list(e.coeffs) for e in row] for row in form.u.entries]
-        assert prefix == want, idx
-    assert idx == q ** (n * (n - 1) * (k + 1)) - 1 and singular
+        assert (tuple(tuple(map(tuple, row)) for row in h[: n - 1]), u) == want, idx
+    assert idx == total - 1 and singular
 
 
 # -- the batched leaf finish against the per-prefix reference ---------------
@@ -355,7 +395,7 @@ def reference_prefix_census(q, n, k):
     total = q ** (n * (k + 1))
     batch = np.array(digits(np.arange(total), q, n * (k + 1))).reshape(n, k + 1, total)
     buckets = {}
-    for prefix in oracle._prefixes(fld, n, k + 1):
+    for prefix in reference_prefixes(q, n, k):
         pairs = [(None, total)] if prefix is None else reference_leaf_keys(fld, prefix, batch)
         for key, count in pairs:
             buckets[key] = buckets.get(key, 0) + count
@@ -388,8 +428,7 @@ def test_batched_finish_matches_reference_finish(monkeypatch, n, q, k, batching)
         monkeypatch.setattr(oracle, "_CENSUS_LEAVES", q ** (n * (k + 1)))
     fld = field_of_order(q)
     orbits, singular = reference_prefix_census(q, n, k)
-    prefixes = list(oracle._prefixes(fld, n, k + 1))
-    share = Counter(p[0] for p in prefixes if p is not None)
+    share = Counter(p[0] for p in reference_prefixes(q, n, k) if p is not None)
     batches = []
     leaf_keys = oracle._leaf_keys
 
@@ -412,8 +451,21 @@ def test_batched_finish_matches_reference_finish(monkeypatch, n, q, k, batching)
             degrees[t] = degrees.get(t, 0) + count
         census = census_by_det_degree(n, fld, k)
         assert census.buckets == degrees and census.singular == singular
-    # each orbit scan would reduce every prefix again: reuse the list above
-    monkeypatch.setattr(oracle, "_prefixes", lambda *args: iter(prefixes))
+    # each orbit scan would reduce every prefix again: each is reduced once
+    hermite, memo = oracle._hermite, {}
+
+    def memoised(fld, rows):
+        key = repr(rows)  # before the reduction, which works on rows in place
+        if key not in memo:
+            try:
+                memo[key] = hermite(fld, rows)
+            except SingularMatrix:
+                memo[key] = None
+        if memo[key] is None:
+            raise SingularMatrix(key)
+        return memo[key]
+
+    monkeypatch.setattr(oracle, "_hermite", memoised)
     rep_of = {}
     for key in sorted(orbits):
         rep_of.setdefault(tuple(row[: n - 1] for row in key[: n - 1]), key)
@@ -435,7 +487,7 @@ def test_census_decodes_last_columns_that_fit_once(monkeypatch, n, q, k, leaves)
     decodes = []
 
     def counted(v, base, width):
-        if isinstance(v, np.ndarray):
+        if isinstance(v, np.ndarray) and (base, width) == (q, n * (k + 1)):  # last columns
             decodes.append(len(v))
         return digits(v, base, width)
 
@@ -446,7 +498,7 @@ def test_census_decodes_last_columns_that_fit_once(monkeypatch, n, q, k, leaves)
         return
     monkeypatch.setattr(oracle, "_CENSUS_LEAVES", leaves)
     fld = field_of_order(q)
-    share = Counter(p[0] for p in oracle._prefixes(fld, n, k + 1) if p is not None)
+    share = Counter(p[0] for p in reference_prefixes(q, n, k) if p is not None)
     h1 = min(share, key=share.__getitem__)
     rows = [list(row) + [[]] for row in h1] + [[[]] * (n - 1) + [[1]]]
     count_orbit_bruteforce(PolyMatrix.from_ints(fld, rows), k)
@@ -513,14 +565,15 @@ class Walked(Exception):
 def test_packed_keys_fit_in_int64_at_the_edge(monkeypatch, n, q, k, fits):
     """Under a budget that admits the scan, a census whose packed keys could
     reach 2^63 is refused, and one below it starts its walk; neither builds
-    an array first (the walk is replaced by one that stops at once).  The
+    an array first (the walk's first step, the Hermite reduction of its
+    first prefix, is replaced by one that stops at once).  The
     degree census packs no key, so it always starts: its first step, the
     cofactors of its first batch of prefixes, stops it."""
 
     def walk(*args):
         raise Walked
 
-    monkeypatch.setattr(oracle, "_prefixes", walk)
+    monkeypatch.setattr(oracle, "_hermite", walk)
     monkeypatch.setattr(oracle, "_minors", walk)
     huge = EnumerationBudget(1 << 400)
     rep = PolyMatrix.identity(field_of_order(q), n)
