@@ -7,7 +7,11 @@ coefficients of the element in the power basis of the defining modulus
 
 Every field, prime or extension, is its four tables: add, mul, neg and inv,
 lists built once at construction, so each per-element operation is one
-lookup.  ``tables`` hands the batched numpy kernels the same tables as arrays.
+lookup.  Addition is digitwise, and x·b is b with its digits shifted up one
+place and the top one folded back through the modulus; so row a of add and
+of mul is row a - p^i plus digit i or x^i, i the lowest nonzero digit of a.
+A modulus is refused when its product table has a zero divisor.  ``tables``
+hands the batched numpy kernels the same tables as arrays.
 """
 
 from __future__ import annotations
@@ -70,40 +74,25 @@ def is_int_list(values) -> bool:
     return isinstance(values, list) and all(type(v) is int for v in values)
 
 
-def _modulus_is_irreducible(modulus, p):
-    """Exhaustive irreducibility test over F_p: no monic divisor of degree
-    1..e/2 (degree 1 being the roots).  Fine at the sizes this package
-    supports."""
-    from .poly import Poly  # poly imports this module
-
-    fp = prime_field(p)
-    m = Poly(fp, modulus)
-    e = len(modulus) - 1
-    return all(
-        m % Poly(fp, digits(idx, p, d) + [1])
-        for d in range(1, e // 2 + 1)
-        for idx in range(p**d)
-    )
-
-
 def _build_tables(p: int, e: int, modulus):
-    """The add, mul, neg and inv tables of F_{p^e} (inv[0] is 0), and the
-    exp/log tables of its least generator, every entry a shared object.
+    """The add, mul, neg and inv tables of F_{p^e} (inv[0] is 0), every entry
+    one of the q shared element objects.
 
-    add[a] is add[a - p^i] with digit i stepped once more, i the lowest
-    nonzero digit of a.  From x·(r + t x^(e-1)) = r·x - t·(modulus below
-    x^e) come the rows of x^i·b, from their sums the row of g·b, and the mul
-    row of g^j is the row of g^(j-1) mapped through that of g.
+    Both tables grow one row at a time from a - p^i, i the lowest nonzero
+    digit of a: add[a] is add[a - p^i] with digit i stepped once more, and
+    mul[a] is mul[a - p^i] plus the row of x^i·b.  Those rows come from
+    x·(r + t x^(e-1)) = r·x - t·(modulus below x^e).  A zero in mul[a] past
+    column 0 is a zero divisor: the modulus is then reducible, and refused.
     """
     q, top = p**e, p ** (e - 1)
     elems = list(range(q))
     steps = []  # steps[i][b]: b with digit i stepped up by one, mod p
     for w in (p**i for i in range(e)):
         steps.append([elems[b + w if b // w % p < p - 1 else b - (p - 1) * w] for b in elems])
+    growth = [next((a - p**i, i) for i in range(e) if a % p ** (i + 1)) for a in elems[1:]]
     add = [elems]
-    for a in range(1, q):
-        i = next(i for i, d in enumerate(digits(a, p, e)) if d)
-        add.append(list(map(steps[i].__getitem__, add[a - p**i])))
+    for prev, i in growth:
+        add.append(list(map(steps[i].__getitem__, add[prev])))
     neg = [elems[row.index(0)] for row in add]
     times_x = [elems]  # times_x[i][b] = x^i·b
     for _ in range(1, e):
@@ -112,25 +101,14 @@ def _build_tables(p: int, e: int, modulus):
         for _ in range(1, p):
             multiples.append(add[multiples[-1]][xe])
         times_x.append([add[v % top * p][multiples[v // top]] for v in times_x[-1]])
-    for g in range(1, q):
-        row = [0] * q  # g·b
-        for i, d in enumerate(digits(g, p, e)):
-            for _ in range(d):
-                row = [add[u][v] for u, v in zip(row, times_x[i])]
-        exp = [1]
-        while row[exp[-1]] != 1:
-            exp.append(row[exp[-1]])
-        if len(exp) == q - 1:
-            break
-    mul = [[0] * q] * q  # every row but row 0 is replaced below
-    mul[1] = elems
-    for prev, v in zip(exp, exp[1:]):
-        mul[v] = list(map(row.__getitem__, mul[prev]))
-    log = [0] * q
-    for i, v in enumerate(exp):
-        log[v] = i
-    inv = [0] + [exp[-log[a] % (q - 1)] for a in elems[1:]]
-    return add, mul, neg, inv, exp, log
+    mul = [[0] * q]
+    for prev, i in growth:
+        row = [add[u][v] for u, v in zip(mul[prev], times_x[i])]
+        if 0 in row[1:]:
+            raise ReducibleModulus(f"modulus {list(modulus)} is reducible over F_{p}")
+        mul.append(row)
+    inv = [0] + [elems[row.index(1)] for row in mul[1:]]
+    return add, mul, neg, inv
 
 
 class GF:
@@ -158,16 +136,12 @@ class GF:
                 raise ReducibleModulus(
                     f"modulus must be monic of degree {e}, got {list(modulus)}"
                 )
-            if not _modulus_is_irreducible(modulus, p):
-                raise ReducibleModulus(f"modulus {list(modulus)} is reducible over F_{p}")
         self.p = p
         self.e = e
         self.q = q
         self.modulus = modulus
         self._element_set = frozenset(range(q))  # Poly's range check, one hash per coefficient
-        self._add, self._mul, self._neg, self._inv, self._exp, self._log = _build_tables(
-            p, e, modulus
-        )
+        self._add, self._mul, self._neg, self._inv = _build_tables(p, e, modulus)
 
     # -- arithmetic: one lookup each, on elements in [0, q) -----------------
 

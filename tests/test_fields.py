@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import random
 import time
 from itertools import product
 
@@ -15,7 +18,7 @@ from orbitcount.errors import (
 )
 from orbitcount.fields import (
     GF,
-    _modulus_is_irreducible,
+    _build_tables,
     digits,
     factorize,
     field_of_order,
@@ -157,7 +160,7 @@ def test_extension_field_generator_covers_units():
     f9 = field_of_order(9)
     seen = set()
     acc = 1
-    g = f9._exp[1]
+    g = reference_tables(3, 2, (1, 0, 1))[0][1]
     for _ in range(8):
         acc = f9.mul(acc, g)
         seen.add(acc)
@@ -246,7 +249,8 @@ def reference_modulus_is_irreducible(modulus, p):
 
 
 def reference_tables(p, e, modulus):
-    """(_exp, _log, _add, _neg) of F_{p^e} built on the reference kernels."""
+    """(exp, add, neg) of F_{p^e} built on the reference kernels, exp the
+    powers of its least generator."""
     q = p**e
 
     def pack(coeffs):
@@ -265,15 +269,12 @@ def reference_tables(p, e, modulus):
             exp.append(acc)
         if len(exp) == q - 1:
             break
-    log = [0] * q
-    for i, v in enumerate(exp):
-        log[v] = i
     add = [
         [pack([(x + y) % p for x, y in zip(digits(a, p, e), digits(b, p, e))]) for b in range(q)]
         for a in range(q)
     ]
     neg = [row.index(0) for row in add]
-    return exp, log, add, neg
+    return exp, add, neg
 
 
 @pytest.mark.parametrize("p, degrees", [(2, (2, 3, 4)), (3, (2, 3, 4)), (5, (2, 3)), (7, (2, 3))])
@@ -282,7 +283,12 @@ def test_irreducibility_verdict_matches_the_reference(p, degrees):
         verdicts = []
         for low in product(range(p), repeat=e):
             modulus = list(low) + [1]
-            verdict = _modulus_is_irreducible(modulus, p)
+            try:
+                GF(p, e, modulus)
+                verdict = True
+            except ReducibleModulus as exc:
+                assert str(exc) == f"modulus {modulus} is reducible over F_{p}"
+                verdict = False
             assert verdict == reference_modulus_is_irreducible(modulus, p), modulus
             verdicts.append(verdict)
         # both verdicts occur at every degree
@@ -301,11 +307,94 @@ def test_irreducibility_verdict_matches_the_reference(p, degrees):
 )
 def test_extension_tables_match_the_reference(p, e, modulus):
     fld = GF(p, e, modulus)
-    exp, log, add, neg = reference_tables(p, e, modulus)
-    assert fld._exp == exp
-    assert fld._log == log
+    exp, add, neg = reference_tables(p, e, modulus)
+    # the reference's powers of a generator fix every product and inverse
+    units = len(exp)
+    for i in range(units):
+        assert fld._inv[exp[i]] == exp[-i % units]
+        for j in range(units):
+            assert fld._mul[exp[i]][exp[j]] == exp[(i + j) % units]
     assert fld._add == add
     assert fld._neg == neg
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_build_refuses_every_reducible_modulus_and_returns(p):
+    """The product table alone decides irreducibility: the build refuses a
+    modulus with a zero divisor and builds every other one."""
+    for e in (2, 3, 4):
+        for low in product(range(p), repeat=e):
+            modulus = tuple(low) + (1,)
+            if reference_modulus_is_irreducible(modulus, p):
+                assert len(_build_tables(p, e, modulus)) == 4
+            else:
+                with pytest.raises(ReducibleModulus, match=r"^modulus \[.*\] is reducible over F_\d+$"):
+                    _build_tables(p, e, modulus)
+
+
+LARGE_FIELDS = [
+    (3, 5, (1, 2, 0, 0, 0, 1)),  # x^5 + 2x + 1
+    (2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)),  # x^8 + x^4 + x^3 + x + 1
+    (2, 9, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1)),  # x^9 + x^4 + 1
+    (509, 1, None),
+]
+
+
+@pytest.mark.parametrize("p, e, modulus", LARGE_FIELDS[2:])
+def test_every_table_entry_is_a_shared_element(p, e, modulus):
+    """Past q = 256 a fresh int per entry would grow each table by about
+    7 MB, so every entry is the element object that add[0] holds."""
+    fld = GF(p, e, modulus)
+    elems = fld._add[0]
+    for table in (fld._add, fld._mul, [fld._neg, fld._inv]):
+        for row in table:
+            assert all(v is elems[v] for v in row)
+
+
+@pytest.mark.parametrize("p, e, modulus", LARGE_FIELDS)
+def test_field_axioms_on_seeded_triples_of_the_large_fields(p, e, modulus):
+    fld = GF(p, e, modulus)
+    rng = random.Random(20261022)
+    for _ in range(2000):
+        a, b, c = (rng.randrange(fld.q) for _ in range(3))
+        assert fld.mul(a, fld.add(b, c)) == fld.add(fld.mul(a, b), fld.mul(a, c))
+        assert fld.mul(fld.mul(a, b), c) == fld.mul(a, fld.mul(b, c))
+        assert fld.add(fld.add(a, b), c) == fld.add(a, fld.add(b, c))
+    assert all(fld.mul(a, fld.inv(a)) == 1 for a in fld.units())
+
+
+# sha256 of repr((add, mul, neg, inv)), recorded from the generator-and-log
+# construction, so a change to how the tables are built changes no entry
+TABLE_PINS = {
+    (2, 1, None): "56694e59ba662059b9a98064b56f3a544c6ab7ba90369fbb6d488ad261fbfc3f",
+    (3, 1, None): "2cf114b6bf565083c2b0f131d09528bd576860c73c2cc0f88823dcf3961dd407",
+    (2, 2, (1, 1, 1)): "31811d564c5efe37a2e61c6c52585ec72350dd1cdb5115c7a68cef9477b46b02",
+    (5, 1, None): "8fc1cc289306313ed8f5f575e75bf1c3792d7c4245be4dd6b2421ff5e6210ed0",
+    (7, 1, None): "bc6987198b096bb509a4ca6b3d9f1cff429e4206a9d8d5303739f0b6039b3fce",
+    (2, 3, (1, 1, 0, 1)): "0b3ae15e0169772efbee483d496717c4f9fd41f7a880d51db75132cc2c6fdf26",
+    (3, 2, (1, 0, 1)): "508f161589db080714cde977898ba3ba418e552e9f30400593f61aab4201ba6e",
+    (11, 1, None): "6dd507bc3ee48fd437cc72e4c6a32a434f661743d93508fe721840a35c84772e",
+    (13, 1, None): "23b4e0d968cbf69d8ab5d75dfd43ebdcc01ac673ba54b0241c05d203b9e0d5e5",
+    (509, 1, None): "2b081e4418369b66046d7d0054492d4850a46608c84211ef1a84e79ca00b6487",
+    (3, 5, (1, 2, 0, 0, 0, 1)): "945538255124676b89e51e5f2d8231e1698361300e442a2353384c23bf8ab3f3",
+    (2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)): "e32738b23275eed86b377546c73d3edcffa3583cbc1875d45a22c5e52dee4a57",
+    (2, 9, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1)): "4f269c81306ace0dc43392fc164476e2a503ef2b9aa4599e46cf08edfc96782f",
+}
+
+
+def test_the_pins_cover_every_shipped_field_up_to_13():
+    shipped = []
+    for q in range(2, 14):
+        with contextlib.suppress(InvalidParams, UnsupportedSize):
+            shipped.append(field_of_order(q)._key())
+    assert shipped == [k for k in TABLE_PINS if k[0] ** k[1] <= 13]
+
+
+@pytest.mark.parametrize("p, e, modulus", list(TABLE_PINS))
+def test_tables_match_their_pins(p, e, modulus):
+    fld = field_spec(p, e, modulus)
+    tables_repr = repr((fld._add, fld._mul, fld._neg, fld._inv))
+    assert hashlib.sha256(tables_repr.encode()).hexdigest() == TABLE_PINS[p, e, modulus]
 
 
 # -- the tables against the modular formulas ---------------------------------
